@@ -40,8 +40,21 @@ TORA_THREADS=4 cargo run --release --bin tora -- \
     trace colmena-xtb --policy fifo-backfill --out target/trace-t4.jsonl
 cmp target/trace-t1.jsonl target/trace-t4.jsonl
 
-echo "== bench harnesses compile =="
-cargo build --benches --workspace
+echo "== tora experiments all reproduces the committed results/ =="
+# Every figure/table artifact is regenerated at seed 42; each deterministic
+# file must match its committed copy byte for byte (Table I is wall-clock
+# timing, so its log is excluded), and results/ must hold nothing else.
+rm -rf target/experiments
+cargo run --release --bin tora -- experiments all --out target/experiments > /dev/null
+for f in target/experiments/*; do
+    name=$(basename "$f")
+    [ "$name" = results_table1.log ] && continue
+    cmp "results/$name" "$f"
+done
+[ "$(ls results | wc -l)" -eq "$(ls target/experiments | wc -l)" ] || {
+    echo "results/ and a fresh \`tora experiments all\` differ in file count" >&2
+    exit 1
+}
 
 echo "== tora bench --quick (hot-path smoke) =="
 cargo run --release --bin tora -- bench --quick --out target/bench-smoke.json

@@ -1,4 +1,4 @@
-//! The fault-rate degradation sweep behind the `chaos_sweep` binary.
+//! The fault-rate degradation sweep behind `tora experiments chaos-sweep`.
 //!
 //! Runs a workload under [`FaultPlan::with_intensity`] at a series of fault
 //! rates, for GB and EB, and records how the §II-C efficiency degrades:
@@ -11,8 +11,11 @@
 use serde::{Deserialize, Serialize};
 use tora_alloc::allocator::AlgorithmKind;
 use tora_alloc::resources::ResourceKind;
+use tora_metrics::{pct, Table};
 use tora_sim::{simulate, ChurnConfig, FaultPlan, SimConfig};
 use tora_workloads::PaperWorkflow;
+
+use crate::artifact::{Artifact, ExperimentConfig};
 
 /// One (algorithm × fault-rate) cell of the degradation sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -71,7 +74,7 @@ pub fn run_chaos_cell(algorithm: AlgorithmKind, fault_rate: f64, seed: u64) -> C
         faults: FaultPlan::with_intensity(fault_rate),
         ..SimConfig::paper_like(seed)
     };
-    let result = simulate(&wf, algorithm.fast_equivalent(), config);
+    let result = simulate(&wf, algorithm, config);
     let kind = ResourceKind::MemoryMb;
     let attribution = result.metrics.attributed_waste(kind);
     ChaosCell {
@@ -87,6 +90,69 @@ pub fn run_chaos_cell(algorithm: AlgorithmKind, fault_rate: f64, seed: u64) -> C
         fault_waste_memory: attribution.fault_induced,
         alloc_waste_memory: attribution.allocation_induced,
         makespan_s: result.makespan_s,
+    }
+}
+
+/// The sweep over [`DEFAULT_RATES`] as a table: per algorithm and rate,
+/// the completed/dead-lettered/replayed split, the headline and
+/// degraded-mode memory AWE, and the fault-vs-allocation waste attribution.
+/// Panics if any cell breaks conservation (`submitted = completed +
+/// dead-lettered`) or recovers more tasks than it replayed.
+pub fn chaos_sweep(config: &ExperimentConfig) -> Artifact {
+    let seed = config.seed;
+    let cells = run_chaos_sweep(&DEFAULT_RATES, seed);
+    let mut table = Table::new(
+        format!("chaos sweep — memory AWE vs fault rate (seed {seed})"),
+        &[
+            "algorithm",
+            "rate",
+            "completed",
+            "dead-lettered",
+            "replayed",
+            "recovered",
+            "AWE",
+            "AWE (degraded)",
+            "fault waste",
+            "alloc waste",
+            "makespan",
+        ],
+    );
+    for cell in &cells {
+        assert_eq!(
+            cell.submitted,
+            cell.completed + cell.dead_lettered,
+            "conservation violated at {:?} rate {}",
+            cell.algorithm,
+            cell.fault_rate
+        );
+        assert!(
+            cell.replay_successes <= cell.replayed,
+            "replay accounting violated at {:?} rate {}",
+            cell.algorithm,
+            cell.fault_rate
+        );
+        table.row(&[
+            cell.algorithm.label().to_string(),
+            format!("{:.2}", cell.fault_rate),
+            cell.completed.to_string(),
+            cell.dead_lettered.to_string(),
+            cell.replayed.to_string(),
+            cell.replay_successes.to_string(),
+            pct(cell.awe_memory),
+            pct(cell.degraded_awe_memory),
+            format!("{:.3e}", cell.fault_waste_memory),
+            format!("{:.3e}", cell.alloc_waste_memory),
+            format!("{:.0} s", cell.makespan_s),
+        ]);
+    }
+    let mut text = table.render();
+    text.push_str(
+        "conservation OK: submitted = completed + dead-lettered \
+         (and recovered <= replayed) in every cell\n",
+    );
+    Artifact {
+        text,
+        files: Vec::new(),
     }
 }
 

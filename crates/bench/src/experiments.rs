@@ -1,4 +1,4 @@
-//! The experiment matrix shared by the figure-level harness binaries.
+//! The experiment matrix shared by the Figure 5 and 6 artifacts.
 //!
 //! One *cell* is (workflow × algorithm): the workflow is executed through the
 //! discrete-event engine on an opportunistic pool (the paper's setting —
@@ -6,11 +6,10 @@
 //! §II-C accounting for all three resource dimensions. Figure 5 reads the
 //! AWE values out of the cells; Figure 6 reads the waste breakdown.
 //!
-//! The bucketing algorithms run through their prefix-sum fast kernels here
-//! (the production default; `AlgorithmKind::fast_equivalent` is now the
-//! identity); the paper-faithful quadratic scans are exercised by the
-//! Table I harness, whose *subject* is that compute cost. Cells fan across
-//! cores via [`crate::pool::run_parallel`].
+//! The bucketing algorithms run through their prefix-sum kernels here (the
+//! production default); the paper-faithful quadratic scans are exercised by
+//! the Table I artifact, whose *subject* is that compute cost. Cells fan
+//! across cores via [`crate::pool::run_parallel`].
 
 use serde::{Deserialize, Serialize};
 use tora_alloc::allocator::AlgorithmKind;
@@ -90,7 +89,7 @@ pub fn run_cell(
         churn: config.churn,
         ..SimConfig::paper_like(config.seed)
     };
-    let result = simulate(&wf, algorithm.fast_equivalent(), sim_config);
+    let result = simulate(&wf, algorithm, sim_config);
     let dims = ResourceKind::STANDARD
         .iter()
         .map(|&kind| DimensionStats {
@@ -109,11 +108,6 @@ pub fn run_cell(
         makespan_s: result.makespan_s,
         worker_range: result.worker_range,
     }
-}
-
-/// Run the full 7×7 matrix, parallelized across cells with scoped threads.
-pub fn run_matrix(config: &MatrixConfig) -> Vec<MatrixCell> {
-    run_matrix_for(&PaperWorkflow::ALL, &AlgorithmKind::PAPER_SET, config)
 }
 
 /// Run an arbitrary sub-matrix on the detected thread count.
@@ -145,19 +139,6 @@ pub fn run_matrix_on(
         .flat_map(|&w| algorithms.iter().map(move |&a| (w, a)))
         .collect();
     crate::pool::run_parallel_on(&pairs, threads, |&(w, a)| run_cell(w, a, config))
-}
-
-/// Write cells as JSON into `$TORA_RESULTS_DIR/<name>.json` when that
-/// environment variable is set; otherwise do nothing. Returns the path
-/// written, if any.
-pub fn maybe_dump_json(name: &str, cells: &[MatrixCell]) -> Option<std::path::PathBuf> {
-    let dir = std::env::var_os("TORA_RESULTS_DIR")?;
-    let dir = std::path::PathBuf::from(dir);
-    std::fs::create_dir_all(&dir).ok()?;
-    let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(cells).ok()?;
-    std::fs::write(&path, json).ok()?;
-    Some(path)
 }
 
 #[cfg(test)]

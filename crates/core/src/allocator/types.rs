@@ -15,8 +15,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Deref;
 
-/// The seven allocation algorithms evaluated in §V, plus the incremental
-/// Greedy Bucketing ablation.
+/// The seven allocation algorithms evaluated in §V, plus the learned and
+/// clustering extensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AlgorithmKind {
     /// Naive baseline: a full worker per task.
@@ -33,9 +33,6 @@ pub enum AlgorithmKind {
     GreedyBucketing,
     /// This paper: Exhaustive Bucketing (Algorithm 2).
     ExhaustiveBucketing,
-    /// Ablation: Greedy Bucketing with the one-pass scan (identical output,
-    /// different compute cost). Not part of the paper's evaluated set.
-    GreedyBucketingIncremental,
     /// Extension: k-means clustering behind the shared bucketing policy —
     /// the other clustering rule of Phung et al. \[11\]. Not part of the
     /// paper's evaluated set.
@@ -62,6 +59,20 @@ impl AlgorithmKind {
         AlgorithmKind::ExhaustiveBucketing,
     ];
 
+    /// Every algorithm: the paper set, then the extensions.
+    pub const ALL: [AlgorithmKind; 10] = [
+        AlgorithmKind::WholeMachine,
+        AlgorithmKind::MaxSeen,
+        AlgorithmKind::MinWaste,
+        AlgorithmKind::MaxThroughput,
+        AlgorithmKind::QuantizedBucketing,
+        AlgorithmKind::GreedyBucketing,
+        AlgorithmKind::ExhaustiveBucketing,
+        AlgorithmKind::KMeansBucketing,
+        AlgorithmKind::FeatureBinned,
+        AlgorithmKind::SemiBandit,
+    ];
+
     /// Stable report label.
     pub fn label(self) -> &'static str {
         match self {
@@ -72,7 +83,6 @@ impl AlgorithmKind {
             AlgorithmKind::QuantizedBucketing => "quantized-bucketing",
             AlgorithmKind::GreedyBucketing => "greedy-bucketing",
             AlgorithmKind::ExhaustiveBucketing => "exhaustive-bucketing",
-            AlgorithmKind::GreedyBucketingIncremental => "greedy-bucketing-incremental",
             AlgorithmKind::KMeansBucketing => "kmeans-bucketing",
             AlgorithmKind::FeatureBinned => "feature-binned",
             AlgorithmKind::SemiBandit => "semi-bandit",
@@ -87,7 +97,6 @@ impl AlgorithmKind {
             self,
             AlgorithmKind::GreedyBucketing
                 | AlgorithmKind::ExhaustiveBucketing
-                | AlgorithmKind::GreedyBucketingIncremental
                 | AlgorithmKind::KMeansBucketing
         )
     }
@@ -102,17 +111,6 @@ impl AlgorithmKind {
                 self,
                 AlgorithmKind::FeatureBinned | AlgorithmKind::SemiBandit
             )
-    }
-
-    /// The output-identical but computationally cheaper variant, if one
-    /// exists. Since the prefix-sum kernels became the default partitioner
-    /// mode, every kind already *is* its fast equivalent, so this is the
-    /// identity; it is kept so experiment harnesses read the same either
-    /// way. Table I opts into the paper-faithful scans explicitly
-    /// (`GreedyBucketing::faithful()` / `ExhaustiveBucketing::faithful()`)
-    /// because their compute cost is what that table reports.
-    pub fn fast_equivalent(self) -> AlgorithmKind {
-        self
     }
 
     /// Construct the estimator for one resource dimension of one category.
@@ -140,9 +138,6 @@ impl AlgorithmKind {
             AlgorithmKind::QuantizedBucketing => Box::new(QuantizedBucketing::new()),
             AlgorithmKind::GreedyBucketing => {
                 Box::new(BucketingEstimator::new(GreedyBucketing::new()))
-            }
-            AlgorithmKind::GreedyBucketingIncremental => {
-                Box::new(BucketingEstimator::new(GreedyBucketing::incremental()))
             }
             AlgorithmKind::ExhaustiveBucketing => {
                 Box::new(BucketingEstimator::new(ExhaustiveBucketing::new()))

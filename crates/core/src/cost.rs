@@ -29,8 +29,8 @@ struct IntervalStats {
 /// `compute_greedy_cost` does — a linear pass over the interval. This is
 /// intentionally *not* accelerated with prefix sums: the O(interval) cost per
 /// candidate is what gives Greedy Bucketing its measured Table I growth
-/// (≈0.44 s at 5000 records in the paper). An incremental variant lives in
-/// [`crate::greedy`] as an ablation.
+/// (≈0.44 s at 5000 records in the paper). The production scan reads
+/// [`PrefixStats`] instead.
 fn interval_stats(records: &[ScalarRecord], lo: usize, hi: usize) -> IntervalStats {
     debug_assert!(lo <= hi && hi < records.len());
     let mut sig_sum = 0.0;

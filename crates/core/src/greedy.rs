@@ -7,7 +7,7 @@
 //! best "break" is the interval's end (one bucket), it stops; otherwise it
 //! recurses into both halves, accumulating break points.
 //!
-//! Three scan strategies are provided:
+//! Two scan strategies are provided, with identical output:
 //!
 //! * **Prefix** (default): a [`PrefixStats`] cache built once per
 //!   `partition` call answers every interval's statistics in O(1), so each
@@ -16,32 +16,18 @@
 //! * **Faithful** ([`GreedyBucketing::faithful`]): each candidate's cost
 //!   re-walks the interval, exactly like the paper's `compute_greedy_cost` —
 //!   O(len²) per scan. This reproduces Table I's measured growth
-//!   (GB ≈ 0.44 s at 5000 records) and is what the `table1` bench times.
-//! * **Incremental** (ablation, §VII "potential optimizations"): one prefix
-//!   pass per interval computes every candidate's cost with running sums.
-//!   Kept as the historical ablation variant; output-identical to both
-//!   others.
+//!   (GB ≈ 0.44 s at 5000 records) and is what Table I times.
 
 use crate::cost::{greedy_cost, PrefixStats};
 use crate::partition::Partitioner;
 use crate::record::ScalarRecord;
 
-/// How the per-interval break scan computes candidate costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum GreedyScan {
-    /// O(1) interval stats from a partition-wide prefix-sum cache.
-    #[default]
-    Prefix,
-    /// Per-interval running sums (the historical fast ablation).
-    Incremental,
-    /// The paper's per-candidate interval re-walk (Table I's cost).
-    Faithful,
-}
-
 /// The Greedy Bucketing partitioner.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedyBucketing {
-    scan: GreedyScan,
+    /// Re-walk the interval per candidate (the paper's cost) instead of
+    /// reading the prefix-sum cache.
+    faithful: bool,
 }
 
 impl GreedyBucketing {
@@ -54,28 +40,12 @@ impl GreedyBucketing {
     /// The paper's per-candidate scan cost — O(len²) per interval. Use this
     /// to reproduce Table I's compute-cost measurements.
     pub fn faithful() -> Self {
-        GreedyBucketing {
-            scan: GreedyScan::Faithful,
-        }
-    }
-
-    /// Output-identical variant whose scan is computed incrementally in one
-    /// pass per interval (the optimization ablation).
-    pub fn incremental() -> Self {
-        GreedyBucketing {
-            scan: GreedyScan::Incremental,
-        }
-    }
-
-    /// Whether this instance uses one of the fast scans (anything but the
-    /// paper-faithful re-walk).
-    pub fn is_incremental(&self) -> bool {
-        self.scan != GreedyScan::Faithful
+        GreedyBucketing { faithful: true }
     }
 
     /// Whether this instance reproduces the paper's O(len²) scan cost.
     pub fn is_faithful(&self) -> bool {
-        self.scan == GreedyScan::Faithful
+        self.faithful
     }
 
     /// Find the best break for `records[lo..=hi]`. Returns `(break, cost)`;
@@ -88,10 +58,10 @@ impl GreedyBucketing {
         lo: usize,
         hi: usize,
     ) -> (usize, f64) {
-        match self.scan {
-            GreedyScan::Prefix => best_break_prefix(records, stats, lo, hi),
-            GreedyScan::Incremental => best_break_incremental(records, lo, hi),
-            GreedyScan::Faithful => best_break_faithful(records, lo, hi),
+        if self.faithful {
+            best_break_faithful(records, lo, hi)
+        } else {
+            best_break_prefix(records, stats, lo, hi)
         }
     }
 }
@@ -103,48 +73,6 @@ fn best_break_faithful(records: &[ScalarRecord], lo: usize, hi: usize) -> (usize
     let mut break_idx = hi;
     for i in lo..=hi {
         let cost = greedy_cost(records, lo, i, hi);
-        if cost < min_cost {
-            min_cost = cost;
-            break_idx = i;
-        }
-    }
-    (break_idx, min_cost)
-}
-
-/// One-pass scan with identical results: prefix sums of significance and
-/// value·significance give each candidate's bucket stats in O(1).
-#[allow(clippy::needless_range_loop)] // index math mirrors the paper's pseudocode
-fn best_break_incremental(records: &[ScalarRecord], lo: usize, hi: usize) -> (usize, f64) {
-    let mut total_sig = 0.0;
-    let mut total_wsum = 0.0;
-    for r in &records[lo..=hi] {
-        total_sig += r.sig;
-        total_wsum += r.value * r.sig;
-    }
-    let rep_hi = records[hi].value;
-
-    let mut min_cost = f64::INFINITY;
-    let mut break_idx = hi;
-    let mut low_sig = 0.0;
-    let mut low_wsum = 0.0;
-    for i in lo..=hi {
-        low_sig += records[i].sig;
-        low_wsum += records[i].value * records[i].sig;
-        let cost = if i == hi {
-            rep_hi - total_wsum / total_sig
-        } else {
-            let high_sig = total_sig - low_sig;
-            let high_wsum = total_wsum - low_wsum;
-            two_bucket_cost(
-                total_sig,
-                low_sig,
-                high_sig,
-                low_wsum / low_sig,
-                high_wsum / high_sig,
-                records[i].value,
-                rep_hi,
-            )
-        };
         if cost < min_cost {
             min_cost = cost;
             break_idx = i;
@@ -207,10 +135,10 @@ fn two_bucket_cost(
 
 impl Partitioner for GreedyBucketing {
     fn name(&self) -> &'static str {
-        match self.scan {
-            GreedyScan::Prefix => "greedy-bucketing",
-            GreedyScan::Incremental => "greedy-bucketing-incremental",
-            GreedyScan::Faithful => "greedy-bucketing-faithful",
+        if self.faithful {
+            "greedy-bucketing-faithful"
+        } else {
+            "greedy-bucketing"
         }
     }
 
@@ -222,11 +150,11 @@ impl Partitioner for GreedyBucketing {
             return Vec::new();
         }
         // The prefix cache is built once per partition call and shared by
-        // every interval scan; the other scan modes never touch it.
-        let stats = if self.scan == GreedyScan::Prefix {
-            PrefixStats::from_records(records)
-        } else {
+        // every interval scan; the faithful scan never touches it.
+        let stats = if self.faithful {
             PrefixStats::new()
+        } else {
+            PrefixStats::from_records(records)
         };
         let mut ends: Vec<usize> = Vec::new();
         let mut stack = vec![(0usize, n - 1)];
@@ -311,7 +239,6 @@ mod tests {
     fn all_scan_modes_produce_identical_partitions() {
         let gb_p = GreedyBucketing::new();
         let gb_f = GreedyBucketing::faithful();
-        let gb_i = GreedyBucketing::incremental();
         // Deterministic pseudo-random values.
         let mut state = 0x1234_5678_u64;
         let mut next = move || {
@@ -325,7 +252,6 @@ mod tests {
             let l = list(&values);
             let faithful = gb_f.partition(l.sorted());
             assert_eq!(gb_p.partition(l.sorted()), faithful, "prefix, n = {n}");
-            assert_eq!(gb_i.partition(l.sorted()), faithful, "incremental, n = {n}");
         }
     }
 
@@ -356,13 +282,6 @@ mod tests {
             GreedyBucketing::faithful().name(),
             "greedy-bucketing-faithful"
         );
-        assert_eq!(
-            GreedyBucketing::incremental().name(),
-            "greedy-bucketing-incremental"
-        );
-        assert!(GreedyBucketing::new().is_incremental());
-        assert!(GreedyBucketing::incremental().is_incremental());
-        assert!(!GreedyBucketing::faithful().is_incremental());
         assert!(GreedyBucketing::faithful().is_faithful());
         assert!(!GreedyBucketing::new().is_faithful());
     }

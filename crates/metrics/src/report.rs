@@ -1,6 +1,6 @@
 //! Plain-text and CSV report rendering for the experiment harnesses.
 //!
-//! The figure/table binaries in `tora-bench` print the same rows/series the
+//! The figure/table artifacts in `tora-bench` print the same rows/series the
 //! paper reports; [`Table`] keeps that output aligned and exportable without
 //! pulling in a plotting stack.
 

@@ -283,7 +283,7 @@ impl FaultPlan {
     ];
 
     /// A plan whose every fault source scales with one intensity knob in
-    /// `[0, 1]` — the x-axis of the `chaos_sweep` degradation curve.
+    /// `[0, 1]` — the x-axis of the `chaos-sweep` degradation curve.
     pub fn with_intensity(rate: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&rate),

@@ -8,7 +8,7 @@
 //! tora simulate <workflow|file> [opts]        run the discrete-event engine
 //! tora replay   <workflow|file> [opts]        run the fast serial replay
 //! tora trace    <workflow|file> [opts]        traced run: allocation events as JSONL
-//! tora matrix   [opts]                        the 7×7 AWE matrix (Fig. 5)
+//! tora experiments <artifact>|all [opts]      regenerate the paper's figures/tables
 //! tora bench    [--quick]                     hot-path performance report → BENCH.json
 //! tora serve    [opts]                        long-running allocation daemon (JSONL)
 //! ```
@@ -32,7 +32,7 @@ fn main() -> ExitCode {
         Some("replay") => cmd_run(&args[1..], Mode::Replay),
         Some("trace") => cmd_trace(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
-        Some("matrix") => cmd_matrix(&args[1..]),
+        Some("experiments") => cmd_experiments(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("--help") | Some("-h") | None => {
@@ -70,7 +70,11 @@ fn print_usage() {
                                            banks that fraction of a crashed attempt's\n\
                                            finished work via checkpointing; --quick runs\n\
                                            the determinism smoke test)\n\
-           matrix   [opts]                 AWE matrix across workflows × algorithms\n\
+           experiments <artifact>|all      regenerate the paper's evaluation: fig2 | fig4 |\n\
+                                           fig5 | fig6 | table1 | ablations | chaos-sweep\n\
+                                           (--seeds <n> averages fig5 over n seeds; --out\n\
+                                           <dir> also writes each artifact's tables and raw\n\
+                                           data files there)\n\
            bench    [--quick] [opts]       time the hot paths (prediction, rebucket fast\n\
                                            vs faithful, engine, parallel runner, serve\n\
                                            prediction latency) and write BENCH.json\n\
@@ -101,7 +105,7 @@ fn print_usage() {
            --loopback <n>        (--shape) max bounded-cycle iterations per\n\
                                  node (default 0 = acyclic)\n\
            --mix <frac>:<scale>  heterogeneous pool: fraction of large workers\n\
-           --out <file>          write JSON output to a file\n\
+           --out <file>          write JSON output to a file (experiments: a directory)\n\
            --log <file>          (simulate) dump the event log as JSONL\n\
            --convergence         (simulate/replay) print the rolling-AWE trajectory"
     );
@@ -109,38 +113,17 @@ fn print_usage() {
 
 fn cmd_algorithms() -> Result<(), String> {
     let mut table = Table::new("allocation algorithms", &["name", "kind", "exploration"]);
-    let rows: Vec<(AlgorithmKind, &str)> = vec![
-        (AlgorithmKind::WholeMachine, "naive baseline"),
-        (AlgorithmKind::MaxSeen, "naive baseline"),
-        (AlgorithmKind::MinWaste, "Tovar et al. job sizing"),
-        (AlgorithmKind::MaxThroughput, "Tovar et al. job sizing"),
-        (
-            AlgorithmKind::QuantizedBucketing,
-            "Phung et al. quantile clustering",
-        ),
-        (AlgorithmKind::GreedyBucketing, "this paper (Algorithm 1)"),
-        (
-            AlgorithmKind::ExhaustiveBucketing,
-            "this paper (Algorithm 2)",
-        ),
-        (
-            AlgorithmKind::GreedyBucketingIncremental,
-            "ablation: fast greedy scan",
-        ),
-        (
-            AlgorithmKind::KMeansBucketing,
-            "extension: k-means clustering",
-        ),
-        (
-            AlgorithmKind::FeatureBinned,
-            "extension: feature-conditioned bins",
-        ),
-        (
-            AlgorithmKind::SemiBandit,
-            "extension: semi-bandit arm selection",
-        ),
-    ];
-    for (alg, kind) in rows {
+    for alg in AlgorithmKind::ALL {
+        let kind = match alg {
+            AlgorithmKind::WholeMachine | AlgorithmKind::MaxSeen => "naive baseline",
+            AlgorithmKind::MinWaste | AlgorithmKind::MaxThroughput => "Tovar et al. job sizing",
+            AlgorithmKind::QuantizedBucketing => "Phung et al. quantile clustering",
+            AlgorithmKind::GreedyBucketing => "this paper (Algorithm 1)",
+            AlgorithmKind::ExhaustiveBucketing => "this paper (Algorithm 2)",
+            AlgorithmKind::KMeansBucketing => "extension: k-means clustering",
+            AlgorithmKind::FeatureBinned => "extension: feature-conditioned bins",
+            AlgorithmKind::SemiBandit => "extension: semi-bandit arm selection",
+        };
         table.row(&[
             alg.label(),
             kind,
@@ -585,30 +568,69 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_matrix(raw: &[String]) -> Result<(), String> {
+/// `tora experiments`: regenerate one artifact of the paper's evaluation
+/// (or `all` of them) and print its tables. `--out <dir>` also writes each
+/// artifact's raw data files and its printed text (`results_<name>.log`)
+/// into the directory. The deterministic artifacts fan out across the job
+/// pool; Table I times itself, so it runs before the fan-out, alone.
+fn cmd_experiments(raw: &[String]) -> Result<(), String> {
+    use tora_bench::{experiment, Experiment, ExperimentConfig, EXPERIMENTS};
     let args = Args::parse(raw)?;
-    let seed = args.seed()?;
-    let algorithms: Vec<AlgorithmKind> = match args.value_of("algorithm")? {
-        Some(name) => vec![parse_algorithm(name)?],
-        None => AlgorithmKind::PAPER_SET.to_vec(),
-    };
-    let mut headers = vec!["algorithm"];
-    headers.extend(PaperWorkflow::ALL.iter().map(|w| w.name()));
-    let mut table = Table::new(format!("memory AWE matrix (seed {seed})"), &headers);
-    for alg in &algorithms {
-        let mut row = vec![alg.label().to_string()];
-        for wf in PaperWorkflow::ALL {
-            let built = wf.build(seed);
-            let result = simulate(&built, alg.fast_equivalent(), SimConfig::paper_like(seed));
-            row.push(pct(result
-                .metrics
-                .awe(ResourceKind::MemoryMb)
-                .unwrap_or(0.0)));
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    let valid = format!("one of: all, {}", names.join(", "));
+    let selected: Vec<&Experiment> = match args.positional.first() {
+        None => return Err(format!("experiments requires an artifact ({valid})")),
+        Some(&"all") => EXPERIMENTS.iter().collect(),
+        Some(name) => {
+            vec![experiment(name).ok_or_else(|| format!("unknown artifact `{name}` ({valid})"))?]
         }
-        table.push_row(row);
-        eprint!(".");
+    };
+    let seeds = match args.value_of("seeds")? {
+        None => 1,
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|n: &u64| *n >= 1)
+            .ok_or_else(|| format!("bad --seeds `{v}` (a seed count ≥ 1)"))?,
+    };
+    let config = ExperimentConfig {
+        seed: args.seed()?,
+        seeds,
+    };
+    let out = args.value_of("out")?.map(std::path::Path::new);
+    if let Some(dir) = out {
+        std::fs::create_dir_all(dir).map_err(|e| format!("creating `{}`: {e}", dir.display()))?;
     }
-    eprintln!();
-    print!("{}", table.render());
+
+    let mut timed = selected
+        .iter()
+        .find(|e| !e.deterministic)
+        .map(|e| (e.run)(&config));
+    let pure: Vec<&Experiment> = selected
+        .iter()
+        .copied()
+        .filter(|e| e.deterministic)
+        .collect();
+    let mut rendered = tora_bench::run_parallel(&pure, |e| (e.run)(&config)).into_iter();
+    for (i, e) in selected.into_iter().enumerate() {
+        if i > 0 {
+            println!();
+        }
+        let artifact = if e.deterministic {
+            rendered.next()
+        } else {
+            timed.take()
+        }
+        .expect("one artifact per selection");
+        print!("{}", artifact.text);
+        let Some(dir) = out else { continue };
+        let log = (tora_bench::artifact::log_name(e.name), artifact.text);
+        for (name, contents) in artifact.files.iter().chain(std::iter::once(&log)) {
+            let path = dir.join(name);
+            std::fs::write(&path, contents)
+                .map_err(|e| format!("writing `{}`: {e}", path.display()))?;
+            eprintln!("wrote {}", path.display());
+        }
+    }
     Ok(())
 }

@@ -103,15 +103,8 @@ impl<'a> Args<'a> {
 
 /// Resolve an algorithm label (see `tora algorithms`) to its [`AlgorithmKind`].
 pub fn parse_algorithm(name: &str) -> Result<AlgorithmKind, String> {
-    const EXTRAS: [AlgorithmKind; 4] = [
-        AlgorithmKind::GreedyBucketingIncremental,
-        AlgorithmKind::KMeansBucketing,
-        AlgorithmKind::FeatureBinned,
-        AlgorithmKind::SemiBandit,
-    ];
-    AlgorithmKind::PAPER_SET
+    AlgorithmKind::ALL
         .into_iter()
-        .chain(EXTRAS)
         .find(|a| a.label() == name)
         .ok_or_else(|| format!("unknown algorithm `{name}` (see `tora algorithms`)"))
 }

@@ -28,7 +28,8 @@
 //!
 //! | code | meaning |
 //! |------|---------|
-//! | `bad-request` | unparseable line, or a field failed validation |
+//! | `bad-request` | unparseable or non-UTF-8 line, or a field failed validation |
+//! | `line-too-long` | a request line over [`session::MAX_LINE_BYTES`]; the rest of the line is skipped |
 //! | `unknown-tenant` | no open tenant by that name |
 //! | `duplicate-tenant` | `Open` for a name already open |
 //! | `unknown-task` / `task-not-running` | the task is not currently granted |
@@ -36,7 +37,7 @@
 //! | `unknown-algorithm` | `Open.algorithm` is not a known label |
 //! | `unknown-workflow` | `Workload.workflow` is not a built-in |
 //! | `bad-fault-kind` | `Fault.kind` is not crash/straggler/exhaustion |
-//! | `io` | a snapshot could not be serialized or written |
+//! | `io` | a snapshot could not be serialized or written (snapshots are written to a temp file, synced, then renamed into place) |
 //!
 //! Workload materialization failures pass through the stable
 //! [`WorkloadError`](crate::workloads::WorkloadError) codes

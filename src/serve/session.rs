@@ -11,12 +11,16 @@ use crate::prelude::*;
 use crate::workloads::PaperWorkflow;
 use tora_alloc::oplog::AllocOp;
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use super::protocol::{Prediction, Request, Response, TenantStatus};
 use super::snapshot::ServeSnapshot;
 use super::tenant::{algorithm_or_default, AppliedOp, Registry, TaskBooking, Tenant};
 use super::ServeConfig;
+
+/// The longest request line the daemon reads, in bytes (newline excluded).
+/// Longer lines are answered `line-too-long` without being buffered.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// A live daemon: the tenant registry plus the request dispatcher.
 pub struct Session {
@@ -64,17 +68,41 @@ impl Session {
     /// Serve an entire connection: one response line per request line.
     /// Returns whether a `Shutdown` was seen (the connection ending without
     /// one leaves the daemon ready for the next connection).
+    ///
+    /// Lines are read as bytes, at most [`MAX_LINE_BYTES`] at a time: a
+    /// longer line is answered `line-too-long` and the rest of it is skipped
+    /// without being buffered; a line that is not UTF-8 is answered
+    /// `bad-request`. Neither touches daemon state or ends the connection.
     pub fn serve<R: BufRead, W: Write>(
         &mut self,
-        reader: R,
+        mut reader: R,
         mut writer: W,
     ) -> std::io::Result<bool> {
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            let cap = MAX_LINE_BYTES as u64 + 1;
+            if (&mut reader).take(cap).read_until(b'\n', &mut buf)? == 0 {
+                return Ok(false);
             }
-            let (response, shutdown) = self.handle_line(&line);
+            // Only a line that filled the whole window without reaching
+            // its newline is over the cap.
+            let (response, shutdown) = if buf.len() as u64 == cap && buf.last() != Some(&b'\n') {
+                discard_line(&mut reader)?;
+                let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                (Response::error("line-too-long", message), false)
+            } else {
+                let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+                let line = line.strip_suffix(b"\r").unwrap_or(line);
+                match std::str::from_utf8(line) {
+                    Ok(line) if line.trim().is_empty() => continue,
+                    Ok(line) => self.handle_line(line),
+                    Err(e) => {
+                        let message = format!("request is not UTF-8: {e}");
+                        (Response::error("bad-request", message), false)
+                    }
+                }
+            };
             let json = serde_json::to_string(&response)
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
             writeln!(writer, "{json}")?;
@@ -83,7 +111,6 @@ impl Session {
                 return Ok(true);
             }
         }
-        Ok(false)
     }
 
     /// Bind a Unix socket and serve connections sequentially (the registry
@@ -496,7 +523,7 @@ impl Session {
             Ok(json) => json,
             Err(e) => return Response::error("io", e),
         };
-        if let Err(e) = std::fs::write(path, json) {
+        if let Err(e) = write_atomically(std::path::Path::new(path), json.as_bytes()) {
             return Response::error("io", format!("writing `{path}`: {e}"));
         }
         Response::Snapshotted {
@@ -523,6 +550,43 @@ impl Session {
 impl TaskBooking {
     fn category_id(&self) -> CategoryId {
         CategoryId(self.category)
+    }
+}
+
+/// Write `bytes` to a sibling temp file, flush it to disk, then rename it
+/// over `path`: a kill at any point leaves either the previous file or the
+/// complete new one, never a torn mix.
+fn write_atomically(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp);
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(bytes)?;
+        file.sync_all()
+    });
+    match written.and_then(|()| std::fs::rename(&tmp, path)) {
+        Ok(()) => Ok(()),
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            Err(e)
+        }
+    }
+}
+
+/// Consume the rest of the current line (through its newline, or to the end
+/// of the stream) without buffering it.
+fn discard_line<R: BufRead>(reader: &mut R) -> std::io::Result<()> {
+    loop {
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        if let Some(i) = chunk.iter().position(|&b| b == b'\n') {
+            reader.consume(i + 1);
+            return Ok(());
+        }
+        let n = chunk.len();
+        reader.consume(n);
     }
 }
 

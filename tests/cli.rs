@@ -33,6 +33,7 @@ fn help_and_listings() {
     ] {
         assert!(out.contains(label), "missing {label}");
     }
+    assert!(!out.contains("incremental"), "{out}");
 
     let (ok, out, _) = tora(&["workflows"]);
     assert!(ok);
@@ -208,6 +209,42 @@ fn chaos_smoke_is_deterministic_and_conserves() {
     let (ok, _, err) = tora(&["chaos", "bimodal", "--plan", "nope"]);
     assert!(!ok);
     assert!(err.contains("unknown --plan"), "{err}");
+}
+
+#[test]
+fn experiments_render_and_dump_artifacts() {
+    let dir = std::env::temp_dir().join(format!("tora-cli-experiments-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_str = dir.to_str().unwrap();
+    let (ok, out, err) = tora(&["experiments", "fig2", "--out", dir_str]);
+    assert!(ok, "{err}");
+    assert!(out.contains("Figure 2 — colmena-xtb"), "{out}");
+    for name in ["fig2_colmena-xtb.csv", "fig2_topeft.csv"] {
+        let csv = std::fs::read_to_string(dir.join(name)).unwrap();
+        assert!(csv.starts_with("task,category,cores,memory_mb,disk_mb,time_s\n"));
+    }
+    // The dumped log is exactly what was printed.
+    assert_eq!(
+        std::fs::read_to_string(dir.join("results_fig2.log")).unwrap(),
+        out
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (ok, _, err) = tora(&["experiments", "fig3"]);
+    assert!(!ok);
+    assert!(err.contains("unknown artifact `fig3`"), "{err}");
+    for name in [
+        "all",
+        "fig2",
+        "fig4",
+        "fig5",
+        "fig6",
+        "table1",
+        "ablations",
+        "chaos-sweep",
+    ] {
+        assert!(err.contains(name), "{name} missing from: {err}");
+    }
 }
 
 #[test]

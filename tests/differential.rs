@@ -12,21 +12,6 @@
 
 use tora::prelude::*;
 
-/// Every allocator the workspace ships, paper set and extensions alike.
-const ALL_ALGORITHMS: [AlgorithmKind; 11] = [
-    AlgorithmKind::WholeMachine,
-    AlgorithmKind::MaxSeen,
-    AlgorithmKind::MinWaste,
-    AlgorithmKind::MaxThroughput,
-    AlgorithmKind::QuantizedBucketing,
-    AlgorithmKind::GreedyBucketing,
-    AlgorithmKind::ExhaustiveBucketing,
-    AlgorithmKind::GreedyBucketingIncremental,
-    AlgorithmKind::KMeansBucketing,
-    AlgorithmKind::FeatureBinned,
-    AlgorithmKind::SemiBandit,
-];
-
 const SEEDS: [u64; 3] = [1, 7, 23];
 
 /// Feeds the engine one task per completion: task 0 at start, task k+1 when
@@ -84,7 +69,7 @@ fn engine_matches_replay_for_every_algorithm_and_seed() {
         .tasks(120)
         .materialize()
         .unwrap();
-    for algorithm in ALL_ALGORITHMS {
+    for algorithm in AlgorithmKind::ALL {
         for seed in SEEDS {
             let replayed = tora::sim::replay(&wf, algorithm, EnforcementModel::default(), seed);
             let want = serde_json::to_string(&replayed).expect("metrics serialize");
@@ -106,7 +91,7 @@ fn fault_policy_with_zero_observed_faults_changes_nothing() {
         .tasks(120)
         .materialize()
         .unwrap();
-    for algorithm in ALL_ALGORITHMS {
+    for algorithm in AlgorithmKind::ALL {
         for seed in SEEDS {
             let bare = engine_serial_json(&wf, algorithm, seed, None);
             let with_policy =
@@ -164,7 +149,7 @@ fn parallel_dispatch_is_byte_identical_to_serial() {
         .category_tasks(vec![60, 60])
         .materialize()
         .unwrap();
-    for algorithm in ALL_ALGORITHMS {
+    for algorithm in AlgorithmKind::ALL {
         for seed in SEEDS {
             let (stats_1, metrics_1, trace_1, report_1) = traced_run_json(&wf, algorithm, seed, 1);
             let (stats_4, metrics_4, trace_4, report_4) = traced_run_json(&wf, algorithm, seed, 4);
@@ -199,7 +184,7 @@ fn parallel_dispatch_is_byte_identical_on_dag_shapes() {
     ];
     for wf in &shaped {
         assert!(wf.has_dependencies());
-        for algorithm in ALL_ALGORITHMS {
+        for algorithm in AlgorithmKind::ALL {
             let seed = 7;
             let (stats_1, metrics_1, trace_1, report_1) = traced_run_json(wf, algorithm, seed, 1);
             let (stats_4, metrics_4, trace_4, report_4) = traced_run_json(wf, algorithm, seed, 4);

@@ -17,7 +17,7 @@ fn small_sim(workflow: &Workflow, algorithm: AlgorithmKind, seed: u64) -> SimRes
         },
         ..SimConfig::paper_like(seed)
     };
-    simulate(workflow, algorithm.fast_equivalent(), config)
+    simulate(workflow, algorithm, config)
 }
 
 #[test]

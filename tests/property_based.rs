@@ -37,15 +37,13 @@ proptest! {
 
     #[test]
     fn greedy_fast_scans_match_faithful(list in record_list()) {
-        // The prefix-sum default and the incremental ablation scan must pick
-        // exactly the break points the paper-faithful quadratic scan picks,
-        // and the chosen configuration must cost bit-for-bit the same when
-        // scored through the canonical bucket-set kernel.
+        // The prefix-sum default scan must pick exactly the break points the
+        // paper-faithful quadratic scan picks, and the chosen configuration
+        // must cost bit-for-bit the same when scored through the canonical
+        // bucket-set kernel.
         let faithful = GreedyBucketing::faithful().partition(list.sorted());
         let prefix = GreedyBucketing::new().partition(list.sorted());
-        let incremental = GreedyBucketing::incremental().partition(list.sorted());
         prop_assert_eq!(&faithful, &prefix);
-        prop_assert_eq!(&faithful, &incremental);
         let cost_of = |breaks: &[usize]| {
             exhaustive_cost(&BucketSet::from_breaks(list.sorted(), breaks))
         };
@@ -134,7 +132,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let wf = SyntheticKind::Bimodal.catalog_workflow().spec(seed).tasks(n).materialize().unwrap();
-        let m = replay(&wf, AlgorithmKind::GreedyBucketingIncremental,
+        let m = replay(&wf, AlgorithmKind::GreedyBucketing,
                        EnforcementModel::LinearRamp, seed);
         prop_assert_eq!(m.len(), n);
         for kind in [ResourceKind::Cores, ResourceKind::MemoryMb, ResourceKind::DiskMb] {

@@ -333,12 +333,79 @@ fn errors_are_typed_and_non_fatal() {
             other => panic!("{line}: expected an error, got {other:?}"),
         }
     }
+    // Wire-level rejections happen before a line is parsed: an oversized
+    // line and a non-UTF-8 line each get one typed error, change nothing,
+    // and the connection keeps answering.
+    let oversized = format!("{}\n", "x".repeat(tora::serve::session::MAX_LINE_BYTES + 1));
+    let wire_cases: [(&[u8], &str); 2] = [
+        (oversized.as_bytes(), "line-too-long"),
+        (b"\xff\xfe\n", "bad-request"),
+    ];
+    for (line, expected) in wire_cases {
+        let before = session.snapshot_json().expect("snapshot serializes");
+        let mut input = line.to_vec();
+        input.extend_from_slice(b"{\"Stats\":{}}\n");
+        let mut out = Vec::new();
+        let shutdown = session
+            .serve(&input[..], &mut out)
+            .expect("connection survives");
+        assert!(!shutdown);
+        let out = String::from_utf8(out).expect("responses are UTF-8");
+        let responses: Vec<Response> = out
+            .lines()
+            .map(|l| serde_json::from_str(l).expect("one response per line"))
+            .collect();
+        assert_eq!(responses.len(), 2, "{expected}: {out}");
+        match &responses[0] {
+            Response::Error { code, .. } => assert_eq!(code, expected),
+            other => panic!("{expected}: expected an error, got {other:?}"),
+        }
+        assert!(
+            matches!(responses[1], Response::StatsReport { .. }),
+            "{out}"
+        );
+        assert_eq!(
+            session.snapshot_json().expect("snapshot serializes"),
+            before,
+            "{expected} changed daemon state"
+        );
+    }
     // Still alive and consistent after the error barrage.
     let (response, _) = session.handle_line(r#"{"Submit":{"tenant":"wf","task":0,"category":0}}"#);
     assert!(
         matches!(response, Response::Submitted { accepted: 1, .. }),
         "daemon wedged after errors: {response:?}"
     );
+}
+
+/// Snapshots are written to a sibling temp file and renamed into place:
+/// overwriting an existing snapshot leaves a complete, restorable file and
+/// no temp file behind.
+#[test]
+fn snapshot_overwrites_atomically() {
+    let dir = std::env::temp_dir().join(format!("tora-atomic-snap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("daemon.json");
+    std::fs::write(&path, "stale, torn contents").unwrap();
+
+    let mut session = Session::new(&config());
+    drive(&mut session, &tenant_script("wf", 7));
+    let request = format!(r#"{{"Snapshot":{{"path":"{}"}}}}"#, path.display());
+    let (response, _) = session.handle_line(&request);
+    assert!(
+        matches!(response, Response::Snapshotted { tenants: 1, .. }),
+        "{response:?}"
+    );
+    let written = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(written, session.snapshot_json().unwrap());
+    Session::restore(&config(), &written).expect("snapshot restores");
+    let entries: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(entries, [std::ffi::OsString::from("daemon.json")]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The daemon forwards [`WorkloadError`] codes verbatim onto the wire

@@ -106,7 +106,7 @@ fn arb_algorithm() -> impl Strategy<Value = AlgorithmKind> {
         AlgorithmKind::MinWaste,
         AlgorithmKind::MaxThroughput,
         AlgorithmKind::QuantizedBucketing,
-        AlgorithmKind::GreedyBucketingIncremental,
+        AlgorithmKind::GreedyBucketing,
         AlgorithmKind::ExhaustiveBucketing,
         AlgorithmKind::KMeansBucketing,
     ])
