@@ -40,6 +40,20 @@ TORA_THREADS=4 cargo run --release --bin tora -- \
     trace colmena-xtb --policy fifo-backfill --out target/trace-t4.jsonl
 cmp target/trace-t1.jsonl target/trace-t4.jsonl
 
+echo "== engine event-stream byte parity across thread counts =="
+# The engine's lifecycle events ride the same sink: the `--log` JSONL must
+# not change with the worker count either.
+TORA_THREADS=1 cargo run --release --bin tora -- \
+    simulate colmena-xtb --policy fifo-backfill --log target/events-t1.jsonl > /dev/null
+TORA_THREADS=4 cargo run --release --bin tora -- \
+    simulate colmena-xtb --policy fifo-backfill --log target/events-t4.jsonl > /dev/null
+cmp target/events-t1.jsonl target/events-t4.jsonl
+
+echo "== benchmark package builds and passes its own tests =="
+# benchmark/ compiles against the engine's public surface (EventSink,
+# AllocEvent, Simulation::with_sink, SimStats); a break there shows up here.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "== tora experiments all reproduces the committed results/ =="
 # Every figure/table artifact is regenerated at seed 42; each deterministic
 # file must match its committed copy byte for byte (Table I is wall-clock

@@ -14,6 +14,8 @@ use serde::{Deserialize, Serialize};
 use tora_alloc::resources::{ResourceKind, ResourceVector};
 use tora_alloc::task::{CategoryId, TaskId};
 
+pub use tora_alloc::trace::DeadLetterCause;
+
 /// Why an attempt ended the way it did. Separates *allocation-induced*
 /// endings (the §II-B kill for over-consumption) from *fault-induced* ones
 /// (the environment failed the attempt), which is what lets the waste
@@ -285,51 +287,6 @@ impl TaskOutcome {
             .filter(|a| !a.success && a.cause.is_fault())
             .map(|a| a.allocation[kind] * a.charged_time_s - self.peak[kind] * a.salvaged_s)
             .sum()
-    }
-}
-
-/// Why a task was dead-lettered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DeadLetterCause {
-    /// Burned through the configured attempt budget.
-    AttemptsExhausted,
-    /// Exceeded the transient-dispatch-failure retry budget.
-    DispatchRetriesExhausted,
-    /// Its allocation exceeds the total capacity of every live worker.
-    Unplaceable,
-    /// A retry could not grow any exhausted axis: the task does not fit the
-    /// machine and every further attempt would reproduce the same kill.
-    Infeasible,
-    /// A dependency was dead-lettered, so this task can never become ready.
-    DependencyDeadLettered,
-    /// The run stalled with no event that could ever make progress.
-    Stalled,
-}
-
-impl DeadLetterCause {
-    /// Whether a recovered pool can sensibly retry the task: the
-    /// abandonment was an environment *shortage* (no worker big enough, a
-    /// flaky dispatch path), not a structural impossibility. Attempt-budget
-    /// and infeasibility causes stay terminal — re-running would reproduce
-    /// the same failure — and a cascaded dependency dead-letter stays dead
-    /// with its missing input.
-    pub fn replayable(self) -> bool {
-        matches!(
-            self,
-            DeadLetterCause::Unplaceable | DeadLetterCause::DispatchRetriesExhausted
-        )
-    }
-
-    /// Stable report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            DeadLetterCause::AttemptsExhausted => "attempts-exhausted",
-            DeadLetterCause::DispatchRetriesExhausted => "dispatch-retries-exhausted",
-            DeadLetterCause::Unplaceable => "unplaceable",
-            DeadLetterCause::Infeasible => "infeasible",
-            DeadLetterCause::DependencyDeadLettered => "dependency-dead-lettered",
-            DeadLetterCause::Stalled => "stalled",
-        }
     }
 }
 

@@ -76,7 +76,10 @@ impl<S: EventSink> Simulation<S> {
             let spec = Self::assign_rack(spec, self.config.faults.rack_count, self.joined_workers);
             self.joined_workers += 1;
             let id = self.pool.join(spec);
-            self.log_event(SimEvent::WorkerJoined { worker: id });
+            self.record(SimEvent::WorkerJoined {
+                worker: id,
+                capacity: spec.capacity,
+            });
             self.peak_workers = self.peak_workers.max(self.pool.len());
             self.maybe_replay_dead_letters();
         } else if let Some(id) = self.pool.random_worker(&mut self.churn_rng) {
@@ -89,7 +92,6 @@ impl<S: EventSink> Simulation<S> {
                 let elapsed = self.now - run.start;
                 self.preempted_alloc_time =
                     self.preempted_alloc_time.add(&run.alloc.scale(elapsed));
-                self.stats.preemptions += 1;
                 // Resubmit with the same (pinned) allocation: preemption
                 // teaches the allocator nothing about the task's needs.
                 let state = &mut self.tasks[run.task_idx];
@@ -99,13 +101,13 @@ impl<S: EventSink> Simulation<S> {
                     .advance(TaskPhase::Ready)
                     .expect("preempted attempt was running");
                 self.push_ready(run.task_idx);
-                self.log_event(SimEvent::TaskPreempted {
+                self.record(SimEvent::TaskPreempted {
                     task: self.specs[run.task_idx].id,
                     worker: id,
                 });
             }
             self.pool.leave(id);
-            self.log_event(SimEvent::WorkerLeft { worker: id });
+            self.record(SimEvent::WorkerLeft { worker: id });
         }
         let n = self.pool.len();
         self.worker_range = (self.worker_range.0.min(n), self.worker_range.1.max(n));

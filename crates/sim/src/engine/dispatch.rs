@@ -182,11 +182,10 @@ impl<S: EventSink> Simulation<S> {
             if plan.dispatch_failure_rate > 0.0
                 && self.fault_rng.gen::<f64>() < plan.dispatch_failure_rate
             {
-                self.stats.faults.dispatch_failures += 1;
                 let state = &mut self.tasks[task_idx];
                 state.dispatch_failures += 1;
                 let failures = state.dispatch_failures;
-                self.log_event(SimEvent::DispatchFailed {
+                self.record(SimEvent::DispatchFailed {
                     task: self.specs[task_idx].id,
                 });
                 if plan.max_dispatch_retries > 0 && failures > plan.max_dispatch_retries {
@@ -239,11 +238,10 @@ impl<S: EventSink> Simulation<S> {
                 .entry(worker)
                 .or_default()
                 .push((dispatch, run));
-            self.stats.dispatches += 1;
             self.tasks[task_idx]
                 .advance(TaskPhase::Running)
                 .expect("dispatched task was ready");
-            self.log_event(SimEvent::TaskDispatched {
+            self.record(SimEvent::TaskDispatched {
                 task: self.specs[task_idx].id,
                 worker,
                 attempt: self.tasks[task_idx].attempts.len() + 1,
@@ -276,12 +274,12 @@ impl<S: EventSink> Simulation<S> {
         let rack = self.pool.get(run.worker).map(|w| w.spec.rack);
         let task = self.specs[run.task_idx];
         if run.verdict.success {
-            self.log_event(SimEvent::TaskCompleted {
+            self.record(SimEvent::TaskCompleted {
                 task: task.id,
                 worker: run.worker,
             });
             let attempt = if run.cause == AttemptCause::StragglerCompleted {
-                self.stats.faults.stragglers_slow += 1;
+                self.record(SimEvent::TaskStraggled { task: task.id });
                 AttemptOutcome::success_straggled(run.alloc, run.verdict.charged_time_s)
             } else {
                 AttemptOutcome::success(run.alloc, run.verdict.charged_time_s)
@@ -303,18 +301,16 @@ impl<S: EventSink> Simulation<S> {
             {
                 // The completion is real but its resource record never
                 // reaches the allocator: nothing is learned from this task.
-                self.stats.faults.record_drops += 1;
-                self.log_event(SimEvent::RecordDropped { task: task.id });
+                self.record(SimEvent::RecordDropped { task: task.id });
             } else if self.allocator.observe(&ResourceRecord::from_task(&task)) {
                 self.stats.record_observation(task.category.0);
                 // The estimator just learned something: queued (unpinned)
                 // first predictions are now stale.
                 self.alloc_epoch += 1;
             } else {
-                self.stats.faults.rejected_records += 1;
+                self.record(SimEvent::RecordRejected { task: task.id });
             }
             self.report_outcome(task.category, AttemptFeedback::Success, rack);
-            self.stats.completions += 1;
             self.completed += 1;
             self.tasks[run.task_idx]
                 .advance(TaskPhase::Completed)
@@ -324,7 +320,7 @@ impl<S: EventSink> Simulation<S> {
                 cp.record_finish(run.task_idx, now_s);
             }
             if self.tasks[run.task_idx].replays > 0 {
-                self.stats.faults.replay_successes += 1;
+                self.record(SimEvent::ReplayCompleted { task: task.id });
             }
             // Dependency resolution: completed inputs release dependents.
             let dependents = std::mem::take(&mut self.dependents[run.task_idx]);
@@ -352,11 +348,10 @@ impl<S: EventSink> Simulation<S> {
             // Straggler watchdog kill: the allocation was not the problem,
             // so no retry prediction is made — resubmit with the same
             // (pinned) allocation, unless the attempt budget is spent.
-            self.log_event(SimEvent::TaskTimedOut {
+            self.record(SimEvent::TaskTimedOut {
                 task: task.id,
                 worker: run.worker,
             });
-            self.stats.faults.straggler_kills += 1;
             self.report_outcome(task.category, AttemptFeedback::Straggler, rack);
             let state = &mut self.tasks[run.task_idx];
             self.attempt_arena.push(
@@ -380,7 +375,7 @@ impl<S: EventSink> Simulation<S> {
                 self.push_ready(run.task_idx);
             }
         } else {
-            self.log_event(SimEvent::TaskKilled {
+            self.record(SimEvent::TaskKilled {
                 task: task.id,
                 worker: run.worker,
             });
@@ -389,14 +384,13 @@ impl<S: EventSink> Simulation<S> {
                 &mut state.attempts,
                 AttemptOutcome::failure(run.alloc, run.verdict.charged_time_s),
             );
-            self.stats.failures += 1;
             self.report_outcome(task.category, AttemptFeedback::Exhaustion, rack);
             let cap = self.config.faults.max_attempts;
             if cap > 0 && self.tasks[run.task_idx].attempts.len() >= cap {
                 // Attempt budget spent: dead-letter without asking the
                 // allocator for a retry (`capped_retries` balances the
                 // `failures = retry predictions` reconciliation identity).
-                self.stats.faults.capped_retries += 1;
+                self.record(SimEvent::RetryCapped { task: task.id });
                 self.dead_letter(run.task_idx, DeadLetterCause::AttemptsExhausted);
                 return;
             }

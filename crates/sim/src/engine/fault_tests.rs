@@ -2,6 +2,7 @@
 //! replay, rack correlation and checkpoint/restart.
 
 use super::*;
+use crate::log::EventLog;
 use tora_workloads::synthetic::SyntheticKind;
 
 fn small(kind: SyntheticKind) -> Workflow {
@@ -57,15 +58,16 @@ fn crash_plan_conserves_tasks_and_logs_consistently() {
             mean_interval_s: Some(15.0),
         },
         faults: FaultPlan::named("crashes").unwrap(),
-        record_log: true,
         seed: 13,
         ..SimConfig::default()
     };
-    let res = simulate(&wf, AlgorithmKind::ExhaustiveBucketing, config);
+    let (res, log) = Simulation::new(&wf, AlgorithmKind::ExhaustiveBucketing, config)
+        .with_sink(EventLog::new())
+        .run_traced();
     assert_conserved(&res, wf.len());
     assert!(res.stats.faults.worker_crashes > 0, "no crash fired");
     assert!(res.stats.faults.crashed_attempts > 0, "no attempt lost");
-    res.log.unwrap().check_consistency().unwrap();
+    log.check_consistency().unwrap();
 }
 
 #[test]
@@ -79,11 +81,12 @@ fn straggler_plan_slows_and_kills_attempts() {
             max_attempts: 8,
             ..FaultPlan::none()
         },
-        record_log: true,
         seed: 3,
         ..SimConfig::default()
     };
-    let res = simulate(&wf, AlgorithmKind::MaxSeen, config);
+    let (res, log) = Simulation::new(&wf, AlgorithmKind::MaxSeen, config)
+        .with_sink(EventLog::new())
+        .run_traced();
     assert_conserved(&res, wf.len());
     let f = &res.stats.faults;
     assert!(
@@ -97,7 +100,7 @@ fn straggler_plan_slows_and_kills_attempts() {
     if f.stragglers_slow > 0 || f.straggler_kills > 0 {
         assert!(attributed.fault_induced > 0.0, "{attributed:?}");
     }
-    res.log.unwrap().check_consistency().unwrap();
+    log.check_consistency().unwrap();
 }
 
 #[test]
@@ -108,11 +111,12 @@ fn record_dropout_starves_learning_but_not_completion() {
             record_dropout_rate: 0.4,
             ..FaultPlan::none()
         },
-        record_log: true,
         seed: 21,
         ..SimConfig::default()
     };
-    let res = simulate(&wf, AlgorithmKind::ExhaustiveBucketing, config);
+    let (res, log) = Simulation::new(&wf, AlgorithmKind::ExhaustiveBucketing, config)
+        .with_sink(EventLog::new())
+        .run_traced();
     assert_eq!(res.metrics.len(), wf.len(), "dropout must not lose tasks");
     assert!(res.stats.faults.record_drops > 0);
     // Observations + drops covers every completion.
@@ -120,7 +124,7 @@ fn record_dropout_starves_learning_but_not_completion() {
         res.stats.calls.observations + res.stats.faults.record_drops,
         res.stats.completions
     );
-    res.log.unwrap().check_consistency().unwrap();
+    log.check_consistency().unwrap();
 }
 
 #[test]
@@ -128,11 +132,12 @@ fn flaky_dispatch_backs_off_and_conserves() {
     let wf = small(SyntheticKind::Bimodal);
     let config = SimConfig {
         faults: FaultPlan::named("flaky-dispatch").unwrap(),
-        record_log: true,
         seed: 2,
         ..SimConfig::default()
     };
-    let res = simulate(&wf, AlgorithmKind::MaxSeen, config);
+    let (res, log) = Simulation::new(&wf, AlgorithmKind::MaxSeen, config)
+        .with_sink(EventLog::new())
+        .run_traced();
     assert_conserved(&res, wf.len());
     assert!(
         res.stats.faults.dispatch_failures > 0,
@@ -140,7 +145,7 @@ fn flaky_dispatch_backs_off_and_conserves() {
     );
     // Failed dispatches are not real dispatches.
     assert!(res.stats.dispatches >= res.stats.completions);
-    res.log.unwrap().check_consistency().unwrap();
+    log.check_consistency().unwrap();
 }
 
 #[test]
@@ -152,11 +157,12 @@ fn attempt_budget_dead_letters_instead_of_spinning() {
             max_attempts: 1,
             ..FaultPlan::none()
         },
-        record_log: true,
         seed: 5,
         ..SimConfig::default()
     };
-    let res = simulate(&wf, AlgorithmKind::ExhaustiveBucketing, config);
+    let (res, log) = Simulation::new(&wf, AlgorithmKind::ExhaustiveBucketing, config)
+        .with_sink(EventLog::new())
+        .run_traced();
     assert_conserved(&res, wf.len());
     let dead = res.stats.faults.dead_lettered;
     assert!(dead > 0, "exploratory kills should exist under EB");
@@ -168,7 +174,7 @@ fn attempt_budget_dead_letters_instead_of_spinning() {
         .all(|l| l.cause == DeadLetterCause::AttemptsExhausted));
     // No completed task has more than one attempt.
     assert!(res.metrics.outcomes().iter().all(|o| o.attempts.len() == 1));
-    res.log.unwrap().check_consistency().unwrap();
+    log.check_consistency().unwrap();
 }
 
 #[test]
@@ -201,10 +207,11 @@ fn shrunken_pool_dead_letters_unplaceable_tasks() {
             max_unplaceable_rounds: 2,
             ..FaultPlan::none()
         },
-        record_log: true,
         ..SimConfig::default()
     };
-    let res = simulate(&wf, AlgorithmKind::WholeMachine, config);
+    let (res, log) = Simulation::new(&wf, AlgorithmKind::WholeMachine, config)
+        .with_sink(EventLog::new())
+        .run_traced();
     assert_conserved(&res, 4);
     assert_eq!(res.stats.faults.dead_lettered, 4);
     assert!(res
@@ -212,7 +219,7 @@ fn shrunken_pool_dead_letters_unplaceable_tasks() {
         .dead_letters()
         .iter()
         .all(|l| l.cause == DeadLetterCause::Unplaceable));
-    res.log.unwrap().check_consistency().unwrap();
+    log.check_consistency().unwrap();
 }
 
 #[test]
@@ -249,10 +256,11 @@ fn dead_letter_cascades_to_dependents() {
             max_unplaceable_rounds: 1,
             ..FaultPlan::none()
         },
-        record_log: true,
         ..SimConfig::default()
     };
-    let res = simulate(&wf, AlgorithmKind::WholeMachine, config);
+    let (res, log) = Simulation::new(&wf, AlgorithmKind::WholeMachine, config)
+        .with_sink(EventLog::new())
+        .run_traced();
     assert_conserved(&res, 3);
     assert_eq!(res.stats.faults.dead_lettered, 3);
     let causes: Vec<DeadLetterCause> = res.metrics.dead_letters().iter().map(|l| l.cause).collect();
@@ -270,7 +278,7 @@ fn dead_letter_cascades_to_dependents() {
             .count(),
         2
     );
-    res.log.unwrap().check_consistency().unwrap();
+    log.check_consistency().unwrap();
 }
 
 #[test]
@@ -315,11 +323,12 @@ fn rack_crashes_down_correlated_workers_and_conserve() {
             max_attempts: 10,
             ..FaultPlan::none()
         },
-        record_log: true,
         seed: 11,
         ..SimConfig::default()
     };
-    let res = simulate(&wf, AlgorithmKind::ExhaustiveBucketing, config);
+    let (res, log) = Simulation::new(&wf, AlgorithmKind::ExhaustiveBucketing, config)
+        .with_sink(EventLog::new())
+        .run_traced();
     assert_conserved(&res, wf.len());
     let f = &res.stats.faults;
     assert!(f.rack_crashes > 0, "no rack crash fired: {f:?}");
@@ -327,7 +336,6 @@ fn rack_crashes_down_correlated_workers_and_conserve() {
         f.worker_crashes > f.rack_crashes,
         "rack crashes were not correlated: {f:?}"
     );
-    let log = res.log.unwrap();
     log.check_consistency().unwrap();
     let crashed = log.count(|e| matches!(e, crate::log::SimEvent::WorkerCrashed { .. }));
     assert_eq!(crashed as u64, f.worker_crashes);
@@ -354,17 +362,17 @@ fn replay_readmits_dead_letters_after_pool_recovery() {
             max_replay_rounds: 3,
             ..FaultPlan::none()
         },
-        record_log: true,
         seed: 17,
         ..SimConfig::default()
     };
-    let res = simulate(&wf, AlgorithmKind::MaxSeen, config);
+    let (res, log) = Simulation::new(&wf, AlgorithmKind::MaxSeen, config)
+        .with_sink(EventLog::new())
+        .run_traced();
     assert_conserved(&res, wf.len());
     let f = &res.stats.faults;
     assert!(f.replayed > 0, "no dead letter was replayed: {f:?}");
     assert!(f.replay_successes > 0, "replay recovered nothing: {f:?}");
     assert!(f.replay_successes <= f.replayed);
-    let log = res.log.unwrap();
     log.check_consistency().unwrap();
     let replay_events = log.count(|e| matches!(e, crate::log::SimEvent::TaskReplayed { .. }));
     assert_eq!(replay_events as u64, f.replayed);
@@ -474,12 +482,16 @@ fn checkpointing_salvages_work_deterministically_and_conserves() {
     let config = SimConfig {
         churn: ChurnConfig::fixed(6),
         faults: crashy_plan(0.5),
-        record_log: true,
         seed: 19,
         ..SimConfig::default()
     };
-    let a = simulate(&wf, AlgorithmKind::ExhaustiveBucketing, config);
-    let b = simulate(&wf, AlgorithmKind::ExhaustiveBucketing, config);
+    let run = || {
+        Simulation::new(&wf, AlgorithmKind::ExhaustiveBucketing, config)
+            .with_sink(EventLog::new())
+            .run_traced()
+    };
+    let (a, log) = run();
+    let (b, _) = run();
     assert_conserved(&a, wf.len());
     assert_eq!(a.stats, b.stats);
     let f = &a.stats.faults;
@@ -507,7 +519,6 @@ fn checkpointing_salvages_work_deterministically_and_conserves() {
         a.stats.salvaged_work_s
     );
     // Checkpoint events appear in the log, one per salvaged attempt.
-    let log = a.log.unwrap();
     log.check_consistency().unwrap();
     let ckpt = log.count(|e| matches!(e, crate::log::SimEvent::TaskCheckpointed { .. }));
     assert_eq!(ckpt as u64, f.checkpointed_attempts);
@@ -601,13 +612,13 @@ fn unpulled_tail_sweep_matches_the_materializing_sweep() {
         .spec(11)
         .category_tasks(vec![5, 30, 3]);
     let config = SimConfig {
-        record_log: true,
         faults: FaultPlan::named("light").unwrap(),
         ..SimConfig::default()
     };
     let sweep_after_pulling = |pulled: usize| {
         let source = spec.stream().unwrap();
-        let mut sim = Simulation::from_source(source, AlgorithmKind::ExhaustiveBucketing, config);
+        let mut sim = Simulation::from_source(source, AlgorithmKind::ExhaustiveBucketing, config)
+            .with_sink(EventLog::new());
         if pulled > 0 {
             sim.ensure_spec(pulled - 1);
         }
@@ -617,7 +628,7 @@ fn unpulled_tail_sweep_matches_the_materializing_sweep() {
         assert_eq!(sim.stats.faults.dead_lettered, 38);
         (
             serde_json::to_string(&sim.result_metrics).unwrap(),
-            serde_json::to_string(&sim.log).unwrap(),
+            serde_json::to_string(sim.allocator.sink()).unwrap(),
         )
     };
     let materialized_first = sweep_after_pulling(38);

@@ -97,7 +97,6 @@ impl<S: EventSink> Simulation<S> {
     /// (the record died with the worker). Crashes ignore the churn band's
     /// minimum — an opportunistic pool offers no such guarantee.
     pub(super) fn crash_worker(&mut self, id: WorkerId) {
-        self.stats.faults.worker_crashes += 1;
         // The rack must be read before the worker leaves the pool: it is
         // the crash attribution rack avoidance learns from.
         let rack = self.pool.get(id).map(|w| w.spec.rack);
@@ -106,8 +105,7 @@ impl<S: EventSink> Simulation<S> {
         for (_, victim) in victims {
             let run = self.running.remove(victim).expect("victim listed");
             let elapsed = self.now - run.start;
-            self.stats.faults.crashed_attempts += 1;
-            self.log_event(SimEvent::TaskCrashed {
+            self.record(SimEvent::TaskCrashed {
                 task: self.specs[run.task_idx].id,
                 worker: id,
             });
@@ -125,9 +123,7 @@ impl<S: EventSink> Simulation<S> {
                     state.bank_salvage(fraction, elapsed, run.work_rate, run.remaining_s);
                 if salvaged > 0.0 {
                     attempt.salvaged_s = salvaged;
-                    self.stats.faults.checkpointed_attempts += 1;
-                    self.stats.salvaged_work_s += salvaged;
-                    self.log_event(SimEvent::TaskCheckpointed {
+                    self.record(SimEvent::TaskCheckpointed {
                         task: self.specs[run.task_idx].id,
                         salvaged_s: salvaged,
                     });
@@ -151,7 +147,7 @@ impl<S: EventSink> Simulation<S> {
             }
         }
         self.pool.leave(id);
-        self.log_event(SimEvent::WorkerCrashed { worker: id });
+        self.record(SimEvent::WorkerCrashed { worker: id });
         let n = self.pool.len();
         self.worker_range = (self.worker_range.0.min(n), self.worker_range.1.max(n));
     }
@@ -185,8 +181,8 @@ impl<S: EventSink> Simulation<S> {
     /// records lost, attempt budgets charged.
     pub(super) fn on_rack_crash(&mut self) {
         if let Some(struck) = self.pool.random_worker(&mut self.fault_rng) {
-            self.stats.faults.rack_crashes += 1;
             let rack = self.pool.get(struck).expect("live worker").spec.rack;
+            self.record(SimEvent::RackCrashed { rack });
             let victims: Vec<WorkerId> = self
                 .pool
                 .workers()

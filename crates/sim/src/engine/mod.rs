@@ -49,10 +49,10 @@ use self::lifecycle::TaskState;
 use self::queue::{Event, EventQueue};
 use crate::enforcement::EnforcementModel;
 use crate::faults::FaultPlan;
-use crate::log::{EventLog, SimEvent};
+use crate::log::SimEvent;
 use crate::sampling::exponential_interval_s;
 use crate::scheduler::QueuePolicy;
-use crate::stats::{SimStats, UtilizationSample, UtilizationSeries};
+use crate::stats::SimStats;
 use crate::time::SimTime;
 use crate::workers::{ChurnConfig, WorkerId, WorkerPool};
 use rand::rngs::StdRng;
@@ -127,10 +127,6 @@ pub struct SimConfig {
     pub arrival: ArrivalModel,
     /// Ready-queue scheduling policy.
     pub queue_policy: QueuePolicy,
-    /// Record a structured [`EventLog`] of the run.
-    pub record_log: bool,
-    /// Sample a pool [`UtilizationSeries`] at every event.
-    pub track_utilization: bool,
     /// RNG seed (drives the allocator's bucket sampling, arrivals and the
     /// churn).
     pub seed: u64,
@@ -162,8 +158,6 @@ impl Default for SimConfig {
             worker_mix: None,
             arrival: ArrivalModel::Batch,
             queue_policy: QueuePolicy::Fifo,
-            record_log: false,
-            track_utilization: false,
             seed: 0,
             faults: FaultPlan::none(),
             fault_policy: None,
@@ -184,8 +178,6 @@ impl SimConfig {
                 mean_interval_s: 1.5,
             },
             queue_policy: QueuePolicy::Fifo,
-            record_log: false,
-            track_utilization: false,
             seed,
             faults: FaultPlan::none(),
             fault_policy: None,
@@ -201,23 +193,15 @@ pub struct SimResult {
     pub metrics: WorkflowMetrics,
     /// Wall-clock length of the run in simulated seconds.
     pub makespan_s: f64,
-    /// Number of task preemptions caused by departing workers.
-    pub preemptions: usize,
     /// Allocation·time lost to preempted attempts, per dimension (not part
     /// of the paper's waste metric; reported for completeness).
     pub preempted_alloc_time: ResourceVector,
     /// Smallest and largest pool size observed.
     pub worker_range: (usize, usize),
-    /// Total dispatches (successful + killed + preempted attempts).
-    pub dispatches: usize,
-    /// Engine-side tally of dispatches, completions, failures and allocator
-    /// calls — the reconciliation counterpart of the allocator's own
-    /// [`tora_alloc::trace::TraceStats`].
+    /// Engine-side tally of dispatches, completions, failures, preemptions,
+    /// faults and allocator calls — the reconciliation counterpart of the
+    /// allocator's own [`tora_alloc::trace::TraceStats`].
     pub stats: SimStats,
-    /// The structured event log (when `record_log` was set).
-    pub log: Option<EventLog>,
-    /// The pool utilization series (when `track_utilization` was set).
-    pub utilization: Option<UtilizationSeries>,
 }
 
 /// A dynamic-workflow application driver (Fig. 1's application layer).
@@ -293,8 +277,10 @@ impl SubmitApi {
 /// Generic over an [`EventSink`] so a run can be traced end to end: with a
 /// non-default sink (see [`Simulation::with_sink`]) the embedded allocator
 /// emits an [`tora_alloc::trace::AllocEvent`] for every decision it makes,
-/// while the engine independently tallies its calls in [`SimStats`]. The
-/// default [`NoopSink`] compiles all of that out.
+/// and the engine hands the sink every lifecycle [`SimEvent`] it folds into
+/// [`SimStats`] — so an [`crate::EventLog`] or a
+/// [`crate::UtilizationSeries`] is just a sink. The default [`NoopSink`]
+/// compiles the forwarding out.
 pub struct Simulation<S: EventSink = NoopSink> {
     worker: WorkerSpec,
     specs: Vec<TaskSpec>,
@@ -361,8 +347,6 @@ pub struct Simulation<S: EventSink = NoopSink> {
     /// Largest pool size ever observed; the reference point for the
     /// dead-letter replay capacity threshold.
     peak_workers: usize,
-    log: Option<EventLog>,
-    utilization: Option<UtilizationSeries>,
 }
 
 impl Simulation {
@@ -428,9 +412,9 @@ impl Simulation {
         sim
     }
 
-    /// Attach an [`EventSink`] to the embedded allocator, turning this
-    /// engine into a traced one. Retrieve the sink afterwards with
-    /// [`Simulation::run_traced`].
+    /// Attach an [`EventSink`]: the embedded allocator emits its decisions
+    /// into it and the engine its lifecycle events. Retrieve the sink
+    /// afterwards with [`Simulation::run_traced`].
     pub fn with_sink<S: EventSink>(self, sink: S) -> Simulation<S> {
         Simulation {
             worker: self.worker,
@@ -465,8 +449,6 @@ impl Simulation {
             threads: self.threads,
             joined_workers: self.joined_workers,
             peak_workers: self.peak_workers,
-            log: self.log,
-            utilization: self.utilization,
         }
     }
 
@@ -495,17 +477,6 @@ impl Simulation {
             pool.join(spec);
         }
         let initial_workers = config.churn.initial;
-        let mut log = config.record_log.then(EventLog::new);
-        if let Some(log) = log.as_mut() {
-            for id in 0..initial_workers as u64 {
-                log.push(
-                    0.0,
-                    SimEvent::WorkerJoined {
-                        worker: WorkerId(id),
-                    },
-                );
-            }
-        }
         Simulation {
             worker,
             specs: Vec::new(),
@@ -539,30 +510,18 @@ impl Simulation {
             threads: tora_alloc::par::resolve(config.threads),
             joined_workers,
             peak_workers: initial_workers,
-            log,
-            utilization: config.track_utilization.then(UtilizationSeries::new),
         }
     }
 }
 
 impl<S: EventSink> Simulation<S> {
-    fn log_event(&mut self, event: SimEvent) {
-        if let Some(log) = self.log.as_mut() {
-            log.push(self.now.seconds(), event);
-        }
-    }
-
-    fn sample_utilization(&mut self) {
-        if let Some(series) = self.utilization.as_mut() {
-            let capacity = self.pool.total_capacity();
-            let reserved = capacity.sub(&self.pool.total_available());
-            series.push(UtilizationSample {
-                time_s: self.now.seconds(),
-                workers: self.pool.len(),
-                running: self.pool.total_running(),
-                capacity,
-                reserved,
-            });
+    /// Record one lifecycle fact: fold it into the run's [`SimStats`] and,
+    /// when the sink is live, hand it on stamped with the current time.
+    fn record(&mut self, event: SimEvent) {
+        self.stats.apply(&event);
+        if S::ENABLED {
+            let now = self.now.seconds();
+            self.allocator.sink_mut().emit_sim(now, &event);
         }
     }
 
@@ -682,10 +641,9 @@ impl<S: EventSink> Simulation<S> {
             // submission was already accounted at dead-letter time.
             return;
         }
-        self.log_event(SimEvent::TaskSubmitted {
+        self.record(SimEvent::TaskSubmitted {
             task: self.specs[task_idx].id,
         });
-        self.stats.submitted += 1;
         let state = &mut self.tasks[task_idx];
         debug_assert!(!state.arrived, "duplicate arrival");
         state.arrived = true;
@@ -763,8 +721,7 @@ impl<S: EventSink> Simulation<S> {
             }
             self.tasks.push(state);
             self.dependents.push(Vec::new());
-            self.log_event(SimEvent::TaskSubmitted { task: spec.id });
-            self.stats.submitted += 1;
+            self.record(SimEvent::TaskSubmitted { task: spec.id });
             if deps_remaining == 0 {
                 self.push_ready(id as usize);
             }
@@ -809,8 +766,18 @@ impl<S: EventSink> Simulation<S> {
     }
 
     /// Run to completion, returning the result *and* the event sink the
-    /// allocator emitted into — the traced variant of [`Simulation::run`].
+    /// allocator and the engine emitted into — the traced variant of
+    /// [`Simulation::run`].
     pub fn run_traced(mut self) -> (SimResult, S) {
+        // The initial pool joined before any sink could be attached.
+        let initial: Vec<_> = self
+            .pool
+            .workers()
+            .map(|(id, w)| (id, w.spec.capacity))
+            .collect();
+        for (worker, capacity) in initial {
+            self.record(SimEvent::WorkerJoined { worker, capacity });
+        }
         self.schedule_churn();
         self.schedule_crash();
         self.schedule_rack_crash();
@@ -823,7 +790,6 @@ impl<S: EventSink> Simulation<S> {
         }
         self.dispatch();
         self.enforce_unplaceable_strikes();
-        self.sample_utilization();
         while self.completed + self.dead_lettered < self.total_target() {
             let Some(ev) = self.events.pop() else {
                 // Without faults this is unreachable: every non-terminal
@@ -850,22 +816,16 @@ impl<S: EventSink> Simulation<S> {
             }
             self.dispatch();
             self.enforce_unplaceable_strikes();
-            self.sample_utilization();
         }
         if let Some(cp) = self.cp.as_ref() {
             self.stats.critical_path = Some(cp.summarize(&self.result_metrics, self.now.seconds()));
         }
-        let stats = self.stats;
         let result = SimResult {
             metrics: self.result_metrics,
             makespan_s: self.now.seconds(),
-            preemptions: stats.preemptions as usize,
             preempted_alloc_time: self.preempted_alloc_time,
             worker_range: self.worker_range,
-            dispatches: stats.dispatches as usize,
-            stats,
-            log: self.log,
-            utilization: self.utilization,
+            stats: self.stats,
         };
         (result, self.allocator.into_sink())
     }

@@ -36,13 +36,10 @@ impl<S: EventSink> Simulation<S> {
             .advance(TaskPhase::DeadLettered)
             .expect("live task enters the dead-letter channel");
         state.dead_cause = Some(cause);
-        if !state.arrived {
-            // Doomed before the arrival model released it: account the
-            // submission here so conservation (submitted = completed +
-            // dead-lettered) holds even if the run ends before its arrival.
-            state.arrived = true;
-            self.stats.submitted += 1;
-        }
+        // Doomed before the arrival model released it: the dead letter
+        // accounts the submission so conservation (submitted = completed +
+        // dead-lettered) holds even if the run ends before its arrival.
+        let unarrived = !std::mem::replace(&mut state.arrived, true);
         let attempts = self.attempt_arena.take(&mut self.tasks[task_idx].attempts);
         // Revoke any ready-queue membership lazily: bumping the token makes
         // a still-queued entry stale, which dispatch drops on sight —
@@ -60,11 +57,11 @@ impl<S: EventSink> Simulation<S> {
         };
         debug_assert!(letter.check().is_ok(), "{:?}", letter.check());
         self.result_metrics.push_dead_letter(letter);
-        self.stats.faults.dead_lettered += 1;
         self.dead_lettered += 1;
-        self.log_event(SimEvent::TaskDeadLettered {
+        self.record(SimEvent::TaskDeadLettered {
             task: spec.id,
             cause,
+            unarrived,
         });
         let dependents = std::mem::take(&mut self.dependents[task_idx]);
         for &d in &dependents {
@@ -92,7 +89,6 @@ impl<S: EventSink> Simulation<S> {
             .expect("an unpulled tail only exists under a streaming source")
             .category_of(index);
         let task = TaskId(index as u64);
-        self.stats.submitted += 1;
         let letter = DeadLetter {
             task,
             category: CategoryId(category),
@@ -101,9 +97,12 @@ impl<S: EventSink> Simulation<S> {
         };
         debug_assert!(letter.check().is_ok(), "{:?}", letter.check());
         self.result_metrics.push_dead_letter(letter);
-        self.stats.faults.dead_lettered += 1;
         self.dead_lettered += 1;
-        self.log_event(SimEvent::TaskDeadLettered { task, cause });
+        self.record(SimEvent::TaskDeadLettered {
+            task,
+            cause,
+            unarrived: true,
+        });
     }
 
     /// Re-admit replayable dead letters once the pool has recovered.
@@ -170,9 +169,7 @@ impl<S: EventSink> Simulation<S> {
             // Restore the attempt history: the budget spans the replay.
             self.tasks[task_idx].attempts = self.attempt_arena.restore(letter.attempts);
             self.dead_lettered -= 1;
-            self.stats.faults.dead_lettered -= 1;
-            self.stats.faults.replayed += 1;
-            self.log_event(SimEvent::TaskReplayed { task: task_id });
+            self.record(SimEvent::TaskReplayed { task: task_id });
             // Replayable causes only ever strike ready (dependency-free,
             // arrived) tasks, so the task can re-enter the queue directly.
             self.push_ready(task_idx);

@@ -1,121 +1,24 @@
 //! Structured event logging for simulated runs.
 //!
-//! An optional, fully ordered record of everything the engine did: task
-//! lifecycle transitions, worker churn, preemptions. Useful for debugging
-//! allocation behaviour, for the trace-dump harnesses, and as a
-//! consistency oracle in tests ([`EventLog::check_consistency`] verifies
-//! conservation laws that must hold for any correct run).
+//! A fully ordered record of everything the engine did: task lifecycle
+//! transitions, worker churn, preemptions, injected faults. [`EventLog`] is
+//! an [`EventSink`] — attach it with [`Simulation::with_sink`] and take it
+//! back from [`Simulation::run_traced`]. Useful for debugging allocation
+//! behaviour, for the trace-dump harnesses, and as a consistency oracle in
+//! tests ([`EventLog::check_consistency`] verifies conservation laws that
+//! must hold for any correct run).
+//!
+//! [`Simulation::with_sink`]: crate::Simulation::with_sink
+//! [`Simulation::run_traced`]: crate::Simulation::run_traced
 
 use crate::workers::WorkerId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
-use tora_alloc::resources::ResourceVector;
 use tora_alloc::task::TaskId;
-use tora_metrics::DeadLetterCause;
+use tora_alloc::trace::{AllocEvent, EventSink};
 
-/// One logged simulation event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum SimEvent {
-    /// A task was submitted (became ready for the first time).
-    TaskSubmitted {
-        /// The task.
-        task: TaskId,
-    },
-    /// A task attempt was placed on a worker.
-    TaskDispatched {
-        /// The task.
-        task: TaskId,
-        /// Destination worker.
-        worker: WorkerId,
-        /// Attempt number (1-based).
-        attempt: usize,
-        /// The allocation it holds.
-        allocation: ResourceVector,
-    },
-    /// A task attempt finished successfully.
-    TaskCompleted {
-        /// The task.
-        task: TaskId,
-        /// The worker it ran on.
-        worker: WorkerId,
-    },
-    /// A task attempt was killed for over-consuming its allocation.
-    TaskKilled {
-        /// The task.
-        task: TaskId,
-        /// The worker it ran on.
-        worker: WorkerId,
-    },
-    /// A task attempt was lost because its worker departed.
-    TaskPreempted {
-        /// The task.
-        task: TaskId,
-        /// The departing worker.
-        worker: WorkerId,
-    },
-    /// A worker joined the pool.
-    WorkerJoined {
-        /// The worker.
-        worker: WorkerId,
-    },
-    /// A worker left the pool.
-    WorkerLeft {
-        /// The worker.
-        worker: WorkerId,
-    },
-    /// A worker crashed (abrupt departure; running attempts lost their
-    /// records).
-    WorkerCrashed {
-        /// The worker.
-        worker: WorkerId,
-    },
-    /// A task attempt was lost when its worker crashed.
-    TaskCrashed {
-        /// The task.
-        task: TaskId,
-        /// The crashed worker.
-        worker: WorkerId,
-    },
-    /// A task attempt straggled past the timeout and was killed.
-    TaskTimedOut {
-        /// The task.
-        task: TaskId,
-        /// The worker it ran on.
-        worker: WorkerId,
-    },
-    /// A dispatch attempt failed transiently; the task was re-queued with
-    /// backoff.
-    DispatchFailed {
-        /// The task.
-        task: TaskId,
-    },
-    /// A completion whose resource record never reached the allocator.
-    RecordDropped {
-        /// The task.
-        task: TaskId,
-    },
-    /// A task was abandoned: it will never complete (unless replayed).
-    TaskDeadLettered {
-        /// The task.
-        task: TaskId,
-        /// Why it was abandoned.
-        cause: DeadLetterCause,
-    },
-    /// A dead-lettered task was re-admitted after the pool recovered.
-    TaskReplayed {
-        /// The task.
-        task: TaskId,
-    },
-    /// A crashed attempt banked a checkpoint: the salvaged share of its
-    /// finished work carries forward to the retry.
-    TaskCheckpointed {
-        /// The task.
-        task: TaskId,
-        /// Nominal task-seconds salvaged by this checkpoint.
-        salvaged_s: f64,
-    },
-}
+pub use tora_alloc::trace::SimEvent;
 
 /// A timestamped event.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -201,12 +104,18 @@ impl EventLog {
     ///   that permits it (no dispatch of a currently-dead task, no replay
     ///   of a live one);
     /// * a worker's events nest correctly (no dispatch after it left or
-    ///   crashed).
+    ///   crashed);
+    /// * qualifying facts follow what they qualify: straggle and record
+    ///   drop/reject facts follow the task's completion, a replay success
+    ///   follows the completion of a replayed task, and a capped retry is
+    ///   followed by the task's dead letter with no dispatch between.
     pub fn check_consistency(&self) -> Result<(), String> {
         let mut open_dispatches: HashMap<TaskId, WorkerId> = HashMap::new();
         let mut completions: HashMap<TaskId, usize> = HashMap::new();
-        let mut currently_dead: std::collections::HashSet<TaskId> = Default::default();
-        let mut ever_dead: std::collections::HashSet<TaskId> = Default::default();
+        let mut currently_dead: HashSet<TaskId> = HashSet::new();
+        let mut ever_dead: HashSet<TaskId> = HashSet::new();
+        let mut ever_replayed: HashSet<TaskId> = HashSet::new();
+        let mut capped: HashSet<TaskId> = HashSet::new();
         let mut submitted: HashMap<TaskId, usize> = HashMap::new();
         let mut live_workers: HashMap<WorkerId, bool> = HashMap::new();
         for entry in &self.entries {
@@ -220,6 +129,9 @@ impl EventLog {
                     }
                     if currently_dead.contains(&task) {
                         return Err(format!("{task} dispatched while dead-lettered"));
+                    }
+                    if capped.contains(&task) {
+                        return Err(format!("{task} dispatched after its retries were capped"));
                     }
                     if open_dispatches.insert(task, worker).is_some() {
                         return Err(format!("{task} dispatched while already running"));
@@ -244,30 +156,61 @@ impl EventLog {
                         *completions.entry(task).or_insert(0) += 1;
                     }
                 }
-                SimEvent::TaskDeadLettered { task, .. } => {
+                SimEvent::TaskStraggled { task }
+                | SimEvent::RecordDropped { task }
+                | SimEvent::RecordRejected { task }
+                | SimEvent::ReplayCompleted { task } => {
+                    if !completions.contains_key(&task) {
+                        return Err(format!("{task} has a completion fact but never completed"));
+                    }
+                    if matches!(entry.event, SimEvent::ReplayCompleted { .. })
+                        && !ever_replayed.contains(&task)
+                    {
+                        return Err(format!("{task} completed a replay it never had"));
+                    }
+                }
+                SimEvent::RetryCapped { task } => {
+                    if open_dispatches.contains_key(&task) {
+                        return Err(format!("{task} had its retries capped while running"));
+                    }
+                    capped.insert(task);
+                }
+                SimEvent::TaskDeadLettered {
+                    task, unarrived, ..
+                } => {
                     if open_dispatches.contains_key(&task) {
                         return Err(format!("{task} dead-lettered while running"));
                     }
                     if !currently_dead.insert(task) {
                         return Err(format!("{task} dead-lettered twice without a replay"));
                     }
+                    if unarrived {
+                        *submitted.entry(task).or_insert(0) += 1;
+                    }
+                    capped.remove(&task);
                     ever_dead.insert(task);
                 }
                 SimEvent::TaskReplayed { task } => {
                     if !currently_dead.remove(&task) {
                         return Err(format!("{task} replayed while not dead-lettered"));
                     }
+                    ever_replayed.insert(task);
                 }
                 SimEvent::DispatchFailed { .. }
-                | SimEvent::RecordDropped { .. }
-                | SimEvent::TaskCheckpointed { .. } => {}
-                SimEvent::WorkerJoined { worker } => {
+                | SimEvent::TaskCheckpointed { .. }
+                | SimEvent::RackCrashed { .. } => {}
+                SimEvent::WorkerJoined { worker, .. } => {
                     live_workers.insert(worker, true);
                 }
                 SimEvent::WorkerLeft { worker } | SimEvent::WorkerCrashed { worker } => {
                     live_workers.insert(worker, false);
                 }
             }
+        }
+        if let Some(task) = capped.iter().min() {
+            return Err(format!(
+                "{task} had its retries capped but never dead-lettered"
+            ));
         }
         if !open_dispatches.is_empty() {
             return Err(format!(
@@ -308,9 +251,20 @@ impl EventLog {
     }
 }
 
+/// The log as a sink: every engine event is appended; allocator decisions
+/// are not part of it.
+impl EventSink for EventLog {
+    fn emit(&mut self, _event: AllocEvent) {}
+
+    fn emit_sim(&mut self, time_s: f64, event: &SimEvent) {
+        self.push(time_s, event.clone());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tora_alloc::resources::ResourceVector;
 
     fn alloc() -> ResourceVector {
         ResourceVector::new(1.0, 1024.0, 1024.0)
@@ -319,7 +273,13 @@ mod tests {
     fn well_formed() -> EventLog {
         let mut log = EventLog::new();
         let (t0, w0) = (TaskId(0), WorkerId(0));
-        log.push(0.0, SimEvent::WorkerJoined { worker: w0 });
+        log.push(
+            0.0,
+            SimEvent::WorkerJoined {
+                worker: w0,
+                capacity: alloc(),
+            },
+        );
         log.push(0.0, SimEvent::TaskSubmitted { task: t0 });
         log.push(
             0.0,
@@ -378,6 +338,7 @@ mod tests {
             0.0,
             SimEvent::WorkerJoined {
                 worker: WorkerId(0),
+                capacity: alloc(),
             },
         );
         log.push(0.0, SimEvent::TaskSubmitted { task: TaskId(1) });
@@ -402,6 +363,7 @@ mod tests {
             0.0,
             SimEvent::WorkerJoined {
                 worker: WorkerId(0),
+                capacity: alloc(),
             },
         );
         log.push(
@@ -430,6 +392,7 @@ mod tests {
             0.0,
             SimEvent::WorkerJoined {
                 worker: WorkerId(0),
+                capacity: alloc(),
             },
         );
         log.push(0.0, SimEvent::TaskSubmitted { task: TaskId(0) });
@@ -450,13 +413,20 @@ mod tests {
         use tora_metrics::DeadLetterCause;
         let mut log = EventLog::new();
         let (t0, w0) = (TaskId(0), WorkerId(0));
-        log.push(0.0, SimEvent::WorkerJoined { worker: w0 });
+        log.push(
+            0.0,
+            SimEvent::WorkerJoined {
+                worker: w0,
+                capacity: alloc(),
+            },
+        );
         log.push(0.0, SimEvent::TaskSubmitted { task: t0 });
         log.push(
             1.0,
             SimEvent::TaskDeadLettered {
                 task: t0,
                 cause: DeadLetterCause::Unplaceable,
+                unarrived: false,
             },
         );
         log.push(2.0, SimEvent::TaskReplayed { task: t0 });
@@ -486,6 +456,7 @@ mod tests {
             SimEvent::TaskDeadLettered {
                 task: t0,
                 cause: DeadLetterCause::Unplaceable,
+                unarrived: false,
             },
         );
         redead.check_consistency().unwrap();
@@ -500,6 +471,7 @@ mod tests {
                 0.0,
                 SimEvent::WorkerJoined {
                     worker: WorkerId(0),
+                    capacity: alloc(),
                 },
             );
             log.push(0.0, SimEvent::TaskSubmitted { task: TaskId(0) });
@@ -517,6 +489,7 @@ mod tests {
                 SimEvent::TaskDeadLettered {
                     task: TaskId(0),
                     cause: DeadLetterCause::Unplaceable,
+                    unarrived: false,
                 },
             );
         }
@@ -528,6 +501,7 @@ mod tests {
             SimEvent::TaskDeadLettered {
                 task: TaskId(0),
                 cause: DeadLetterCause::Unplaceable,
+                unarrived: false,
             },
         );
         log.push(
@@ -554,5 +528,100 @@ mod tests {
             log.count(|e| matches!(e, SimEvent::TaskCompleted { .. })),
             1
         );
+    }
+
+    #[test]
+    fn detects_misplaced_qualifying_facts() {
+        use tora_metrics::DeadLetterCause;
+        let (t0, w0) = (TaskId(0), WorkerId(0));
+        let running = || {
+            let mut log = EventLog::new();
+            log.push(
+                0.0,
+                SimEvent::WorkerJoined {
+                    worker: w0,
+                    capacity: alloc(),
+                },
+            );
+            log.push(0.0, SimEvent::TaskSubmitted { task: t0 });
+            log.push(
+                0.0,
+                SimEvent::TaskDispatched {
+                    task: t0,
+                    worker: w0,
+                    attempt: 1,
+                    allocation: alloc(),
+                },
+            );
+            log
+        };
+        let killed = || {
+            let mut log = running();
+            log.push(
+                1.0,
+                SimEvent::TaskKilled {
+                    task: t0,
+                    worker: w0,
+                },
+            );
+            log
+        };
+        let dead = |unarrived| SimEvent::TaskDeadLettered {
+            task: t0,
+            cause: DeadLetterCause::AttemptsExhausted,
+            unarrived,
+        };
+        // Completion facts before the completion.
+        for fact in [
+            SimEvent::TaskStraggled { task: t0 },
+            SimEvent::RecordDropped { task: t0 },
+            SimEvent::RecordRejected { task: t0 },
+            SimEvent::ReplayCompleted { task: t0 },
+        ] {
+            let mut log = running();
+            log.push(1.0, fact);
+            assert!(log.check_consistency().is_err());
+        }
+        // A replay success for a task that was never replayed.
+        let mut log = running();
+        log.push(
+            1.0,
+            SimEvent::TaskCompleted {
+                task: t0,
+                worker: w0,
+            },
+        );
+        log.push(1.0, SimEvent::ReplayCompleted { task: t0 });
+        assert!(log.check_consistency().is_err());
+        // A capped retry while running, or without its dead letter.
+        let mut log = running();
+        log.push(1.0, SimEvent::RetryCapped { task: t0 });
+        assert!(log.check_consistency().is_err());
+        let mut log = killed();
+        log.push(1.0, SimEvent::RetryCapped { task: t0 });
+        assert!(log.check_consistency().is_err());
+        // ... or followed by another dispatch instead.
+        log.push(
+            1.0,
+            SimEvent::TaskDispatched {
+                task: t0,
+                worker: w0,
+                attempt: 2,
+                allocation: alloc(),
+            },
+        );
+        assert!(log.check_consistency().is_err());
+        // Capped, then dead-lettered: consistent.
+        let mut log = killed();
+        log.push(1.0, SimEvent::RetryCapped { task: t0 });
+        log.push(1.0, dead(false));
+        log.check_consistency().unwrap();
+        // A dead letter that accounts the submission stands alone, and
+        // must not be submitted a second time.
+        let mut log = EventLog::new();
+        log.push(0.0, dead(true));
+        log.check_consistency().unwrap();
+        log.push(1.0, SimEvent::TaskSubmitted { task: t0 });
+        assert!(log.check_consistency().is_err());
     }
 }

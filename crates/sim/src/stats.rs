@@ -2,19 +2,24 @@
 //!
 //! The administrator-side motivation of the paper (§I) is cluster
 //! utilization: opportunistic workers plus tight allocations keep granted
-//! resources busy. This module samples the pool at every engine event and
-//! summarizes reserved-versus-granted capacity over time.
+//! resources busy. [`UtilizationSeries`] is an event sink that folds the
+//! engine's join, leave, crash, dispatch and attempt-ending events into
+//! reserved-versus-granted capacity over time.
 //!
-//! It also defines [`SimStats`]: the engine's own tally of how often it
-//! called into the allocator. Because the allocator's tracing layer counts
-//! the same interactions from the other side ([`TraceStats`]), the two can
-//! be reconciled exactly — [`SimStats::reconcile`] is the correctness check
-//! behind the `tora trace` subcommand.
+//! It also defines [`SimStats`]: the engine's record of a run. Its lifecycle
+//! counters are a fold over the engine's [`SimEvent`] stream
+//! ([`SimStats::apply`]); its allocator-call tally counts how often the
+//! engine called into the allocator. Because the allocator's tracing layer
+//! counts the same interactions from the other side ([`TraceStats`]), the
+//! two can be reconciled exactly — [`SimStats::reconcile`] is the
+//! correctness check behind the `tora trace` subcommand.
 
+use crate::workers::{spatial, WorkerId};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use tora_alloc::resources::{ResourceKind, ResourceVector};
-use tora_alloc::task::CategoryId;
-use tora_alloc::trace::TraceStats;
+use tora_alloc::task::{CategoryId, TaskId};
+use tora_alloc::trace::{AllocEvent, EventSink, SimEvent, TraceStats};
 use tora_metrics::CriticalPathStats;
 
 /// Allocator-call counters, engine-side.
@@ -81,7 +86,9 @@ impl FaultCounts {
     }
 }
 
-/// The engine's record of a run, counted at the call sites.
+/// The engine's record of a run: lifecycle counters folded from its event
+/// stream ([`SimStats::apply`]) plus the allocator calls counted at the
+/// call sites.
 ///
 /// `failures` counts resource-exhaustion kills only; preempted attempts are
 /// under `preemptions` (a departing worker is an infrastructure artifact,
@@ -141,6 +148,45 @@ impl SimStats {
             }
         };
         &mut self.by_category[idx].1
+    }
+
+    /// Fold one engine event into the lifecycle counters. The engine counts
+    /// every lifecycle fact through here, so applying a run's event log to
+    /// `SimStats::default()` rebuilds everything but the allocator-call
+    /// tally (`calls`, `by_category`) and `critical_path`.
+    #[inline]
+    pub fn apply(&mut self, event: &SimEvent) {
+        let faults = &mut self.faults;
+        match *event {
+            SimEvent::TaskSubmitted { .. } => self.submitted += 1,
+            SimEvent::TaskDispatched { .. } => self.dispatches += 1,
+            SimEvent::TaskCompleted { .. } => self.completions += 1,
+            SimEvent::TaskKilled { .. } => self.failures += 1,
+            SimEvent::TaskPreempted { .. } => self.preemptions += 1,
+            SimEvent::TaskStraggled { .. } => faults.stragglers_slow += 1,
+            SimEvent::RetryCapped { .. } => faults.capped_retries += 1,
+            SimEvent::WorkerCrashed { .. } => faults.worker_crashes += 1,
+            SimEvent::RackCrashed { .. } => faults.rack_crashes += 1,
+            SimEvent::TaskCrashed { .. } => faults.crashed_attempts += 1,
+            SimEvent::TaskTimedOut { .. } => faults.straggler_kills += 1,
+            SimEvent::DispatchFailed { .. } => faults.dispatch_failures += 1,
+            SimEvent::RecordDropped { .. } => faults.record_drops += 1,
+            SimEvent::RecordRejected { .. } => faults.rejected_records += 1,
+            SimEvent::TaskDeadLettered { unarrived, .. } => {
+                self.submitted += u64::from(unarrived);
+                faults.dead_lettered += 1;
+            }
+            SimEvent::TaskReplayed { .. } => {
+                faults.dead_lettered -= 1;
+                faults.replayed += 1;
+            }
+            SimEvent::ReplayCompleted { .. } => faults.replay_successes += 1,
+            SimEvent::TaskCheckpointed { salvaged_s, .. } => {
+                faults.checkpointed_attempts += 1;
+                self.salvaged_work_s += salvaged_s;
+            }
+            SimEvent::WorkerJoined { .. } | SimEvent::WorkerLeft { .. } => {}
+        }
     }
 
     /// Record one `predict_first` call.
@@ -267,7 +313,7 @@ impl SimStats {
 }
 
 /// One utilization sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct UtilizationSample {
     /// Simulated time, seconds.
     pub time_s: f64,
@@ -293,10 +339,20 @@ impl UtilizationSample {
     }
 }
 
-/// A time-ordered utilization series.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// A time-ordered utilization series, folded from the engine's events.
+///
+/// As an [`EventSink`] it keeps the pool as the events describe it — live
+/// workers' capacities and running attempts' reservations — and appends a
+/// sample after every event that changes either.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UtilizationSeries {
     samples: Vec<UtilizationSample>,
+    /// The pool as of the latest event.
+    current: UtilizationSample,
+    /// Capacity of each live worker.
+    capacities: HashMap<WorkerId, ResourceVector>,
+    /// Spatial reservation of each running attempt.
+    reservations: HashMap<TaskId, ResourceVector>,
 }
 
 impl UtilizationSeries {
@@ -376,7 +432,55 @@ impl UtilizationSeries {
         let samples = (0..n)
             .map(|i| self.samples[(i as f64 * step) as usize])
             .collect();
-        UtilizationSeries { samples }
+        UtilizationSeries {
+            samples,
+            ..UtilizationSeries::default()
+        }
+    }
+}
+
+impl EventSink for UtilizationSeries {
+    fn emit(&mut self, _event: AllocEvent) {}
+
+    fn emit_sim(&mut self, time_s: f64, event: &SimEvent) {
+        let now = &mut self.current;
+        match *event {
+            SimEvent::WorkerJoined { worker, capacity } => {
+                self.capacities.insert(worker, capacity);
+                now.workers += 1;
+                now.capacity = now.capacity.add(&capacity);
+            }
+            SimEvent::WorkerLeft { worker } | SimEvent::WorkerCrashed { worker } => {
+                let capacity = self.capacities.remove(&worker).unwrap_or_default();
+                now.workers = now.workers.saturating_sub(1);
+                now.capacity = now.capacity.sub(&capacity);
+            }
+            SimEvent::TaskDispatched {
+                task, allocation, ..
+            } => {
+                let reserved = spatial(&allocation);
+                self.reservations.insert(task, reserved);
+                now.running += 1;
+                now.reserved = now.reserved.add(&reserved);
+            }
+            SimEvent::TaskCompleted { task, .. }
+            | SimEvent::TaskKilled { task, .. }
+            | SimEvent::TaskPreempted { task, .. }
+            | SimEvent::TaskCrashed { task, .. }
+            | SimEvent::TaskTimedOut { task, .. } => {
+                let reserved = self.reservations.remove(&task).unwrap_or_default();
+                now.running = now.running.saturating_sub(1);
+                // An idle pool reserves exactly nothing, whatever rounding
+                // the subtractions left behind.
+                now.reserved = match now.running {
+                    0 => ResourceVector::ZERO,
+                    _ => now.reserved.sub(&reserved),
+                };
+            }
+            _ => return,
+        }
+        now.time_s = time_s;
+        self.samples.push(*now);
     }
 }
 
@@ -437,6 +541,71 @@ mod tests {
         // Downsampling a short series is identity.
         assert_eq!(series.downsample(1000).len(), 100);
         assert_eq!(series.downsample(0).len(), 100);
+    }
+
+    #[test]
+    fn series_folds_pool_events() {
+        use tora_alloc::task::TaskId;
+        let cap = ResourceVector::new(16.0, 1000.0, 1000.0);
+        let alloc = {
+            let mut a = ResourceVector::new(4.0, 250.0, 100.0);
+            a[ResourceKind::TimeS] = 60.0; // temporal axes reserve nothing
+            a
+        };
+        let (w0, w1, t0) = (WorkerId(0), WorkerId(1), TaskId(7));
+        let mut series = UtilizationSeries::new();
+        let events = [
+            (
+                0.0,
+                SimEvent::WorkerJoined {
+                    worker: w0,
+                    capacity: cap,
+                },
+            ),
+            (
+                0.0,
+                SimEvent::WorkerJoined {
+                    worker: w1,
+                    capacity: cap,
+                },
+            ),
+            (0.0, SimEvent::TaskSubmitted { task: t0 }),
+            (
+                1.0,
+                SimEvent::TaskDispatched {
+                    task: t0,
+                    worker: w1,
+                    attempt: 1,
+                    allocation: alloc,
+                },
+            ),
+            (5.0, SimEvent::WorkerLeft { worker: w0 }),
+            (
+                9.0,
+                SimEvent::TaskCompleted {
+                    task: t0,
+                    worker: w1,
+                },
+            ),
+        ];
+        for (t, e) in &events {
+            series.emit_sim(*t, e);
+        }
+        // One sample per pool-changing event; the submission changes nothing.
+        let s = series.samples();
+        assert_eq!(s.len(), 5);
+        assert_eq!((s[1].workers, s[1].capacity), (2, cap.scale(2.0)));
+        assert_eq!((s[2].time_s, s[2].running), (1.0, 1));
+        assert_eq!(s[2].utilization(ResourceKind::Cores), Some(0.125));
+        assert_eq!(s[2].reserved[ResourceKind::TimeS], 0.0);
+        assert_eq!((s[3].workers, s[3].capacity), (1, cap));
+        assert_eq!(s[3].utilization(ResourceKind::Cores), Some(0.25));
+        assert_eq!((s[4].running, s[4].reserved), (0, ResourceVector::ZERO));
+        assert_eq!(series.peak_workers(), 2);
+        assert_eq!(series.peak_running(), 1);
+        // 0.125 over [1, 5), 0.25 over [5, 9).
+        let mean = series.mean_utilization(ResourceKind::Cores).unwrap();
+        assert!((mean - 0.1875 * 8.0 / 9.0).abs() < 1e-12, "{mean}");
     }
 }
 
@@ -545,5 +714,80 @@ mod sim_stats_tests {
         let json = serde_json::to_string(&stats).unwrap();
         let back: SimStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back, stats);
+    }
+
+    #[test]
+    fn apply_folds_every_lifecycle_counter() {
+        use tora_alloc::task::TaskId;
+        use tora_metrics::DeadLetterCause;
+        let (task, worker) = (TaskId(1), WorkerId(2));
+        let dead = |unarrived| SimEvent::TaskDeadLettered {
+            task,
+            cause: DeadLetterCause::Stalled,
+            unarrived,
+        };
+        let mut stats = SimStats::new();
+        for event in [
+            SimEvent::TaskSubmitted { task },
+            SimEvent::TaskDispatched {
+                task,
+                worker,
+                attempt: 1,
+                allocation: ResourceVector::ZERO,
+            },
+            SimEvent::TaskCompleted { task, worker },
+            SimEvent::TaskStraggled { task },
+            SimEvent::TaskKilled { task, worker },
+            SimEvent::RetryCapped { task },
+            SimEvent::TaskPreempted { task, worker },
+            SimEvent::WorkerJoined {
+                worker,
+                capacity: ResourceVector::ZERO,
+            },
+            SimEvent::WorkerLeft { worker },
+            SimEvent::WorkerCrashed { worker },
+            SimEvent::RackCrashed { rack: 1 },
+            SimEvent::TaskCrashed { task, worker },
+            SimEvent::TaskTimedOut { task, worker },
+            SimEvent::DispatchFailed { task },
+            SimEvent::RecordDropped { task },
+            SimEvent::RecordRejected { task },
+            dead(false),
+            dead(true),
+            SimEvent::TaskReplayed { task },
+            SimEvent::ReplayCompleted { task },
+            SimEvent::TaskCheckpointed {
+                task,
+                salvaged_s: 2.5,
+            },
+        ] {
+            stats.apply(&event);
+        }
+        let ones = FaultCounts {
+            worker_crashes: 1,
+            crashed_attempts: 1,
+            straggler_kills: 1,
+            stragglers_slow: 1,
+            record_drops: 1,
+            dispatch_failures: 1,
+            rejected_records: 1,
+            dead_lettered: 1, // two dead letters, one withdrawn by a replay
+            capped_retries: 1,
+            rack_crashes: 1,
+            replayed: 1,
+            replay_successes: 1,
+            checkpointed_attempts: 1,
+        };
+        let expected = SimStats {
+            submitted: 2, // one arrival, one dead letter that never arrived
+            dispatches: 1,
+            completions: 1,
+            failures: 1,
+            preemptions: 1,
+            faults: ones,
+            salvaged_work_s: 2.5,
+            ..SimStats::new()
+        };
+        assert_eq!(stats, expected);
     }
 }

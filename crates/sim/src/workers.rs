@@ -12,8 +12,10 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tora_alloc::resources::{ResourceKind, ResourceVector, WorkerSpec};
 
+pub use tora_alloc::trace::WorkerId;
+
 /// Zero out temporal axes: what a task actually occupies on a worker.
-fn spatial(alloc: &ResourceVector) -> ResourceVector {
+pub(crate) fn spatial(alloc: &ResourceVector) -> ResourceVector {
     let mut out = *alloc;
     for kind in ResourceKind::ALL {
         if !kind.is_spatial() {
@@ -22,10 +24,6 @@ fn spatial(alloc: &ResourceVector) -> ResourceVector {
     }
     out
 }
-
-/// Identifies a worker within a pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct WorkerId(pub u64);
 
 /// One live worker.
 #[derive(Debug, Clone)]
@@ -224,18 +222,6 @@ impl WorkerPool {
         self.workers
             .values()
             .fold(ResourceVector::ZERO, |acc, w| acc.add(&w.available))
-    }
-
-    /// Total granted capacity across workers.
-    pub fn total_capacity(&self) -> ResourceVector {
-        self.workers
-            .values()
-            .fold(ResourceVector::ZERO, |acc, w| acc.add(&w.spec.capacity))
-    }
-
-    /// Total running attempts across workers.
-    pub fn total_running(&self) -> usize {
-        self.workers.values().map(|w| w.running).sum()
     }
 }
 

@@ -34,16 +34,14 @@ fn main() {
         &["structure", "memory AWE", "disk AWE", "retries", "makespan"],
     );
     for wf in [&flat, &dag] {
-        let config = SimConfig {
-            record_log: true,
-            ..SimConfig::paper_like(17)
-        };
-        let res = simulate(wf, AlgorithmKind::ExhaustiveBucketing, config);
-        res.log
-            .as_ref()
-            .expect("log enabled")
-            .check_consistency()
-            .expect("consistent run");
+        let (res, log) = Simulation::new(
+            wf,
+            AlgorithmKind::ExhaustiveBucketing,
+            SimConfig::paper_like(17),
+        )
+        .with_sink(EventLog::new())
+        .run_traced();
+        log.check_consistency().expect("consistent run");
         table.row(&[
             if wf.has_dependencies() { "dag" } else { "flat" }.to_string(),
             pct(res.metrics.awe(ResourceKind::MemoryMb).unwrap()),

@@ -1,8 +1,8 @@
 //! Opportunistic-pool observability: churn, preemption, utilization and the
 //! live bucketing state.
 //!
-//! Runs a Uniform workflow on a heavily churning pool with the event log and
-//! utilization tracking enabled, then prints what happened: worker band,
+//! Runs a Uniform workflow on a heavily churning pool with an event log and a
+//! utilization series attached as event sinks, then prints what happened: worker band,
 //! preemptions, the utilization the administrator would see, a downsampled
 //! utilization sparkline, and the final bucket structure the allocator
 //! learned.
@@ -27,11 +27,12 @@ fn main() {
             max: 30,
             mean_interval_s: Some(20.0),
         },
-        record_log: true,
-        track_utilization: true,
         ..SimConfig::paper_like(21)
     };
-    let result = simulate(&workflow, AlgorithmKind::ExhaustiveBucketing, config);
+    let (result, (log, series)) =
+        Simulation::new(&workflow, AlgorithmKind::ExhaustiveBucketing, config)
+            .with_sink((EventLog::new(), UtilizationSeries::new()))
+            .run_traced();
 
     println!("== run summary ==");
     println!("tasks           : {}", result.metrics.len());
@@ -40,7 +41,7 @@ fn main() {
         "worker band     : {}..{} workers",
         result.worker_range.0, result.worker_range.1
     );
-    println!("preemptions     : {}", result.preemptions);
+    println!("preemptions     : {}", result.stats.preemptions);
     println!("retries (kills) : {}", result.metrics.total_retries());
     println!(
         "memory AWE      : {}",
@@ -49,7 +50,6 @@ fn main() {
 
     // Event-log census — the JSONL dump is what a monitoring pipeline would
     // ingest.
-    let log = result.log.expect("log enabled");
     log.check_consistency().expect("run is self-consistent");
     println!("\n== event log ({} entries) ==", log.len());
     for (label, pred) in [
@@ -77,7 +77,6 @@ fn main() {
     }
 
     // Utilization over time: mean + a coarse sparkline of memory pressure.
-    let series = result.utilization.expect("utilization enabled");
     println!("\n== pool utilization ==");
     let mut table = Table::new("", &["resource", "time-weighted mean", "peak running"]);
     for kind in [

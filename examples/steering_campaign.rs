@@ -87,18 +87,13 @@ impl Driver for Campaign {
 }
 
 fn main() {
-    let config = SimConfig {
-        record_log: true,
-        ..SimConfig::paper_like(33)
-    };
     let sim = Simulation::with_driver(
         Box::new(Campaign::new(33)),
         WorkerSpec::paper_default(),
         AlgorithmKind::ExhaustiveBucketing,
-        config,
+        SimConfig::paper_like(33),
     );
-    let res = sim.run();
-    let log = res.log.as_ref().expect("log enabled");
+    let (res, log) = sim.with_sink(EventLog::new()).run_traced();
     log.check_consistency().expect("consistent run");
 
     println!(

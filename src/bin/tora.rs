@@ -106,7 +106,7 @@ fn print_usage() {
                                  node (default 0 = acyclic)\n\
            --mix <frac>:<scale>  heterogeneous pool: fraction of large workers\n\
            --out <file>          write JSON output to a file (experiments: a directory)\n\
-           --log <file>          (simulate) dump the event log as JSONL\n\
+           --log <file>          (simulate) dump the engine event stream as JSONL\n\
            --convergence         (simulate/replay) print the rolling-AWE trajectory"
     );
 }
@@ -198,6 +198,7 @@ fn cmd_run(raw: &[String], mode: Mode) -> Result<(), String> {
 
     let (metrics, sim_extra) = match mode {
         Mode::Replay => {
+            reject_log(&args, "replay")?;
             let enforcement = match args.value_of("enforcement")? {
                 None | Some("ramp") => EnforcementModel::LinearRamp,
                 Some("instant") => EnforcementModel::InstantPeak,
@@ -206,12 +207,16 @@ fn cmd_run(raw: &[String], mode: Mode) -> Result<(), String> {
             (replay(&wf, algorithm, enforcement, seed), None)
         }
         Mode::Simulate => {
-            let config = parse_sim_config(&args)?;
-            let result = simulate(&wf, algorithm, config);
-            if let (Some(path), Some(log)) = (args.value_of("log")?, result.log.as_ref()) {
-                std::fs::write(path, log.to_jsonl()).map_err(|e| e.to_string())?;
-                eprintln!("wrote event log to {path}");
-            }
+            let sim = Simulation::new(&wf, algorithm, parse_sim_config(&args)?);
+            let result = match args.value_of("log")? {
+                Some(path) => {
+                    let (result, log) = sim.with_sink(EventLog::new()).run_traced();
+                    std::fs::write(path, log.to_jsonl()).map_err(|e| e.to_string())?;
+                    eprintln!("wrote event log to {path}");
+                    result
+                }
+                None => sim.run(),
+            };
             (result.metrics.clone(), Some(result))
         }
     };
@@ -263,7 +268,10 @@ fn cmd_run(raw: &[String], mode: Mode) -> Result<(), String> {
     if let Some(result) = sim_extra {
         println!(
             "makespan {:.0} s | workers {}..{} | preemptions {}",
-            result.makespan_s, result.worker_range.0, result.worker_range.1, result.preemptions
+            result.makespan_s,
+            result.worker_range.0,
+            result.worker_range.1,
+            result.stats.preemptions
         );
     }
 
@@ -278,6 +286,17 @@ fn cmd_run(raw: &[String], mode: Mode) -> Result<(), String> {
             Some(onset) => println!("steady state from task {onset} (±5% band)"),
             None => println!("no steady state detected"),
         }
+    }
+    Ok(())
+}
+
+/// `--log` dumps the engine's event stream, which only `tora simulate` writes;
+/// other commands refuse it rather than silently writing nothing.
+fn reject_log(args: &Args<'_>, command: &str) -> Result<(), String> {
+    if args.has("log") {
+        return Err(format!(
+            "--log is only supported by `tora simulate`, not `tora {command}`"
+        ));
     }
     Ok(())
 }
@@ -299,6 +318,7 @@ fn cmd_trace(raw: &[String]) -> Result<(), String> {
     };
     let seed = args.seed()?;
     let config = parse_sim_config(&args)?;
+    reject_log(&args, "trace")?;
 
     // Count and serialize in one pass: a pair of sinks sees every event.
     let sink = (TraceStats::new(), JsonlSink::new(Vec::<u8>::new()));
@@ -413,6 +433,7 @@ fn cmd_trace(raw: &[String]) -> Result<(), String> {
 /// seed and the two reports must be byte-identical.
 fn cmd_chaos(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw)?;
+    reject_log(&args, "chaos")?;
     let plan_name = args.value_of("plan")?.unwrap_or("light");
     let plan = FaultPlan::named(plan_name).ok_or_else(|| {
         format!(

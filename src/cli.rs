@@ -240,9 +240,6 @@ pub fn parse_sim_config(args: &Args<'_>) -> Result<SimConfig, String> {
         mix.validate()?;
         config.worker_mix = Some(mix);
     }
-    if args.has("log") {
-        config.record_log = true;
-    }
     Ok(config)
 }
 

@@ -109,7 +109,7 @@ fn preemption_accounting_is_separate_from_waste() {
     };
     let res = simulate(&wf, AlgorithmKind::MaxSeen, churny);
     assert!(
-        res.preemptions > 0,
+        res.stats.preemptions > 0,
         "expected preemptions under heavy churn"
     );
     // Outcomes remain structurally sound despite preemptions.

@@ -105,6 +105,31 @@ fn simulate_writes_event_log() {
 }
 
 #[test]
+fn log_is_refused_by_commands_that_write_no_event_log() {
+    let dir = std::env::temp_dir().join("tora-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("refused.jsonl");
+    let path_str = path.to_str().unwrap();
+    std::fs::remove_file(&path).ok();
+    for command in [
+        &["chaos", "uniform", "--tasks", "60", "--plan", "light"][..],
+        &["chaos", "--quick"][..],
+        &["trace", "uniform", "--tasks", "60"][..],
+        &["replay", "uniform", "--tasks", "60"][..],
+    ] {
+        let mut args = command.to_vec();
+        args.extend(["--log", path_str]);
+        let (ok, _, err) = tora(&args);
+        assert!(!ok, "{args:?} accepted --log");
+        assert!(
+            err.contains("--log is only supported by `tora simulate`"),
+            "{err}"
+        );
+        assert!(!path.exists(), "{args:?} wrote {path_str}");
+    }
+}
+
+#[test]
 fn dag_and_mix_options() {
     let (ok, out, err) = tora(&[
         "replay",

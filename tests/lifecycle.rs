@@ -157,10 +157,11 @@ proptest! {
                 ArrivalModel::Batch
             },
             faults: plan,
-            record_log: true,
             ..SimConfig::paper_like(seed)
         };
-        let res = simulate(&wf, AlgorithmKind::ExhaustiveBucketing, config);
+        let (res, log) = Simulation::new(&wf, AlgorithmKind::ExhaustiveBucketing, config)
+            .with_sink(EventLog::new())
+            .run_traced();
 
         // One terminal phase per task, nothing lost or duplicated.
         let dead = res.metrics.dead_lettered_count() as u64;
@@ -169,7 +170,6 @@ proptest! {
 
         // The event log's lifecycle invariants agree (dispatch-while-dead,
         // replay-while-alive, double completion all fail consistency).
-        let log = res.log.expect("log enabled");
         prop_assert!(log.check_consistency().is_ok(), "{:?}", log.check_consistency());
     }
 }

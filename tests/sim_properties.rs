@@ -135,11 +135,11 @@ proptest! {
             } else {
                 EnforcementModel::LinearRamp
             },
-            record_log: true,
-            track_utilization: true,
             ..SimConfig::paper_like(seed)
         };
-        let res = simulate(&wf, algorithm, config);
+        let (res, (log, series)) = Simulation::new(&wf, algorithm, config)
+            .with_sink((EventLog::new(), UtilizationSeries::new()))
+            .run_traced();
 
         // Every task completes exactly once.
         prop_assert_eq!(res.metrics.len(), n);
@@ -161,13 +161,11 @@ proptest! {
         }
 
         // The event log obeys its conservation laws and matches the counters.
-        let log = res.log.expect("log enabled");
         prop_assert!(log.check_consistency().is_ok(), "{:?}", log.check_consistency());
         let dispatched = log.count(|e| matches!(e, SimEvent::TaskDispatched { .. }));
-        prop_assert_eq!(dispatched, res.dispatches);
+        prop_assert_eq!(dispatched as u64, res.stats.dispatches);
 
         // Utilization stays within physical bounds.
-        let series = res.utilization.expect("series enabled");
         for s in series.samples() {
             for kind in [ResourceKind::Cores, ResourceKind::MemoryMb, ResourceKind::DiskMb] {
                 if let Some(u) = s.utilization(kind) {
@@ -196,11 +194,10 @@ proptest! {
         let config = SimConfig {
             churn,
             faults: plan,
-            record_log: true,
             ..SimConfig::paper_like(seed)
         };
-        let (res, (trace, _events)) = Simulation::new(&wf, algorithm, config)
-            .with_sink((TraceStats::new(), MemorySink::new()))
+        let (res, ((trace, _events), log)) = Simulation::new(&wf, algorithm, config)
+            .with_sink(((TraceStats::new(), MemorySink::new()), EventLog::new()))
             .run_traced();
 
         // Conservation: every submitted task either completed or was
@@ -222,7 +219,6 @@ proptest! {
             "{:?}",
             res.stats.reconcile(&trace)
         );
-        let log = res.log.expect("log enabled");
         prop_assert!(log.check_consistency().is_ok(), "{:?}", log.check_consistency());
 
         // Attempt budgets are honoured: no task record exceeds max_attempts.
@@ -260,10 +256,11 @@ proptest! {
         let config = SimConfig {
             churn,
             faults: plan,
-            record_log: true,
             ..SimConfig::paper_like(seed)
         };
-        let res = simulate(&wf, algorithm, config);
+        let (res, log) = Simulation::new(&wf, algorithm, config)
+            .with_sink(EventLog::new())
+            .run_traced();
 
         let dead = res.stats.faults.dead_lettered;
         prop_assert_eq!(res.stats.submitted, n as u64);
@@ -275,7 +272,6 @@ proptest! {
         let faults = &res.stats.faults;
         prop_assert!(faults.worker_crashes >= faults.rack_crashes);
 
-        let log = res.log.expect("log enabled");
         prop_assert!(log.check_consistency().is_ok(), "{:?}", log.check_consistency());
         let crashed = log.count(|e| matches!(e, SimEvent::WorkerCrashed { .. }));
         prop_assert_eq!(crashed as u64, faults.worker_crashes);
@@ -313,10 +309,11 @@ proptest! {
                 mean_interval_s: Some(8.0),
             },
             faults: plan,
-            record_log: true,
             ..SimConfig::paper_like(seed)
         };
-        let res = simulate(&wf, algorithm, config);
+        let (res, log) = Simulation::new(&wf, algorithm, config)
+            .with_sink(EventLog::new())
+            .run_traced();
 
         // Conservation holds on the *final* dead-letter count: a replayed
         // task that completes leaves the dead-letter channel for good.
@@ -328,7 +325,6 @@ proptest! {
         // The log validates the full dead-letter/replay lifecycle: no task
         // is dispatched while dead, replayed without being dead, or left
         // without a terminal state.
-        let log = res.log.expect("log enabled");
         prop_assert!(log.check_consistency().is_ok(), "{:?}", log.check_consistency());
         let replayed = log.count(|e| matches!(e, SimEvent::TaskReplayed { .. }));
         prop_assert_eq!(replayed as u64, res.stats.faults.replayed);
@@ -340,15 +336,17 @@ proptest! {
         n in 20usize..50,
     ) {
         let wf = SyntheticKind::Uniform.catalog_workflow().spec(seed).tasks(n).materialize().unwrap();
-        let config = SimConfig {
-            record_log: true,
-            ..SimConfig::paper_like(seed)
+        let config = SimConfig::paper_like(seed);
+        let run = || {
+            Simulation::new(&wf, AlgorithmKind::ExhaustiveBucketing, config)
+                .with_sink(EventLog::new())
+                .run_traced()
         };
-        let a = simulate(&wf, AlgorithmKind::ExhaustiveBucketing, config);
-        let b = simulate(&wf, AlgorithmKind::ExhaustiveBucketing, config);
+        let (a, log_a) = run();
+        let (b, log_b) = run();
         prop_assert_eq!(a.makespan_s, b.makespan_s);
-        prop_assert_eq!(a.dispatches, b.dispatches);
-        prop_assert_eq!(a.log.unwrap(), b.log.unwrap());
+        prop_assert_eq!(a.stats.dispatches, b.stats.dispatches);
+        prop_assert_eq!(log_a, log_b);
     }
 
     #[test]
@@ -408,10 +406,11 @@ proptest! {
         let config = SimConfig {
             churn,
             faults: plan,
-            record_log: true,
             ..SimConfig::paper_like(seed)
         };
-        let res = simulate(&wf, algorithm, config);
+        let (res, log) = Simulation::new(&wf, algorithm, config)
+            .with_sink(EventLog::new())
+            .run_traced();
 
         let dead = res.metrics.dead_lettered_count() as u64;
         prop_assert_eq!(res.stats.submitted, n);
@@ -420,7 +419,6 @@ proptest! {
         for dl in res.metrics.dead_letters() {
             prop_assert!(dl.check().is_ok(), "{:?}", dl.check());
         }
-        let log = res.log.expect("log enabled");
         prop_assert!(log.check_consistency().is_ok(), "{:?}", log.check_consistency());
 
         // Structured runs always surface critical-path stats, and the
@@ -428,5 +426,75 @@ proptest! {
         let cp = res.stats.critical_path.expect("structured run has cp stats");
         prop_assert!(cp.longest_path_s > 0.0);
         prop_assert!(cp.longest_path_tasks >= 1);
+    }
+
+    #[test]
+    fn stats_lifecycle_counters_fold_from_the_event_log(
+        churn in arb_churn(),
+        algorithm in arb_algorithm(),
+        plan in arb_fault_plan(),
+        shape in prop::option::of(arb_dag_shape()),
+        n in 20usize..60,
+        seed in 0u64..1000,
+    ) {
+        // Every lifecycle counter in the engine's stats is the fold of the
+        // events it emitted; only the allocator-call tally and the
+        // critical-path summary are counted elsewhere. DAG shapes bring in
+        // cascaded dead letters of tasks that never arrived.
+        let spec = SyntheticKind::Bimodal.catalog_workflow().spec(seed);
+        let wf = match shape {
+            Some(shape) => spec.dag_shape(shape),
+            None => spec.tasks(n),
+        }
+        .materialize()
+        .unwrap();
+        let config = SimConfig {
+            churn,
+            faults: plan,
+            ..SimConfig::paper_like(seed)
+        };
+        let (res, log) = Simulation::new(&wf, algorithm, config)
+            .with_sink(EventLog::new())
+            .run_traced();
+        let mut folded = SimStats::default();
+        for entry in log.entries() {
+            folded.apply(&entry.event);
+        }
+        let counted = SimStats {
+            calls: Default::default(),
+            by_category: Vec::new(),
+            critical_path: None,
+            ..res.stats.clone()
+        };
+        prop_assert_eq!(folded, counted);
+    }
+
+    #[test]
+    fn attached_sinks_leave_the_run_unchanged(
+        churn in arb_churn(),
+        algorithm in arb_algorithm(),
+        plan in arb_fault_plan(),
+        n in 20usize..60,
+        seed in 0u64..1000,
+    ) {
+        // Logging and utilization tracking are observers: the result and
+        // the fault report are byte-identical with or without them.
+        let wf = SyntheticKind::Bimodal.catalog_workflow().spec(seed).tasks(n).materialize().unwrap();
+        let config = SimConfig {
+            churn,
+            faults: plan,
+            ..SimConfig::paper_like(seed)
+        };
+        let bytes = |result: &SimResult| {
+            (
+                serde_json::to_string(result).expect("result serializes"),
+                FaultReport::from_result(result, &config, algorithm.label()).to_json(),
+            )
+        };
+        let plain = Simulation::new(&wf, algorithm, config).run();
+        let (observed, _) = Simulation::new(&wf, algorithm, config)
+            .with_sink((EventLog::new(), UtilizationSeries::new()))
+            .run_traced();
+        prop_assert_eq!(bytes(&plain), bytes(&observed));
     }
 }

@@ -23,17 +23,18 @@ fn scaled_spec(wf: PaperWorkflow, seed: u64) -> WorkloadSpec {
 }
 
 /// Run one engine to completion and serialize everything observable.
-fn fingerprint(sim: Simulation, config: &SimConfig) -> (String, String, String) {
-    let (result, sink) = sim.with_sink(MemorySink::default()).run_traced();
+fn fingerprint(sim: Simulation, config: &SimConfig) -> (String, String, String, String) {
+    let (result, (log, sink)) = sim
+        .with_sink((EventLog::new(), MemorySink::default()))
+        .run_traced();
     let report = FaultReport::from_result(&result, config, "exhaustive-bucketing").to_json();
     let result_json = serde_json::to_string(&result).expect("result serializes");
     let trace_json = serde_json::to_string(&sink.events).expect("trace serializes");
-    (result_json, trace_json, report)
+    (result_json, trace_json, report, log.to_jsonl())
 }
 
 fn config_for(seed: u64) -> SimConfig {
     let mut config = SimConfig::paper_like(seed);
-    config.record_log = true;
     config.faults = FaultPlan::named("light").expect("preset exists");
     config
 }
@@ -72,6 +73,12 @@ fn streaming_and_materialized_runs_are_byte_identical() {
                 from_workflow.2,
                 from_stream.2,
                 "{} seed {seed}: fault report diverged",
+                wf.name()
+            );
+            assert_eq!(
+                from_workflow.3,
+                from_stream.3,
+                "{} seed {seed}: engine event log diverged",
                 wf.name()
             );
         }

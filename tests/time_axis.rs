@@ -137,12 +137,12 @@ fn engine_supports_time_management_too() {
     // machine-cap time allocations, tasks still run concurrently.)
     let config = SimConfig {
         churn: ChurnConfig::fixed(10),
-        track_utilization: true,
         ..SimConfig::default()
     };
-    let res = simulate(&wf, AlgorithmKind::MaxSeen, config);
+    let (res, series) = Simulation::new(&wf, AlgorithmKind::MaxSeen, config)
+        .with_sink(UtilizationSeries::new())
+        .run_traced();
     assert_eq!(res.metrics.len(), wf.len());
-    let series = res.utilization.unwrap();
     assert!(
         series.peak_running() > 10,
         "time axis must not serialize placement (peak {})",

@@ -54,7 +54,10 @@ fn trace_reconciles_under_churn_and_preemption() {
         ..SimConfig::default()
     };
     let (result, trace, _) = traced_run(&wf, AlgorithmKind::GreedyBucketing, config);
-    assert!(result.preemptions > 0, "config should force preemptions");
+    assert!(
+        result.stats.preemptions > 0,
+        "config should force preemptions"
+    );
     result.stats.reconcile(&trace).unwrap();
     // Preemptions never reach the allocator: a resubmitted attempt reuses
     // its pinned allocation, so no extra Predict events appear.
