@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Repository CI gate. Run from the workspace root:
 #
-#   ./ci.sh          # format check, lints, tier-1 build + full test suite
+#   ./ci.sh          # format check, lints, release build + every workspace test
 #
 # Everything is offline-safe: dependencies resolve to the in-tree `compat/`
 # crates, so no registry access is needed.
@@ -22,14 +22,16 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== tier-1: cargo build --release && cargo test -q =="
+echo "== cargo build --release && cargo test --workspace -q =="
+# --workspace: a bare `cargo test` at the root runs only the `tora` package,
+# not the allocator, engine, fault or experiment unit tests in crates/.
 cargo build --release
-cargo test -q
+cargo test --workspace -q
 
-echo "== tier-1 again with TORA_THREADS=4 (parallel paths, same results) =="
+echo "== workspace tests again with TORA_THREADS=4 (parallel paths, same results) =="
 # Thread count is a pure wall-clock knob (DESIGN.md §5h): the whole suite
 # must pass identically when the workspace-wide detection is overridden.
-TORA_THREADS=4 cargo test -q
+TORA_THREADS=4 cargo test --workspace -q
 
 echo "== trace byte parity across thread counts =="
 # Backfill scheduling batches predictions through the sharded allocator;
@@ -70,73 +72,36 @@ done
     exit 1
 }
 
-echo "== tora bench --quick (hot-path smoke) =="
-cargo run --release --bin tora -- bench --quick --out target/bench-smoke.json
-
-echo "== scaling smoke: 100k streamed tasks above the throughput floor =="
-# The quick bench streams 10k and 100k tasks through the engine
-# (crates/bench/src/perf.rs::scaling_curve). A superlinear regression in the
-# event queue or the arena shows up here as a collapsed tasks/sec figure long
-# before the million-task run would. Floor is ~10× below the measured
-# release-mode rate to absorb machine noise.
+echo "== tora-benchmark: every workload, output checks and two performance floors =="
+# Three repetitions per workload (--seconds 0). The run exits non-zero on any
+# failed output check: conservation, zero Error responses, snapshot/restore
+# identity and the seed-42 digests pinned in benchmark/baseline.json. The
+# floors sit well below the medians measured on a 2-vCPU container
+# (~138k tasks/s, ~180 us p99), to absorb machine noise.
+cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
+    run --seconds 0 > target/benchmark-smoke.txt
 python3 - <<'EOF'
 import json
-report = json.load(open("target/bench-smoke.json"))
-rows = {r["tasks"]: r["tasks_per_sec"] for r in report["scaling"]}
-assert 100_000 in rows, f"scaling curve missing the 100k point: {sorted(rows)}"
+lines = open("target/benchmark-smoke.txt").read().splitlines()
+result = json.loads(lines[-1])
+assert result["correct"] is True, "a benchmark output check failed"
+assert result["failed"] == 0, f"{result['failed']} benchmark operations failed"
+metrics = result["metrics"]
+rate = metrics["sim-flat-1m/throughput_per_s"]["value"]
 floor = 20_000.0
-if rows[100_000] < floor:
+if rate < floor:
     raise SystemExit(
-        f"100k-task streaming throughput {rows[100_000]:.0f} tasks/sec "
-        f"is under the {floor:.0f} floor -- engine scaling regressed"
+        f"1M-task streaming throughput {rate:.0f} tasks/s is under the "
+        f"{floor:.0f} floor -- engine scaling regressed"
     )
-assert report["threads_detected"] >= 1
-assert report["threads_used"] >= 1
-assert report["matrix"]["identical"], "sequential vs parallel matrix runs differ"
-rp = report["rebucket_parallel"]
-assert rp, "rebucket_parallel section missing from the bench report"
-for row in rp:
-    assert row["identical"], f"serial vs sharded rebucket differ at {row['records']}"
-sl = report["serve_latency"]
-assert sl, "serve_latency section missing from the bench report"
-for row in sl:
-    assert row["records"] == 10_000, f"serve latency must be measured at 10k records: {row}"
-    if row["p99_us"] >= 1000.0:
-        raise SystemExit(
-            f"serve prediction p99 {row['p99_us']:.1f} us at batch {row['batch']} "
-            f"breaks the sub-millisecond budget -- the serve hot path regressed"
-        )
-fig = report["fig_dag"]
-assert fig, "fig_dag section missing from the bench report"
-for row in fig:
-    assert row["longest_path_s"] > 0.0, f"empty critical path: {row}"
-by_algo = {}
-for row in fig:
-    by_algo.setdefault(row["algorithm"], {})[row["scenario"]] = row
-for algo, rows_ in by_algo.items():
-    on = rows_["on-path"]["makespan_vs_baseline"]
-    off = rows_["off-path"]["makespan_vs_baseline"]
-    if not on > off:
-        raise SystemExit(
-            f"fig_dag: {algo} on-path slowdown {on:.3f} must exceed off-path "
-            f"{off:.3f} -- critical-path sensitivity inverted"
-        )
-learned = report["fig_learned"]
-assert learned, "fig_learned section missing from the bench report"
-awe = {row["algorithm"]: row["memory_awe"] for row in learned}
-assert "greedy-bucketing" in awe and "feature-binned" in awe, sorted(awe)
-if not awe["feature-binned"] > awe["greedy-bucketing"]:
+p99 = metrics["serve-predict-burst/latency_p99_us"]["value"]
+if p99 >= 1000.0:
     raise SystemExit(
-        f"fig_learned: feature-binned memory AWE {awe['feature-binned']:.4f} must "
-        f"strictly exceed greedy-bucketing {awe['greedy-bucketing']:.4f} -- "
-        f"feature conditioning stopped paying for itself"
+        f"serve Predict p99 {p99:.0f} us through the wire path breaks the "
+        f"sub-millisecond budget -- the serve hot path regressed"
     )
-print(f"scaling ok: 100k tasks at {rows[100_000]:.0f} tasks/sec "
-      f"({report['threads_detected']} detected / {report['threads_used']} used); "
-      f"serve p99 " + ", ".join(f"{r['p99_us']:.0f}us@batch{r['batch']}" for r in sl) + "; "
-      f"fig_dag on>off-path holds for {len(by_algo)} algorithms; "
-      f"fig_learned feature-binned {awe['feature-binned']:.4f} > "
-      f"greedy {awe['greedy-bucketing']:.4f}")
+print(f"benchmark ok: sim-flat-1m {rate:.0f} tasks/s, "
+      f"serve-predict-burst p99 {p99:.0f} us")
 EOF
 
 echo "== tora serve smoke (protocol + snapshot/restore byte parity) =="

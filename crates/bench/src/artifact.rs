@@ -78,7 +78,7 @@ const fn entry(
 }
 
 /// Every artifact, in the order `tora experiments all` renders them.
-pub const EXPERIMENTS: [Experiment; 7] = [
+pub const EXPERIMENTS: [Experiment; 9] = [
     entry("fig2", true, crate::figures::fig2),
     entry("fig4", true, crate::figures::fig4),
     entry("fig5", true, crate::figures::fig5),
@@ -86,6 +86,8 @@ pub const EXPERIMENTS: [Experiment; 7] = [
     entry("table1", false, crate::timing::table1),
     entry("ablations", true, crate::ablations::ablations),
     entry("chaos-sweep", true, crate::chaos::chaos_sweep),
+    entry("fig-dag", true, crate::figdag::fig_dag),
+    entry("fig-learned", true, crate::figlearned::fig_learned),
 ];
 
 /// Look an artifact up by name.

@@ -184,4 +184,27 @@ mod tests {
             .collect();
         assert_eq!(keys.len(), 4);
     }
+
+    /// Thread count is a wall-clock knob only: the same sub-matrix run
+    /// sequentially and on four workers serializes to identical JSON.
+    #[test]
+    fn sequential_and_parallel_matrix_runs_are_identical() {
+        let workflows = [PaperWorkflow::Uniform, PaperWorkflow::Bimodal];
+        let algorithms = [
+            AlgorithmKind::MaxSeen,
+            AlgorithmKind::GreedyBucketing,
+            AlgorithmKind::ExhaustiveBucketing,
+        ];
+        let config = MatrixConfig {
+            seed: 7,
+            ..MatrixConfig::default()
+        };
+        let sequential = run_matrix_on(&workflows, &algorithms, &config, 1);
+        let parallel = run_matrix_on(&workflows, &algorithms, &config, 4);
+        assert_eq!(sequential.len(), 6);
+        assert_eq!(
+            serde_json::to_string(&sequential).unwrap(),
+            serde_json::to_string(&parallel).unwrap()
+        );
+    }
 }

@@ -1,4 +1,4 @@
-//! The `fig_dag` cell of `tora bench`: critical-path sensitivity.
+//! The critical-path sensitivity experiment behind `tora experiments fig-dag`.
 //!
 //! Task-oriented allocation is structure-blind — the paper's estimators
 //! see a stream of (category, peak) records and never the dependency
@@ -6,16 +6,20 @@
 //! allocation error injected on vs off the critical path of a
 //! depth-dominated diamond, with everything else held symmetric. The
 //! directional result (on-path errors inflate the makespan more) is
-//! asserted by a test here and by ci.sh on every quick bench run.
+//! asserted by the test here; the rendered table and `fig_dag.json` are
+//! committed under `results/` and pinned byte for byte.
 
 use serde::Serialize;
 use tora_alloc::allocator::AlgorithmKind;
 use tora_alloc::resources::{ResourceKind, ResourceVector, WorkerSpec};
 use tora_alloc::task::TaskSpec;
+use tora_metrics::Table;
 use tora_sim::{simulate, ChurnConfig, SimConfig};
 use tora_workloads::Workflow;
 
-/// One cell of the critical-path sensitivity experiment (`fig_dag`): a
+use crate::artifact::{Artifact, ExperimentConfig};
+
+/// One row of the critical-path sensitivity experiment (`fig-dag`): a
 /// diamond-shaped workflow where the *same* allocation error is injected
 /// either into the critical chain or into the slackest parallel chain.
 /// Task-oriented allocation is structure-blind; this row quantifies what
@@ -62,7 +66,7 @@ fn inflate_peaks(wf: &Workflow, victims: &[u64]) -> Workflow {
         .with_dependencies(wf.dependencies.clone())
 }
 
-/// The depth-dominated diamond behind `fig_dag`: one source, a deep chain
+/// The depth-dominated diamond behind `fig-dag`: one source, a deep chain
 /// (`DEEP` tasks — the critical path), a shallow chain (`SHALLOW` tasks —
 /// pure float), one sink, every task an identical 50 s / 4 GB spec in one
 /// category. Uniform specs are the point: the two chains differ *only* in
@@ -162,11 +166,42 @@ pub fn fig_dag_rows(seed: u64) -> Vec<FigDagRow> {
     rows
 }
 
+/// The `fig-dag` artifact: [`fig_dag_rows`] as a table, with the raw rows
+/// as `fig_dag.json`.
+pub fn fig_dag(config: &ExperimentConfig) -> Artifact {
+    let rows = fig_dag_rows(config.seed);
+    let mut artifact = Artifact::default();
+    let mut t = Table::new(
+        "fig_dag: critical-path sensitivity (depth-dominated diamond)",
+        &[
+            "algorithm",
+            "scenario",
+            "makespan (s)",
+            "vs baseline",
+            "inflation",
+            "waste on/off path (MB·s)",
+        ],
+    );
+    for r in &rows {
+        t.row(&[
+            r.algorithm.clone(),
+            r.scenario.clone(),
+            format!("{:.1}", r.makespan_s),
+            format!("{:.3}×", r.makespan_vs_baseline),
+            format!("{:.2}×", r.inflation),
+            format!("{:.0} / {:.0}", r.on_path_waste_mb_s, r.off_path_waste_mb_s),
+        ]);
+    }
+    artifact.table(&t);
+    artifact.json("fig_dag.json", &rows);
+    artifact
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The point of the fig_dag cell: the same allocation error costs more
+    /// The point of the fig-dag experiment: the same allocation error costs more
     /// makespan on the critical chain than on the slackest chain. This is
     /// the acceptance criterion of the DAG milestone — assert it
     /// directionally per algorithm, not just that the numbers exist.

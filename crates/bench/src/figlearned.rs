@@ -1,4 +1,4 @@
-//! The `fig_learned` cell of `tora bench`: what feature conditioning buys.
+//! The feature-conditioning experiment behind `tora experiments fig-learned`.
 //!
 //! The paper's estimators key every resource state on the task's category
 //! alone, so a category that mixes small and large inputs forces a
@@ -8,14 +8,18 @@
 //! feature-conditioned comparators recover on exactly that workload — the
 //! bimodal synthetic family, whose two memory modes the minted signal
 //! separates. The directional result (feature-binned strictly beats Greedy
-//! Bucketing on memory AWE) is asserted by a test here and by ci.sh on
-//! every quick bench run.
+//! Bucketing on memory AWE) is asserted by the tests here; the rendered
+//! table and `fig_learned.json` are committed under `results/` and pinned
+//! byte for byte.
 
 use serde::Serialize;
 use tora_alloc::allocator::AlgorithmKind;
 use tora_alloc::resources::ResourceKind;
+use tora_metrics::Table;
 use tora_sim::{replay, EnforcementModel};
 use tora_workloads::SyntheticKind;
+
+use crate::artifact::{Artifact, ExperimentConfig};
 
 /// One allocator's score on the heterogeneous (bimodal) workload.
 #[derive(Debug, Clone, Serialize)]
@@ -82,6 +86,35 @@ pub fn fig_learned_rows(seed: u64) -> Vec<FigLearnedRow> {
         row.awe_vs_greedy = row.memory_awe / greedy_awe.max(f64::MIN_POSITIVE);
     }
     rows
+}
+
+/// The `fig-learned` artifact: [`fig_learned_rows`] as a table, with the raw
+/// rows as `fig_learned.json`.
+pub fn fig_learned(config: &ExperimentConfig) -> Artifact {
+    let rows = fig_learned_rows(config.seed);
+    let mut artifact = Artifact::default();
+    let mut t = Table::new(
+        "fig_learned: feature conditioning on the bimodal workload",
+        &[
+            "algorithm",
+            "features",
+            "memory AWE",
+            "retries",
+            "vs greedy",
+        ],
+    );
+    for r in &rows {
+        t.row(&[
+            r.algorithm.clone(),
+            if r.feature_conditioned { "yes" } else { "no" }.to_string(),
+            format!("{:.4}", r.memory_awe),
+            r.retries.to_string(),
+            format!("{:.3}×", r.awe_vs_greedy),
+        ]);
+    }
+    artifact.table(&t);
+    artifact.json("fig_learned.json", &rows);
+    artifact
 }
 
 #[cfg(test)]

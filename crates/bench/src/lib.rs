@@ -1,4 +1,4 @@
-//! # tora-bench — experiment harnesses and benchmarks
+//! # tora-bench — experiment harnesses
 //!
 //! Regenerates every table and figure of the paper's evaluation (§V). Each
 //! artifact is a library function registered in [`artifact::EXPERIMENTS`]
@@ -13,13 +13,16 @@
 //! | Table I | `table1` | µs per bucketing-state compute at 10–5000 records |
 //! | ablations | `ablations` | design-choice sweeps called out in DESIGN.md |
 //! | resilience | `chaos-sweep` | GB/EB AWE degradation versus injected fault rate |
+//! | structure | `fig-dag` | makespan cost of one allocation error on vs off the critical path |
+//! | learning | `fig-learned` | memory AWE of feature-conditioned vs category-global estimators |
 //!
 //! An artifact returns its rendered text and the raw cells it can dump as
 //! JSON/CSV ([`Artifact`]); `tora experiments --out <dir>` writes both.
 //! Independent cells fan across cores via [`pool::run_parallel`];
 //! `TORA_THREADS` caps the worker count (`TORA_THREADS=1` forces a
-//! sequential run with identical output). [`perf::run_bench`] backs the
-//! `tora bench` subcommand and writes `BENCH.json`.
+//! sequential run with identical output). Table I is the one timing
+//! artifact; end-to-end and per-layer performance is measured by the
+//! separate `tora-benchmark` package in `benchmark/`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -31,13 +34,11 @@ pub mod experiments;
 pub mod figdag;
 pub mod figlearned;
 pub mod figures;
-pub mod perf;
 pub mod pool;
 pub mod timing;
 
 pub use artifact::{experiment, Artifact, Experiment, ExperimentConfig, EXPERIMENTS};
 pub use chaos::{run_chaos_cell, run_chaos_sweep, ChaosCell};
 pub use experiments::{run_cell, run_matrix_for, MatrixCell, MatrixConfig};
-pub use perf::{run_bench, run_bench_on, BenchReport};
 pub use pool::run_parallel;
 pub use timing::{loaded_estimator, sample_values, state_compute_time, TABLE1_SIZES};

@@ -12,9 +12,9 @@
 //!
 //! The detected count is *capped* by the quota, never raised: claiming 32
 //! threads on a half-core container is how a benchmark reports a parallel
-//! "speedup" of 0.97×. `BENCH.json` records both `threads_detected` (this
-//! module's answer) and `threads_used` (what a run actually spent), so a
-//! 1-core box honestly reports `threads_used: 1` instead of a fake speedup.
+//! "speedup" of 0.97×. Callers that must not depend on detection (tests
+//! comparing thread counts, a daemon's `--threads`) pass an explicit count
+//! instead, and [`resolve`] maps `0` to [`detected_threads`].
 //!
 //! [`par_map_mut`] is the execution half: a scoped-thread map over mutable
 //! items (the allocator's category shards) that preserves item order in its

@@ -8,13 +8,14 @@
 //! tora simulate <workflow|file> [opts]        run the discrete-event engine
 //! tora replay   <workflow|file> [opts]        run the fast serial replay
 //! tora trace    <workflow|file> [opts]        traced run: allocation events as JSONL
+//! tora chaos    <workflow|file> [opts]        run under a fault-injection plan
 //! tora experiments <artifact>|all [opts]      regenerate the paper's figures/tables
-//! tora bench    [--quick]                     hot-path performance report → BENCH.json
 //! tora serve    [opts]                        long-running allocation daemon (JSONL)
 //! ```
 //!
-//! Run `tora <command> --help` for per-command options. Everything is
-//! deterministic in `--seed`.
+//! `tora --help` (or `tora <command> --help`) prints every command's options;
+//! a flag the command does not read is an error. Everything is deterministic
+//! in `--seed`.
 
 use std::process::ExitCode;
 use tora::cli::{parse_algorithm, parse_sim_config, parse_workflow, Args};
@@ -22,24 +23,73 @@ use tora::metrics::{attempts_histogram, pct, rolling_awe, steady_state_onset, Ta
 use tora::prelude::*;
 use tora::workloads::{io as trace_io, PaperWorkflow};
 
+/// Flags read by [`parse_workflow`].
+const WORKFLOW_FLAGS: &[&str] = &[
+    "seed", "tasks", "dag", "shape", "width", "depth", "loopback",
+];
+
+/// Flags read by [`parse_sim_config`].
+const SIM_FLAGS: &[&str] = &[
+    "seed",
+    "threads",
+    "workers",
+    "arrival",
+    "policy",
+    "enforcement",
+    "mix",
+];
+
+type Command = fn(&Args<'_>) -> Result<(), String>;
+
+/// Every command, with the lists of flags it reads.
+const COMMANDS: [(&str, &[&[&str]], Command); 9] = [
+    ("algorithms", &[], |_| cmd_algorithms()),
+    ("workflows", &[], |_| cmd_workflows()),
+    ("generate", &[WORKFLOW_FLAGS, &["out"]], cmd_generate),
+    (
+        "simulate",
+        &[
+            WORKFLOW_FLAGS,
+            SIM_FLAGS,
+            &["algorithm", "log", "convergence"],
+        ],
+        |args| cmd_run(args, Mode::Simulate),
+    ),
+    (
+        "replay",
+        &[WORKFLOW_FLAGS, &["algorithm", "enforcement", "convergence"]],
+        |args| cmd_run(args, Mode::Replay),
+    ),
+    (
+        "trace",
+        &[WORKFLOW_FLAGS, SIM_FLAGS, &["algorithm", "out"]],
+        cmd_trace,
+    ),
+    (
+        "chaos",
+        &[
+            WORKFLOW_FLAGS,
+            SIM_FLAGS,
+            &["algorithm", "plan", "feedback", "salvage", "quick", "out"],
+        ],
+        cmd_chaos,
+    ),
+    ("experiments", &[&["seed", "seeds", "out"]], cmd_experiments),
+    (
+        "serve",
+        &[&["workers", "threads", "restore", "socket"]],
+        cmd_serve,
+    ),
+];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("algorithms") => cmd_algorithms(),
-        Some("workflows") => cmd_workflows(),
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("simulate") => cmd_run(&args[1..], Mode::Simulate),
-        Some("replay") => cmd_run(&args[1..], Mode::Replay),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..]),
-        Some("experiments") => cmd_experiments(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("--help") | Some("-h") | None => {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let result = match raw.split_first() {
+        None => {
             print_usage();
             Ok(())
         }
-        Some(other) => Err(format!("unknown command `{other}` (try --help)")),
+        Some((command, rest)) => run(command, rest),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -48,6 +98,34 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Dispatch one command line: `--help` anywhere prints the usage, and a flag
+/// the command does not read is an error rather than silently ignored.
+fn run(command: &str, rest: &[String]) -> Result<(), String> {
+    let is_help = |arg: &str| matches!(arg, "--help" | "-h");
+    if is_help(command) {
+        print_usage();
+        return Ok(());
+    }
+    let (_, accepted, cmd) = COMMANDS
+        .iter()
+        .find(|(name, ..)| *name == command)
+        .ok_or_else(|| format!("unknown command `{command}` (try --help)"))?;
+    if rest.iter().any(|arg| is_help(arg)) {
+        print_usage();
+        return Ok(());
+    }
+    let args = Args::parse(rest)?;
+    // `--log` dumps the engine's event stream, which only `tora simulate`
+    // writes; say so rather than calling the flag unknown.
+    if args.has("log") && command != "simulate" {
+        return Err(format!(
+            "--log is only supported by `tora simulate`, not `tora {command}`"
+        ));
+    }
+    args.check_flags(accepted)?;
+    cmd(&args)
 }
 
 fn print_usage() {
@@ -71,13 +149,11 @@ fn print_usage() {
                                            finished work via checkpointing; --quick runs\n\
                                            the determinism smoke test)\n\
            experiments <artifact>|all      regenerate the paper's evaluation: fig2 | fig4 |\n\
-                                           fig5 | fig6 | table1 | ablations | chaos-sweep\n\
+                                           fig5 | fig6 | table1 | ablations | chaos-sweep |\n\
+                                           fig-dag | fig-learned\n\
                                            (--seeds <n> averages fig5 over n seeds; --out\n\
                                            <dir> also writes each artifact's tables and raw\n\
                                            data files there)\n\
-           bench    [--quick] [opts]       time the hot paths (prediction, rebucket fast\n\
-                                           vs faithful, engine, parallel runner, serve\n\
-                                           prediction latency) and write BENCH.json\n\
            serve    [opts]                 long-running allocation daemon speaking\n\
                                            line-delimited JSON on stdin/stdout (default)\n\
                                            or --socket <path> (Unix socket); multiplexes\n\
@@ -160,13 +236,12 @@ fn cmd_workflows() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_generate(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+fn cmd_generate(args: &Args<'_>) -> Result<(), String> {
     let name = args
         .positional
         .first()
         .ok_or("generate requires a workflow name")?;
-    let wf = parse_workflow(name, &args)?;
+    let wf = parse_workflow(name, args)?;
     let json = trace_io::to_json(&wf).map_err(|e| e.to_string())?;
     match args.value_of("out")? {
         Some(path) => {
@@ -183,13 +258,12 @@ enum Mode {
     Replay,
 }
 
-fn cmd_run(raw: &[String], mode: Mode) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+fn cmd_run(args: &Args<'_>, mode: Mode) -> Result<(), String> {
     let name = args
         .positional
         .first()
         .ok_or("requires a workflow name or trace file")?;
-    let wf = parse_workflow(name, &args)?;
+    let wf = parse_workflow(name, args)?;
     let algorithm = match args.value_of("algorithm")? {
         None => AlgorithmKind::ExhaustiveBucketing,
         Some(name) => parse_algorithm(name)?,
@@ -198,7 +272,6 @@ fn cmd_run(raw: &[String], mode: Mode) -> Result<(), String> {
 
     let (metrics, sim_extra) = match mode {
         Mode::Replay => {
-            reject_log(&args, "replay")?;
             let enforcement = match args.value_of("enforcement")? {
                 None | Some("ramp") => EnforcementModel::LinearRamp,
                 Some("instant") => EnforcementModel::InstantPeak,
@@ -207,7 +280,7 @@ fn cmd_run(raw: &[String], mode: Mode) -> Result<(), String> {
             (replay(&wf, algorithm, enforcement, seed), None)
         }
         Mode::Simulate => {
-            let sim = Simulation::new(&wf, algorithm, parse_sim_config(&args)?);
+            let sim = Simulation::new(&wf, algorithm, parse_sim_config(args)?);
             let result = match args.value_of("log")? {
                 Some(path) => {
                     let (result, log) = sim.with_sink(EventLog::new()).run_traced();
@@ -290,35 +363,22 @@ fn cmd_run(raw: &[String], mode: Mode) -> Result<(), String> {
     Ok(())
 }
 
-/// `--log` dumps the engine's event stream, which only `tora simulate` writes;
-/// other commands refuse it rather than silently writing nothing.
-fn reject_log(args: &Args<'_>, command: &str) -> Result<(), String> {
-    if args.has("log") {
-        return Err(format!(
-            "--log is only supported by `tora simulate`, not `tora {command}`"
-        ));
-    }
-    Ok(())
-}
-
 /// `tora trace`: run the engine with a live event sink attached, dump the
 /// allocator's decision stream as JSONL, and cross-check the stream's counts
 /// against the engine's own bookkeeping. A mismatch is a bug in one of the
 /// two bookkeepers, so it fails the command.
-fn cmd_trace(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+fn cmd_trace(args: &Args<'_>) -> Result<(), String> {
     let name = args
         .positional
         .first()
         .ok_or("trace requires a workflow name or trace file")?;
-    let wf = parse_workflow(name, &args)?;
+    let wf = parse_workflow(name, args)?;
     let algorithm = match args.value_of("algorithm")? {
         None => AlgorithmKind::ExhaustiveBucketing,
         Some(name) => parse_algorithm(name)?,
     };
     let seed = args.seed()?;
-    let config = parse_sim_config(&args)?;
-    reject_log(&args, "trace")?;
+    let config = parse_sim_config(args)?;
 
     // Count and serialize in one pass: a pair of sinks sees every event.
     let sink = (TraceStats::new(), JsonlSink::new(Vec::<u8>::new()));
@@ -431,9 +491,7 @@ fn cmd_trace(raw: &[String]) -> Result<(), String> {
 /// the remainder, with the salvage totals shown in the report. `--quick` is
 /// the CI smoke mode: a small fixed workload is run twice under the same
 /// seed and the two reports must be byte-identical.
-fn cmd_chaos(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
-    reject_log(&args, "chaos")?;
+fn cmd_chaos(args: &Args<'_>) -> Result<(), String> {
     let plan_name = args.value_of("plan")?.unwrap_or("light");
     let plan = FaultPlan::named(plan_name).ok_or_else(|| {
         format!(
@@ -493,8 +551,8 @@ fn cmd_chaos(raw: &[String]) -> Result<(), String> {
         .positional
         .first()
         .ok_or("chaos requires a workflow name or trace file (or --quick)")?;
-    let wf = parse_workflow(name, &args)?;
-    let mut config = parse_sim_config(&args)?;
+    let wf = parse_workflow(name, args)?;
+    let mut config = parse_sim_config(args)?;
     config.faults = plan;
     if let Some(fraction) = salvage {
         config.faults.checkpointed_fraction = fraction;
@@ -516,27 +574,6 @@ fn cmd_chaos(raw: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `tora bench`: measure the hot paths and write `BENCH.json`.
-///
-/// `--quick` shrinks iteration counts and the matrix to a CI-friendly smoke
-/// run; `--out` redirects the JSON report (default `BENCH.json`).
-fn cmd_bench(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
-    let seed = args.seed()?;
-    let quick = args.has("quick");
-    let out = args.value_of("out")?.unwrap_or("BENCH.json");
-    eprintln!(
-        "benchmarking hot paths (seed {seed}{})...",
-        if quick { ", quick" } else { "" }
-    );
-    let report = tora_bench::run_bench_on(quick, seed, args.threads()?);
-    print!("{}", report.render());
-    let json = report.to_json().map_err(|e| e.to_string())?;
-    std::fs::write(out, json).map_err(|e| e.to_string())?;
-    println!("wrote {out}");
-    Ok(())
-}
-
 /// `tora serve`: the long-running allocation daemon. Speaks the
 /// line-delimited JSON protocol of `tora::serve::protocol` on stdin/stdout
 /// by default, or serves connections sequentially on a Unix socket with
@@ -544,8 +581,7 @@ fn cmd_bench(raw: &[String]) -> Result<(), String> {
 /// workers; `--restore <snapshot.json>` resumes a daemon snapshotted with
 /// the `Snapshot` request, byte-identically. `--threads` tunes the sharded
 /// prediction paths and never changes any answer.
-fn cmd_serve(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+fn cmd_serve(args: &Args<'_>) -> Result<(), String> {
     let workers = match args.value_of("workers")? {
         None => 20,
         Some(v) => v
@@ -594,9 +630,8 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
 /// artifact's raw data files and its printed text (`results_<name>.log`)
 /// into the directory. The deterministic artifacts fan out across the job
 /// pool; Table I times itself, so it runs before the fan-out, alone.
-fn cmd_experiments(raw: &[String]) -> Result<(), String> {
+fn cmd_experiments(args: &Args<'_>) -> Result<(), String> {
     use tora_bench::{experiment, Experiment, ExperimentConfig, EXPERIMENTS};
-    let args = Args::parse(raw)?;
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     let valid = format!("one of: all, {}", names.join(", "));
     let selected: Vec<&Experiment> = match args.positional.first() {

@@ -99,6 +99,19 @@ impl<'a> Args<'a> {
     pub fn has(&self, name: &str) -> bool {
         self.flag(name).is_some()
     }
+
+    /// An error naming the first flag that appears in none of the `accepted`
+    /// lists, so a misspelt option fails instead of being ignored.
+    pub fn check_flags(&self, accepted: &[&[&str]]) -> Result<(), String> {
+        match self
+            .flags
+            .iter()
+            .find(|(name, _)| !accepted.iter().any(|list| list.contains(name)))
+        {
+            None => Ok(()),
+            Some((name, _)) => Err(format!("unknown flag `--{name}` (try --help)")),
+        }
+    }
 }
 
 /// Resolve an algorithm label (see `tora algorithms`) to its [`AlgorithmKind`].
@@ -182,7 +195,7 @@ pub fn parse_workflow(name_or_path: &str, args: &Args<'_>) -> Result<Workflow, S
 }
 
 /// Build a [`SimConfig`] from the common simulation flags (`--seed`,
-/// `--workers`, `--arrival`, `--policy`, `--enforcement`, `--mix`, `--log`,
+/// `--workers`, `--arrival`, `--policy`, `--enforcement`, `--mix`,
 /// `--threads`).
 pub fn parse_sim_config(args: &Args<'_>) -> Result<SimConfig, String> {
     let mut config = SimConfig::paper_like(args.seed()?);
@@ -260,6 +273,15 @@ mod tests {
         assert!(args.has("quick"));
         assert_eq!(args.value_of("tasks").unwrap(), Some("120"));
         assert!(!args.has("salvage"));
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let raw = raw(&["bimodal", "--seed", "7", "--quick"]);
+        let args = Args::parse(&raw).unwrap();
+        assert!(args.check_flags(&[&["seed", "tasks"], &["quick"]]).is_ok());
+        let err = args.check_flags(&[&["seed", "tasks"]]).unwrap_err();
+        assert!(err.contains("unknown flag `--quick`"), "{err}");
     }
 
     #[test]

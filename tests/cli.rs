@@ -267,9 +267,56 @@ fn experiments_render_and_dump_artifacts() {
         "table1",
         "ablations",
         "chaos-sweep",
+        "fig-dag",
+        "fig-learned",
     ] {
         assert!(err.contains(name), "{name} missing from: {err}");
     }
+}
+
+#[test]
+fn structure_and_learning_artifacts_dump_their_rows() {
+    let dir = std::env::temp_dir().join(format!("tora-cli-fig-dag-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_str = dir.to_str().unwrap();
+    for (artifact, data, rows) in [
+        ("fig-dag", "fig_dag.json", 6),
+        ("fig-learned", "fig_learned.json", 4),
+    ] {
+        let (ok, out, err) = tora(&["experiments", artifact, "--out", dir_str]);
+        assert!(ok, "{err}");
+        let json: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(dir.join(data)).unwrap()).unwrap();
+        assert_eq!(json.as_array().map(|rows| rows.len()), Some(rows), "{data}");
+        assert_eq!(
+            std::fs::read_to_string(dir.join(format!("results_{artifact}.log"))).unwrap(),
+            out
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unknown_flags_fail_and_help_prints_usage() {
+    for (command, flag) in [
+        (
+            &["replay", "bimodal", "--algoritm", "greedy-bucketing"][..],
+            "--algoritm",
+        ),
+        (&["chaos", "bimodal", "--plna", "heavy"][..], "--plna"),
+    ] {
+        let (ok, _, err) = tora(command);
+        assert!(!ok, "{command:?} accepted {flag}");
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+    }
+
+    let (ok, out, err) = tora(&["simulate", "--help"]);
+    assert!(ok, "{err}");
+    assert!(out.contains("USAGE"), "{out}");
+
+    let (ok, _, err) = tora(&["bench"]);
+    assert!(!ok);
+    assert!(err.contains("unknown command `bench`"), "{err}");
 }
 
 #[test]
