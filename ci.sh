@@ -28,28 +28,13 @@ echo "== cargo build --release && cargo test --workspace -q =="
 cargo build --release
 cargo test --workspace -q
 
-echo "== workspace tests again with TORA_THREADS=4 (parallel paths, same results) =="
-# Thread count is a pure wall-clock knob (DESIGN.md §5h): the whole suite
-# must pass identically when the workspace-wide detection is overridden.
-TORA_THREADS=4 cargo test --workspace -q
-
-echo "== trace byte parity across thread counts =="
-# Backfill scheduling batches predictions through the sharded allocator;
-# the JSONL event stream must not change with the worker count.
-TORA_THREADS=1 cargo run --release --bin tora -- \
-    trace colmena-xtb --policy fifo-backfill --out target/trace-t1.jsonl
-TORA_THREADS=4 cargo run --release --bin tora -- \
-    trace colmena-xtb --policy fifo-backfill --out target/trace-t4.jsonl
-cmp target/trace-t1.jsonl target/trace-t4.jsonl
-
-echo "== engine event-stream byte parity across thread counts =="
-# The engine's lifecycle events ride the same sink: the `--log` JSONL must
-# not change with the worker count either.
-TORA_THREADS=1 cargo run --release --bin tora -- \
-    simulate colmena-xtb --policy fifo-backfill --log target/events-t1.jsonl > /dev/null
-TORA_THREADS=4 cargo run --release --bin tora -- \
-    simulate colmena-xtb --policy fifo-backfill --log target/events-t4.jsonl > /dev/null
-cmp target/events-t1.jsonl target/events-t4.jsonl
+echo "== experiments-pool tests again with TORA_THREADS=4 (same results) =="
+# The experiments job pool is the workspace's only in-process parallelism
+# (DESIGN.md §5c, §5h) and its worker count a pure wall-clock knob: the
+# targets that reach `pool::thread_count` must pass identically when the
+# detection is overridden.
+TORA_THREADS=4 cargo test -q -p tora-bench
+TORA_THREADS=4 cargo test -q --test cli
 
 echo "== benchmark package builds and passes its own tests =="
 # benchmark/ compiles against the engine's public surface (EventSink,
@@ -125,13 +110,13 @@ cat > "$tail_req" <<'EOF'
 {"Shutdown":{}}
 EOF
 cat "$head_req" "$tail_req" > target/serve-smoke/all.jsonl
-serve="cargo run --release --bin tora -- serve --workers 20 --threads 1"
+serve="cargo run --release --bin tora -- serve --workers 20"
 $serve < target/serve-smoke/all.jsonl > target/serve-smoke/ref-a.jsonl
 $serve < target/serve-smoke/all.jsonl > target/serve-smoke/ref-b.jsonl
 cmp target/serve-smoke/ref-a.jsonl target/serve-smoke/ref-b.jsonl
 snap=target/serve-smoke/daemon.json
 { cat "$head_req"; printf '{"Snapshot":{"path":"%s"}}\n' "$snap"; } | $serve > /dev/null
-cargo run --release --bin tora -- serve --workers 20 --threads 1 --restore "$snap" \
+cargo run --release --bin tora -- serve --workers 20 --restore "$snap" \
     < "$tail_req" > target/serve-smoke/resumed.jsonl
 tail -n "$(wc -l < "$tail_req")" target/serve-smoke/ref-a.jsonl \
     > target/serve-smoke/ref-tail.jsonl

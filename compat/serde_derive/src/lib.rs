@@ -5,7 +5,9 @@
 //! because the build must work with an empty registry. Supports the shapes
 //! this workspace uses:
 //!
-//! * structs with named fields (`#[serde(default)]` honoured per field);
+//! * structs with named fields (`#[serde(default)]` honoured per field;
+//!   any other `serde(...)` key is a compile error rather than a silent
+//!   no-op);
 //! * tuple structs (newtype and general);
 //! * enums with unit, newtype, tuple and struct variants, serialized in
 //!   serde's externally-tagged form (`"Variant"` / `{"Variant": ...}`).
@@ -58,32 +60,35 @@ fn is_ident(tt: &TokenTree, s: &str) -> bool {
 }
 
 /// Consume one `#[...]` attribute (the leading `#` was already consumed) and
-/// report whether it is a `serde(...)` attribute containing the given flag.
-fn attr_has_serde_flag(tokens: &mut Tokens, flag: &str) -> bool {
+/// report whether it is `#[serde(default)]`. A `serde(...)` attribute with
+/// any other content is an error: the derive would otherwise ignore it.
+fn attr_is_serde_default(tokens: &mut Tokens) -> Result<bool, String> {
     let Some(TokenTree::Group(g)) = tokens.next() else {
         panic!("expected [...] after # in attribute");
     };
     let mut inner = g.stream().into_iter();
     match inner.next() {
         Some(ref tt) if is_ident(tt, "serde") => {}
-        _ => return false,
+        _ => return Ok(false),
     }
-    let Some(TokenTree::Group(args)) = inner.next() else {
-        return false;
-    };
-    args.stream().into_iter().any(|tt| is_ident(&tt, flag))
+    let args = inner.next().map(|tt| tt.to_string()).unwrap_or_default();
+    if args.replace(' ', "") == "(default)" {
+        Ok(true)
+    } else {
+        Err(format!(
+            "the serde compat derive supports only `#[serde(default)]`, not `#[serde{args}]`"
+        ))
+    }
 }
 
-/// Skip attributes; returns true if any `#[serde(default)]` was seen.
-fn skip_attrs(tokens: &mut Tokens) -> bool {
+/// Skip attributes; returns true if a `#[serde(default)]` was seen.
+fn skip_attrs(tokens: &mut Tokens) -> Result<bool, String> {
     let mut has_default = false;
     while matches!(tokens.peek(), Some(tt) if is_punct(tt, '#')) {
         tokens.next();
-        if attr_has_serde_flag(tokens, "default") {
-            has_default = true;
-        }
+        has_default |= attr_is_serde_default(tokens)?;
     }
-    has_default
+    Ok(has_default)
 }
 
 fn skip_visibility(tokens: &mut Tokens) {
@@ -117,11 +122,11 @@ fn skip_type(tokens: &mut Tokens) -> bool {
     seen_any
 }
 
-fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
+fn parse_named_fields(stream: TokenStream) -> Result<Vec<Field>, String> {
     let mut tokens = stream.into_iter().peekable();
     let mut fields = Vec::new();
     loop {
-        let has_default = skip_attrs(&mut tokens);
+        let has_default = skip_attrs(&mut tokens)?;
         skip_visibility(&mut tokens);
         let Some(tt) = tokens.next() else { break };
         let TokenTree::Ident(name) = tt else {
@@ -137,15 +142,15 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
             has_default,
         });
     }
-    fields
+    Ok(fields)
 }
 
 /// Count the fields of a tuple-struct/-variant parenthesis group.
-fn count_tuple_fields(stream: TokenStream) -> usize {
+fn count_tuple_fields(stream: TokenStream) -> Result<usize, String> {
     let mut tokens = stream.into_iter().peekable();
     let mut n = 0;
     loop {
-        skip_attrs(&mut tokens);
+        skip_attrs(&mut tokens)?;
         skip_visibility(&mut tokens);
         if tokens.peek().is_none() {
             break;
@@ -155,26 +160,26 @@ fn count_tuple_fields(stream: TokenStream) -> usize {
         }
         n += 1;
     }
-    n
+    Ok(n)
 }
 
-fn parse_variants(stream: TokenStream) -> Vec<Variant> {
+fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
     let mut tokens = stream.into_iter().peekable();
     let mut variants = Vec::new();
     loop {
-        skip_attrs(&mut tokens);
+        skip_attrs(&mut tokens)?;
         let Some(tt) = tokens.next() else { break };
         let TokenTree::Ident(name) = tt else {
             panic!("expected variant name, found {tt}");
         };
         let shape = match tokens.peek() {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let fields = parse_named_fields(g.stream());
+                let fields = parse_named_fields(g.stream())?;
                 tokens.next();
                 VariantShape::Named(fields)
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let n = count_tuple_fields(g.stream());
+                let n = count_tuple_fields(g.stream())?;
                 tokens.next();
                 VariantShape::Tuple(n)
             }
@@ -193,14 +198,14 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
             shape,
         });
     }
-    variants
+    Ok(variants)
 }
 
-fn parse_item(input: TokenStream) -> Item {
+fn parse_item(input: TokenStream) -> Result<Item, String> {
     let mut tokens = input.into_iter().peekable();
     let is_enum;
     loop {
-        skip_attrs(&mut tokens);
+        skip_attrs(&mut tokens)?;
         skip_visibility(&mut tokens);
         match tokens.next() {
             Some(ref tt) if is_ident(tt, "struct") => {
@@ -225,18 +230,18 @@ fn parse_item(input: TokenStream) -> Item {
     let kind = match tokens.next() {
         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
             if is_enum {
-                ItemKind::Enum(parse_variants(g.stream()))
+                ItemKind::Enum(parse_variants(g.stream())?)
             } else {
-                ItemKind::NamedStruct(parse_named_fields(g.stream()))
+                ItemKind::NamedStruct(parse_named_fields(g.stream())?)
             }
         }
         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-            ItemKind::TupleStruct(count_tuple_fields(g.stream()))
+            ItemKind::TupleStruct(count_tuple_fields(g.stream())?)
         }
         Some(ref tt) if is_punct(tt, ';') => ItemKind::UnitStruct,
         other => panic!("unsupported item body for `{name}`: {other:?}"),
     };
-    Item { name, kind }
+    Ok(Item { name, kind })
 }
 
 // ---------------------------------------------------------------- codegen --
@@ -451,20 +456,24 @@ fn gen_deserialize(item: &Item) -> String {
     )
 }
 
+/// Parse the derive input and generate the impl with `generate`, or a
+/// `compile_error!` naming what the compat layer cannot honour.
+fn derive(input: TokenStream, generate: fn(&Item) -> String) -> TokenStream {
+    let code = match parse_item(input) {
+        Ok(item) => generate(&item),
+        Err(message) => format!("::core::compile_error!({message:?});"),
+    };
+    code.parse().expect("serde_derive generated invalid code")
+}
+
 /// Derive `serde::Serialize` (compat layer).
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    gen_serialize(&item)
-        .parse()
-        .expect("serde_derive generated invalid Serialize impl")
+    derive(input, gen_serialize)
 }
 
 /// Derive `serde::Deserialize` (compat layer).
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    gen_deserialize(&item)
-        .parse()
-        .expect("serde_derive generated invalid Deserialize impl")
+    derive(input, gen_deserialize)
 }

@@ -162,6 +162,7 @@ fn write_value(
 // ----------------------------------------------------------------- parser --
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -315,6 +316,9 @@ impl<'a> Parser<'a> {
                                     return Err(self.err("lone surrogate"));
                                 }
                                 let lo = self.parse_hex4()?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(self.err("invalid low surrogate"));
+                                }
                                 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                             } else {
                                 hi
@@ -328,12 +332,14 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 character.
-                    let text = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = text.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape in one go.
+                    // Both are ASCII, so the run ends on a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    s.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -388,6 +394,7 @@ impl<'a> Parser<'a> {
 /// Parse JSON text into a value tree.
 pub fn parse_value(text: &str) -> Result<Value> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -445,6 +452,31 @@ mod tests {
     fn parses_unicode_escapes_and_surrogates() {
         let v: String = from_str("\"\\u00e9 \\ud83d\\udca1\"").unwrap();
         assert_eq!(v, "é 💡");
+    }
+
+    #[test]
+    fn a_high_surrogate_needs_a_low_one() {
+        for text in [
+            "\"\\ud800\\ud800\"",
+            "\"\\ud800\\u0041\"",
+            "\"\\ud800\\ue000\"",
+            "\"\\ud800x\"",
+            "\"\\udc00\"",
+        ] {
+            assert!(from_str::<String>(text).is_err(), "{text}");
+        }
+        let v: String = from_str("\"\\udbff\\udfff\"").unwrap();
+        assert_eq!(v, "\u{10FFFF}");
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // Plain runs are copied whole; escapes, multi-byte characters and
+        // raw control characters between them are all kept.
+        let long = "é💡x".repeat(200_000);
+        let json = format!("\"{long}\\n\u{1}{long}\"");
+        let v: String = from_str(&json).unwrap();
+        assert_eq!(v, format!("{long}\n\u{1}{long}"));
     }
 
     #[test]

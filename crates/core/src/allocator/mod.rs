@@ -45,7 +45,6 @@ use crate::trace::{AllocEvent, EventSink, NoopSink, PredictKind};
 use std::collections::HashMap;
 use std::fmt;
 
-mod parallel;
 mod shard;
 mod types;
 
@@ -142,11 +141,8 @@ impl AllocatorBuilder {
 ///
 /// State is sharded by category ([`shard::CategoryShard`]): each category
 /// owns its estimator bank *and its own RNG stream* (seeded
-/// `seed ^ category`), so predictions and rebucketing for distinct
-/// categories are independent and can run concurrently — see
-/// [`predict_first_batch`](Allocator::predict_first_batch) and
-/// [`rebucket_all`](Allocator::rebucket_all) — with output byte-identical
-/// to the serial calls at any thread count.
+/// `seed ^ category`), so the answers one category gets never depend on
+/// how calls to other categories interleave with its own.
 pub struct Allocator<S: EventSink = NoopSink> {
     label: String,
     algorithm: Option<AlgorithmKind>,
@@ -361,12 +357,6 @@ impl<S: EventSink> Allocator<S> {
 
     /// Padding factor on first predictions for `category`; exactly `1.0`
     /// without a policy or without observed faults.
-    ///
-    /// The feedback state is only updated from the serial event loop
-    /// ([`observe_outcome`](Self::observe_outcome)), so a batched
-    /// prediction computes this once per request in its serial phase — a
-    /// deterministic fold, identical to the serial sequence at any thread
-    /// count.
     fn feedback_padding(&self, category: CategoryId) -> f64 {
         self.fault_policy
             .map_or(1.0, |p| p.padding(self.effective_rate(category)))
@@ -539,6 +529,27 @@ impl<S: EventSink> Allocator<S> {
             self.sink.emit(AllocEvent::rebucket(category, kind, &info));
         }
         Some(info)
+    }
+
+    /// Force every (category, resource kind) estimator to fold pending
+    /// observations into a fresh bucketing configuration, sweeping the
+    /// categories in ascending order (managed-axis order within one).
+    /// Pairs with nothing to rebucket are omitted, exactly as
+    /// [`rebucket`](Self::rebucket) returns `None`.
+    pub fn rebucket_all(&mut self) -> Vec<(CategoryId, ResourceKind, RebucketInfo)> {
+        let mut shards: Vec<&mut CategoryShard> = self.categories.values_mut().collect();
+        shards.sort_by_key(|s| s.category());
+        let mut swept = Vec::new();
+        for shard in shards {
+            let category = shard.category();
+            for (kind, info) in shard.rebucket_all_axes() {
+                if S::ENABLED {
+                    self.sink.emit(AllocEvent::rebucket(category, kind, &info));
+                }
+                swept.push((category, kind, info));
+            }
+        }
+        swept
     }
 
     /// Ingest a completed task's resource record (§IV-A step 6).

@@ -535,83 +535,70 @@ fn seeded_pair(
 }
 
 #[test]
-fn batched_predictions_match_serial_calls_byte_for_byte() {
+fn category_streams_ignore_how_other_categories_interleave() {
+    // Each shard draws from its own `seed ^ category` stream, so category
+    // 0's answers (and trace events) are the same whether or not category
+    // 1 is predicted between them.
     for algorithm in [
         AlgorithmKind::ExhaustiveBucketing,
         AlgorithmKind::GreedyBucketing,
         AlgorithmKind::MaxSeen,
     ] {
-        for threads in [1, 2, 4, 9] {
-            let (mut serial, mut batched) = seeded_pair(algorithm, 9, 3);
-            // A mixed batch: three steady categories interleaved plus one
-            // category (3) that is still exploratory.
-            let requests: Vec<CategoryId> = (0..25).map(|i| CategoryId((i % 4) as u32)).collect();
-            let want: Vec<AllocationDecision> =
-                requests.iter().map(|&c| serial.predict_first(c)).collect();
-            let got = batched.predict_first_batch(&requests, threads);
-            assert_eq!(want, got, "{algorithm} decisions at threads={threads}");
-            assert_eq!(
-                serial.sink().events,
-                batched.sink().events,
-                "{algorithm} trace at threads={threads}"
-            );
+        let (mut alone, mut mixed) = seeded_pair(algorithm, 9, 2);
+        let mut want = Vec::new();
+        let mut got = Vec::new();
+        for _ in 0..12 {
+            want.push(alone.predict_first(CategoryId(0)));
+            mixed.predict_first(CategoryId(1));
+            got.push(mixed.predict_first(CategoryId(0)));
         }
+        assert_eq!(want, got, "{algorithm}");
+        let category_0 = |a: &Allocator<MemorySink>| -> Vec<AllocEvent> {
+            a.sink()
+                .events
+                .iter()
+                .filter(|e| e.category() == CategoryId(0))
+                .cloned()
+                .collect()
+        };
+        assert_eq!(category_0(&alone), category_0(&mixed), "{algorithm}");
     }
 }
 
 #[test]
-fn batched_predictions_leave_rng_streams_where_serial_calls_do() {
-    // After a batch, further *serial* predictions must continue the same
-    // per-category streams: interleave batched and serial phases and compare
-    // against an all-serial reference.
-    let (mut reference, mut mixed) = seeded_pair(AlgorithmKind::ExhaustiveBucketing, 17, 2);
-    let phase1: Vec<CategoryId> = (0..10).map(|i| CategoryId((i % 2) as u32)).collect();
-    let mut want: Vec<AllocationDecision> =
-        phase1.iter().map(|&c| reference.predict_first(c)).collect();
-    let mut got = mixed.predict_first_batch(&phase1, 4);
-    want.push(reference.predict_first(CategoryId(1)));
-    got.push(mixed.predict_first(CategoryId(1)));
-    want.extend(phase1.iter().map(|&c| reference.predict_first(c)));
-    got.extend(mixed.predict_first_batch(&phase1, 4));
-    assert_eq!(want, got);
-    assert_eq!(reference.sink().events, mixed.sink().events);
-}
-
-#[test]
-fn empty_batch_is_a_no_op() {
-    let (mut serial, mut batched) = seeded_pair(AlgorithmKind::GreedyBucketing, 3, 2);
-    assert!(batched
-        .predict_first_batch(&[] as &[CategoryId], 4)
-        .is_empty());
-    let c = CategoryId(0);
-    assert_eq!(serial.predict_first(c), batched.predict_first(c));
-}
-
-#[test]
-fn rebucket_all_is_category_ordered_and_thread_count_invariant() {
-    let (mut one, mut four) = seeded_pair(AlgorithmKind::ExhaustiveBucketing, 5, 3);
-    let a = one.rebucket_all(1);
-    let b = four.rebucket_all(4);
-    assert_eq!(a, b);
-    assert_eq!(one.sink().events, four.sink().events);
+fn rebucket_all_sweeps_categories_in_ascending_order() {
+    let (mut a, _) = seeded_pair(AlgorithmKind::ExhaustiveBucketing, 5, 3);
+    let swept = a.rebucket_all();
     // Three categories × three managed axes, in ascending category order.
-    assert_eq!(a.len(), 9);
-    let cats: Vec<u32> = a.iter().map(|(c, _, _)| c.0).collect();
+    assert_eq!(swept.len(), 9);
+    let cats: Vec<u32> = swept.iter().map(|(c, _, _)| c.0).collect();
     let mut sorted = cats.clone();
     sorted.sort_unstable();
     assert_eq!(cats, sorted);
-    // A second sweep with no new observations has nothing new to fold, but
-    // forced rebuilds still report (version bumps); the two paths agree.
-    assert_eq!(one.rebucket_all(4), four.rebucket_all(1));
+    // One trace event per swept pair, in the same order.
+    let traced: Vec<AllocEvent> = swept
+        .iter()
+        .map(|(c, k, info)| AllocEvent::rebucket(*c, *k, info))
+        .collect();
+    assert_eq!(&a.sink().events[a.sink().events.len() - 9..], &traced[..]);
 }
 
 #[test]
 fn single_category_streams_match_the_legacy_global_rng() {
-    // seed ^ 0 == seed: a category-0-only run must reproduce the exact
-    // pre-sharding draw sequence (pinned indirectly by every golden test,
-    // directly here via the serial/batch cross-check at seed == shard seed).
-    let (mut serial, mut batched) = seeded_pair(AlgorithmKind::GreedyBucketing, 42, 1);
-    let requests = vec![CategoryId(0); 8];
-    let want: Vec<AllocationDecision> = requests.iter().map(|&c| serial.predict_first(c)).collect();
-    assert_eq!(batched.predict_first_batch(&requests, 4), want);
+    // A shard's stream is seeded `seed ^ category`, so category 0 at seed
+    // 42 and category 5 at seed 42 ^ 5 draw the very same stream: 42, the
+    // pre-sharding allocator-global seed (pinned by every golden test).
+    let mut zero = Allocator::new(AlgorithmKind::GreedyBucketing, 42);
+    let mut five = Allocator::new(AlgorithmKind::GreedyBucketing, 42 ^ 5);
+    for id in 0..12u64 {
+        let peak =
+            ResourceVector::new(1.0 + (id % 4) as f64, 300.0 + (id * 37 % 500) as f64, 200.0);
+        assert!(zero.observe(&record(id, 0, peak)));
+        assert!(five.observe(&record(id, 5, peak)));
+    }
+    for _ in 0..8 {
+        let a = zero.predict_first(CategoryId(0));
+        let b = five.predict_first(CategoryId(5));
+        assert_eq!(a.alloc, b.alloc);
+    }
 }

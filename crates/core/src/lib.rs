@@ -61,7 +61,6 @@ pub mod feedback;
 pub mod greedy;
 pub mod kmeans;
 pub mod oplog;
-pub mod par;
 pub mod partition;
 pub mod policy;
 pub mod record;

@@ -19,7 +19,7 @@
 //! a replay that skipped them would leave the RNG stream in the wrong
 //! position for every draw that follows.
 
-use crate::allocator::Allocator;
+use crate::allocator::{AllocationDecision, Allocator};
 use crate::feedback::AttemptFeedback;
 use crate::resources::{ResourceMask, ResourceVector};
 use crate::task::{CategoryId, ResourceRecord, TaskContext};
@@ -38,11 +38,10 @@ pub enum AllocOp {
         /// The record as it was ingested.
         record: ResourceRecord,
     },
-    /// [`Allocator::predict_first_batch`] — a batch of first-attempt
-    /// predictions in request order. A single serial
-    /// [`Allocator::predict_first`] is a batch of one; journaling the batch
-    /// shape (rather than flattening) keeps the log a faithful transcript
-    /// while producing the identical draw sequence either way.
+    /// [`Allocator::predict_first`] once per context, in request order. A
+    /// single prediction is a batch of one; journaling the batch shape
+    /// (rather than flattening) keeps the log a faithful transcript of the
+    /// requests while producing the identical draw sequence either way.
     PredictFirstBatch {
         /// Requested task contexts, in request order. The feature vectors
         /// matter: a feature-conditioned estimator answers differently per
@@ -71,6 +70,52 @@ pub enum AllocOp {
     },
     /// [`Allocator::rebucket_all`] — a full rebucket sweep.
     RebucketAll,
+}
+
+impl AllocOp {
+    /// Apply this op to `allocator` and return what the allocator returned
+    /// — the one dispatch shared by live callers and [`AllocLog::replay`].
+    pub fn apply<S: EventSink>(&self, allocator: &mut Allocator<S>) -> Applied {
+        match self {
+            AllocOp::Observe { record } => {
+                allocator.observe(record);
+                Applied::Observed
+            }
+            AllocOp::PredictFirstBatch { contexts } => Applied::Decisions(
+                contexts
+                    .iter()
+                    .map(|&ctx| allocator.predict_first(ctx))
+                    .collect(),
+            ),
+            AllocOp::PredictRetry {
+                context,
+                prev,
+                exhausted,
+            } => Applied::Decision(allocator.predict_retry(*context, prev, exhausted)),
+            AllocOp::ObserveOutcome {
+                category,
+                outcome,
+                rack,
+            } => {
+                allocator.observe_outcome(*category, *outcome, *rack);
+                Applied::Observed
+            }
+            AllocOp::RebucketAll => Applied::Rebucketed(allocator.rebucket_all().len() as u64),
+        }
+    }
+}
+
+/// What [`AllocOp::apply`] produced, by op shape.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Applied {
+    /// `Observe` / `ObserveOutcome`: input ingested, nothing returned.
+    Observed,
+    /// `PredictFirstBatch`: one decision per context, in request order.
+    Decisions(Vec<AllocationDecision>),
+    /// `PredictRetry`: the escalated decision.
+    Decision(AllocationDecision),
+    /// `RebucketAll`: the number of (category, axis) pairs rebucketed.
+    Rebucketed(u64),
 }
 
 /// An append-only journal of [`AllocOp`]s, replayable onto a freshly built
@@ -106,37 +151,11 @@ impl AllocLog {
     ///
     /// `allocator` must be freshly built with the same algorithm, config and
     /// seed as the journaled one — replay makes no attempt to verify this.
-    /// `threads` only changes how batched ops are scheduled; the resulting
-    /// state is byte-identical at any value (the sharded paths' determinism
-    /// guarantee). Prediction results are recomputed and discarded — the
-    /// point of replaying them is their RNG consumption, not their answers.
-    pub fn replay<S: EventSink>(&self, allocator: &mut Allocator<S>, threads: usize) {
+    /// Prediction results are recomputed and discarded — the point of
+    /// replaying them is their RNG consumption, not their answers.
+    pub fn replay<S: EventSink>(&self, allocator: &mut Allocator<S>) {
         for op in &self.ops {
-            match op {
-                AllocOp::Observe { record } => {
-                    allocator.observe(record);
-                }
-                AllocOp::PredictFirstBatch { contexts } => {
-                    allocator.predict_first_batch(contexts, threads);
-                }
-                AllocOp::PredictRetry {
-                    context,
-                    prev,
-                    exhausted,
-                } => {
-                    allocator.predict_retry(*context, prev, exhausted);
-                }
-                AllocOp::ObserveOutcome {
-                    category,
-                    outcome,
-                    rack,
-                } => {
-                    allocator.observe_outcome(*category, *outcome, *rack);
-                }
-                AllocOp::RebucketAll => {
-                    allocator.rebucket_all(threads);
-                }
-            }
+            op.apply(allocator);
         }
     }
 }
@@ -157,59 +176,54 @@ mod tests {
     /// draws, which only match if the RNG positions match.
     #[test]
     fn replay_reproduces_state_byte_identically() {
-        for threads in [1usize, 4] {
-            let mut log = AllocLog::new();
-            let mut live = Allocator::new(AlgorithmKind::GreedyBucketing, 7);
-            for i in 0..30u64 {
-                let r = record(i, (i % 3) as u32, 1.0 + (i % 5) as f64);
-                log.push(AllocOp::Observe { record: r });
-                live.observe(&r);
-            }
-            let batch: Vec<TaskContext> = (0..6)
-                .map(|i| TaskContext::from(CategoryId(i % 3)))
-                .collect();
-            log.push(AllocOp::PredictFirstBatch {
-                contexts: batch.clone(),
-            });
-            live.predict_first_batch(&batch, 1);
-            log.push(AllocOp::RebucketAll);
-            live.rebucket_all(1);
-            let prev = ResourceVector::new(1.0, 100.0, 10.0);
-            let exhausted = ResourceMask::only(crate::resources::ResourceKind::MemoryMb);
-            let retry_ctx = TaskContext::from(CategoryId(1));
-            log.push(AllocOp::PredictRetry {
-                context: retry_ctx,
-                prev,
-                exhausted,
-            });
-            live.predict_retry(retry_ctx, &prev, &exhausted);
-            log.push(AllocOp::ObserveOutcome {
-                category: CategoryId(0),
-                outcome: AttemptFeedback::Crash,
-                rack: Some(2),
-            });
-            live.observe_outcome(CategoryId(0), AttemptFeedback::Crash, Some(2));
-
-            let mut restored = Allocator::new(AlgorithmKind::GreedyBucketing, 7);
-            log.replay(&mut restored, threads);
-
-            // Identical state ⇒ identical future behavior: compare the next
-            // predictions (draw-consuming) and a rebucket sweep.
-            let probe: Vec<CategoryId> = (0..9).map(|i| CategoryId(i % 3)).collect();
-            let a = live.predict_first_batch(&probe, 1);
-            let b = restored.predict_first_batch(&probe, 1);
-            assert_eq!(
-                format!("{a:?}"),
-                format!("{b:?}"),
-                "threads={threads}: predictions diverged after replay"
-            );
-            assert_eq!(
-                format!("{:?}", live.rebucket_all(1)),
-                format!("{:?}", restored.rebucket_all(1)),
-                "threads={threads}: rebucket state diverged after replay"
-            );
-            assert_eq!(live.windowed_fault_rate(), restored.windowed_fault_rate());
+        let mut log = AllocLog::new();
+        let mut live = Allocator::new(AlgorithmKind::GreedyBucketing, 7);
+        let mut apply = |op: AllocOp| {
+            op.apply(&mut live);
+            log.push(op);
+        };
+        for i in 0..30u64 {
+            let r = record(i, (i % 3) as u32, 1.0 + (i % 5) as f64);
+            apply(AllocOp::Observe { record: r });
         }
+        apply(AllocOp::PredictFirstBatch {
+            contexts: (0..6)
+                .map(|i| TaskContext::from(CategoryId(i % 3)))
+                .collect(),
+        });
+        apply(AllocOp::RebucketAll);
+        apply(AllocOp::PredictRetry {
+            context: TaskContext::from(CategoryId(1)),
+            prev: ResourceVector::new(1.0, 100.0, 10.0),
+            exhausted: ResourceMask::only(crate::resources::ResourceKind::MemoryMb),
+        });
+        apply(AllocOp::ObserveOutcome {
+            category: CategoryId(0),
+            outcome: AttemptFeedback::Crash,
+            rack: Some(2),
+        });
+
+        let mut restored = Allocator::new(AlgorithmKind::GreedyBucketing, 7);
+        log.replay(&mut restored);
+
+        // Identical state ⇒ identical future behavior: compare the next
+        // predictions (draw-consuming) and a rebucket sweep.
+        let probe = AllocOp::PredictFirstBatch {
+            contexts: (0..9)
+                .map(|i| TaskContext::from(CategoryId(i % 3)))
+                .collect(),
+        };
+        assert_eq!(
+            format!("{:?}", probe.apply(&mut live)),
+            format!("{:?}", probe.apply(&mut restored)),
+            "predictions diverged after replay"
+        );
+        assert_eq!(
+            format!("{:?}", live.rebucket_all()),
+            format!("{:?}", restored.rebucket_all()),
+            "rebucket state diverged after replay"
+        );
+        assert_eq!(live.windowed_fault_rate(), restored.windowed_fault_rate());
     }
 
     #[test]

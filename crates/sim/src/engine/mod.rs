@@ -141,16 +141,16 @@ pub struct SimConfig {
     /// compiles the channel out of the decision path entirely.
     #[serde(default)]
     pub fault_policy: Option<FaultPolicy>,
-    /// Worker threads for the allocator's category-sharded prediction and
-    /// rebucketing paths. `0` (the default) auto-detects via
-    /// [`tora_alloc::par::detected_threads`] (`TORA_THREADS` override,
-    /// cgroup CPU quota, hardware parallelism, in that order). Output is
-    /// byte-identical at any value — this knob trades wall-clock only.
+    /// Ignored: the engine is serial (DESIGN.md §5h). Still parsed and
+    /// serialized, so saved configs keep their bytes; kept for one release
+    /// so existing struct literals still compile.
+    #[deprecated(note = "ignored; the engine is serial, so drop the field")]
     #[serde(default)]
     pub threads: usize,
 }
 
 impl Default for SimConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         SimConfig {
             enforcement: EnforcementModel::default(),
@@ -169,6 +169,7 @@ impl Default for SimConfig {
 impl SimConfig {
     /// The paper-like setting: opportunistic 20–50 worker pool with ramp-up
     /// and runtime task generation.
+    #[allow(deprecated)]
     pub fn paper_like(seed: u64) -> Self {
         SimConfig {
             enforcement: EnforcementModel::default(),
@@ -337,10 +338,6 @@ pub struct Simulation<S: EventSink = NoopSink> {
     stats: SimStats,
     /// Bumped on every observation; invalidates unpinned cached predictions.
     alloc_epoch: u64,
-    /// Resolved allocator worker-thread count (`config.threads`, with `0`
-    /// auto-detected at construction). Purely a wall-clock knob: the
-    /// category-sharded allocator is byte-identical at any value.
-    threads: usize,
     /// Lifetime count of workers that ever joined (including the initial
     /// pool); drives the deterministic round-robin rack assignment.
     joined_workers: u64,
@@ -446,7 +443,6 @@ impl Simulation {
             worker_range: self.worker_range,
             stats: self.stats,
             alloc_epoch: self.alloc_epoch,
-            threads: self.threads,
             joined_workers: self.joined_workers,
             peak_workers: self.peak_workers,
         }
@@ -507,7 +503,6 @@ impl Simulation {
             worker_range: (initial_workers, initial_workers),
             stats: SimStats::new(),
             alloc_epoch: 0,
-            threads: tora_alloc::par::resolve(config.threads),
             joined_workers,
             peak_workers: initial_workers,
         }

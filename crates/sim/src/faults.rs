@@ -362,9 +362,9 @@ pub struct FaultReport {
     /// Total nominal task-seconds salvaged by checkpoint/restart.
     #[serde(default)]
     pub salvaged_work_s: f64,
-    /// Critical-path accounting, present only for structured (DAG)
-    /// workloads so flat-workload reports stay byte-identical.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// Critical-path accounting for structured (DAG) workloads; `None`
+    /// for flat ones, which serializes as `null`.
+    #[serde(default)]
     pub critical_path: Option<CriticalPathStats>,
 }
 

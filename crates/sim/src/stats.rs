@@ -118,9 +118,9 @@ pub struct SimStats {
     pub calls: AllocCallCounts,
     /// Allocator calls per task category, keyed by raw category id.
     pub by_category: Vec<(u32, AllocCallCounts)>,
-    /// Critical-path accounting, present only for structured (DAG)
-    /// workloads so flat-run stats stay byte-identical on the wire.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// Critical-path accounting for structured (DAG) workloads; `None`
+    /// for flat ones, which serializes as `null`.
+    #[serde(default)]
     pub critical_path: Option<CriticalPathStats>,
 }
 

@@ -57,8 +57,9 @@ pub struct WorkloadSpec {
     seed: u64,
     scale: Scale,
     dag: bool,
-    /// Generated DAG topology; fixes the task count when set.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// Generated DAG topology; fixes the task count when set. Serializes
+    /// as `null` when unset, and may be missing on read.
+    #[serde(default)]
     shape: Option<DagShape>,
 }
 

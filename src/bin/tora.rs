@@ -29,15 +29,7 @@ const WORKFLOW_FLAGS: &[&str] = &[
 ];
 
 /// Flags read by [`parse_sim_config`].
-const SIM_FLAGS: &[&str] = &[
-    "seed",
-    "threads",
-    "workers",
-    "arrival",
-    "policy",
-    "enforcement",
-    "mix",
-];
+const SIM_FLAGS: &[&str] = &["seed", "workers", "arrival", "policy", "enforcement", "mix"];
 
 type Command = fn(&Args<'_>) -> Result<(), String>;
 
@@ -75,11 +67,7 @@ const COMMANDS: [(&str, &[&[&str]], Command); 9] = [
         cmd_chaos,
     ),
     ("experiments", &[&["seed", "seeds", "out"]], cmd_experiments),
-    (
-        "serve",
-        &[&["workers", "threads", "restore", "socket"]],
-        cmd_serve,
-    ),
+    ("serve", &[&["workers", "restore", "socket"]], cmd_serve),
 ];
 
 fn main() -> ExitCode {
@@ -170,9 +158,6 @@ fn print_usage() {
            --arrival <spec>      batch | poisson:<mean-s>  (default poisson:1.5)\n\
            --policy <name>       fifo | fifo-backfill | smallest-first | largest-first\n\
            --enforcement <name>  ramp | instant  (default ramp)\n\
-           --threads <n>         worker threads for the sharded allocator paths\n\
-                                 (0 = auto: TORA_THREADS, else the cgroup-aware\n\
-                                 core count; results never depend on this)\n\
            --dag                 (topeft) use the Coffea dependency structure\n\
            --shape <name>        generated DAG structure: fan-out-fan-in |\n\
                                  pipeline | diamond | random-layered\n\
@@ -579,8 +564,7 @@ fn cmd_chaos(args: &Args<'_>) -> Result<(), String> {
 /// by default, or serves connections sequentially on a Unix socket with
 /// `--socket <path>`. `--workers <n>` sizes the shared pool in §V-A-shaped
 /// workers; `--restore <snapshot.json>` resumes a daemon snapshotted with
-/// the `Snapshot` request, byte-identically. `--threads` tunes the sharded
-/// prediction paths and never changes any answer.
+/// the `Snapshot` request, byte-identically.
 fn cmd_serve(args: &Args<'_>) -> Result<(), String> {
     let workers = match args.value_of("workers")? {
         None => 20,
@@ -592,7 +576,7 @@ fn cmd_serve(args: &Args<'_>) -> Result<(), String> {
     };
     let config = tora::serve::ServeConfig {
         workers,
-        threads: args.threads()?,
+        ..Default::default()
     };
     let mut session = match args.value_of("restore")? {
         Some(path) => {

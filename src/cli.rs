@@ -83,18 +83,6 @@ impl<'a> Args<'a> {
         }
     }
 
-    /// `--threads <n>`: worker threads for the sharded allocator paths.
-    /// `0` (the default when the flag is absent) means auto-detect — the
-    /// `TORA_THREADS` env var, else the cgroup-aware core count.
-    pub fn threads(&self) -> Result<usize, String> {
-        match self.value_of("threads")? {
-            None => Ok(0),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("bad --threads `{v}` (0 = auto)")),
-        }
-    }
-
     /// Whether the flag appeared (with or without a value).
     pub fn has(&self, name: &str) -> bool {
         self.flag(name).is_some()
@@ -195,11 +183,9 @@ pub fn parse_workflow(name_or_path: &str, args: &Args<'_>) -> Result<Workflow, S
 }
 
 /// Build a [`SimConfig`] from the common simulation flags (`--seed`,
-/// `--workers`, `--arrival`, `--policy`, `--enforcement`, `--mix`,
-/// `--threads`).
+/// `--workers`, `--arrival`, `--policy`, `--enforcement`, `--mix`).
 pub fn parse_sim_config(args: &Args<'_>) -> Result<SimConfig, String> {
     let mut config = SimConfig::paper_like(args.seed()?);
-    config.threads = args.threads()?;
     match args.value_of("workers")? {
         None | Some("paper") => {}
         Some(spec) => {
@@ -351,24 +337,13 @@ mod tests {
             "batch",
             "--enforcement",
             "instant",
-            "--threads",
-            "4",
         ]);
         let args = Args::parse(&raw).unwrap();
         let config = parse_sim_config(&args).unwrap();
         assert_eq!(config.churn.initial, 12);
         assert!(matches!(config.arrival, ArrivalModel::Batch));
         assert!(matches!(config.enforcement, EnforcementModel::InstantPeak));
-        assert_eq!(config.threads, 4);
         let bad = vec!["--workers".to_string(), "fixed:0".to_string()];
         assert!(parse_sim_config(&Args::parse(&bad).unwrap()).is_err());
-    }
-
-    #[test]
-    fn threads_flag_parses_and_defaults_to_auto() {
-        let absent = raw(&["--seed", "1"]);
-        assert_eq!(Args::parse(&absent).unwrap().threads().unwrap(), 0);
-        let bad = raw(&["--threads", "many"]);
-        assert!(Args::parse(&bad).unwrap().threads().is_err());
     }
 }

@@ -58,12 +58,14 @@ pub struct ServeConfig {
     /// Pool size in §V-A-shaped workers (16 cores / 64 GB / 64 GB each);
     /// admission books against the aggregate capacity.
     pub workers: usize,
-    /// Worker threads for the sharded allocator paths; `0` auto-detects.
-    /// Thread count never changes any answer — only how fast it arrives.
+    /// Ignored: the daemon is serial (DESIGN.md §5h). Kept for one
+    /// release so existing struct literals still compile.
+    #[deprecated(note = "ignored; the daemon is serial, so drop the field")]
     pub threads: usize,
 }
 
 impl Default for ServeConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         ServeConfig {
             workers: 20,

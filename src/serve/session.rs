@@ -9,13 +9,13 @@
 
 use crate::prelude::*;
 use crate::workloads::PaperWorkflow;
-use tora_alloc::oplog::AllocOp;
+use tora_alloc::oplog::{AllocOp, Applied};
 
 use std::io::{BufRead, Read, Write};
 
 use super::protocol::{Prediction, Request, Response, TenantStatus};
 use super::snapshot::ServeSnapshot;
-use super::tenant::{algorithm_or_default, AppliedOp, Registry, TaskBooking, Tenant};
+use super::tenant::{algorithm_or_default, Registry, TaskBooking, Tenant};
 use super::ServeConfig;
 
 /// The longest request line the daemon reads, in bytes (newline excluded).
@@ -31,17 +31,18 @@ impl Session {
     /// A fresh daemon with no tenants.
     pub fn new(config: &ServeConfig) -> Self {
         Session {
-            registry: Registry::new(config),
+            registry: Registry::new(config.workers),
         }
     }
 
     /// Rebuild a daemon from a snapshot produced by [`Request::Snapshot`].
     /// The restored daemon answers any subsequent request stream exactly as
-    /// the snapshotted daemon would have.
-    pub fn restore(config: &ServeConfig, snapshot_json: &str) -> Result<Self, String> {
+    /// the snapshotted daemon would have. The pool size comes from the
+    /// snapshot, so `_config` changes nothing.
+    pub fn restore(_config: &ServeConfig, snapshot_json: &str) -> Result<Self, String> {
         let snapshot = ServeSnapshot::from_json(snapshot_json)?;
         Ok(Session {
-            registry: snapshot.restore(config)?,
+            registry: snapshot.restore()?,
         })
     }
 
@@ -216,14 +217,10 @@ impl Session {
                 format!("task {task} was already submitted to `{tenant}`"),
             );
         }
-        let threads = self.registry.threads;
         let t = &mut self.registry.tenants[i];
-        let AppliedOp::Decisions(decisions) = t.apply(
-            AllocOp::PredictFirstBatch {
-                contexts: vec![TaskContext::new(CategoryId(category), features)],
-            },
-            threads,
-        ) else {
+        let Applied::Decisions(decisions) = t.apply(AllocOp::PredictFirstBatch {
+            contexts: vec![TaskContext::new(CategoryId(category), features)],
+        }) else {
             unreachable!("a batch op yields decisions");
         };
         t.submitted.insert(task);
@@ -282,11 +279,8 @@ impl Session {
             );
         }
         let contexts: Vec<TaskContext> = built.tasks.iter().map(TaskContext::from).collect();
-        let threads = self.registry.threads;
         let t = &mut self.registry.tenants[i];
-        let AppliedOp::Decisions(decisions) =
-            t.apply(AllocOp::PredictFirstBatch { contexts }, threads)
-        else {
+        let Applied::Decisions(decisions) = t.apply(AllocOp::PredictFirstBatch { contexts }) else {
             unreachable!("a batch op yields decisions");
         };
         for (spec, decision) in built.tasks.iter().zip(&decisions) {
@@ -333,7 +327,6 @@ impl Session {
         else {
             return task_not_running(tenant, task);
         };
-        let threads = self.registry.threads;
         let t = &mut self.registry.tenants[i];
         let booking = t.running.remove(pos);
         // Same record a worker report produces in the engine: the time axis
@@ -342,15 +335,12 @@ impl Session {
             &TaskSpec::new(task, booking.category, peak, duration_s)
                 .with_features(booking.features),
         );
-        t.apply(AllocOp::Observe { record }, threads);
-        t.apply(
-            AllocOp::ObserveOutcome {
-                category: booking.category_id(),
-                outcome: AttemptFeedback::Success,
-                rack: None,
-            },
-            threads,
-        );
+        t.apply(AllocOp::Observe { record });
+        t.apply(AllocOp::ObserveOutcome {
+            category: booking.category_id(),
+            outcome: AttemptFeedback::Success,
+            rack: None,
+        });
         t.completed += 1;
         let admitted = self.registry.admit();
         Response::Completed {
@@ -396,27 +386,20 @@ impl Session {
         else {
             return task_not_running(tenant, task);
         };
-        let threads = self.registry.threads;
         let t = &mut self.registry.tenants[i];
         let booking = t.running.remove(pos);
-        t.apply(
-            AllocOp::ObserveOutcome {
-                category: booking.category_id(),
-                outcome: feedback,
-                rack: None,
-            },
-            threads,
-        );
+        t.apply(AllocOp::ObserveOutcome {
+            category: booking.category_id(),
+            outcome: feedback,
+            rack: None,
+        });
         t.faults += 1;
         let (alloc, infeasible) = if feedback == AttemptFeedback::Exhaustion {
-            let AppliedOp::Decision(decision) = t.apply(
-                AllocOp::PredictRetry {
-                    context: booking.context(),
-                    prev: booking.alloc,
-                    exhausted: mask,
-                },
-                threads,
-            ) else {
+            let Applied::Decision(decision) = t.apply(AllocOp::PredictRetry {
+                context: booking.context(),
+                prev: booking.alloc,
+                exhausted: mask,
+            }) else {
                 unreachable!("a retry op yields one decision");
             };
             (decision.alloc, decision.infeasible)
@@ -452,17 +435,13 @@ impl Session {
         let Some(i) = self.registry.find(tenant) else {
             return unknown_tenant(tenant);
         };
-        let threads = self.registry.threads;
         let t = &mut self.registry.tenants[i];
-        let AppliedOp::Decisions(decisions) = t.apply(
-            AllocOp::PredictFirstBatch {
-                contexts: categories
-                    .iter()
-                    .map(|&c| TaskContext::from(CategoryId(c)))
-                    .collect(),
-            },
-            threads,
-        ) else {
+        let Applied::Decisions(decisions) = t.apply(AllocOp::PredictFirstBatch {
+            contexts: categories
+                .iter()
+                .map(|&c| TaskContext::from(CategoryId(c)))
+                .collect(),
+        }) else {
             unreachable!("a batch op yields decisions");
         };
         Response::Predictions {
@@ -483,9 +462,7 @@ impl Session {
         let Some(i) = self.registry.find(tenant) else {
             return unknown_tenant(tenant);
         };
-        let threads = self.registry.threads;
-        let AppliedOp::Rebucketed(changed) =
-            self.registry.tenants[i].apply(AllocOp::RebucketAll, threads)
+        let Applied::Rebucketed(changed) = self.registry.tenants[i].apply(AllocOp::RebucketAll)
         else {
             unreachable!("a rebucket op yields a count");
         };

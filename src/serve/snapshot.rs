@@ -22,7 +22,6 @@ use tora_alloc::oplog::AllocLog;
 use std::collections::VecDeque;
 
 use super::tenant::{algorithm_or_default, Registry, TaskBooking, Tenant};
-use super::ServeConfig;
 
 /// Current snapshot format version.
 pub const SNAPSHOT_VERSION: u32 = 1;
@@ -107,24 +106,20 @@ impl ServeSnapshot {
     }
 
     /// Rebuild a live registry: every tenant's allocator is built fresh and
-    /// its journal replayed through it. `config.workers` is overridden by
-    /// the snapshot (the pool the books were admitted against); `threads`
-    /// is taken from `config` — thread count never changes results.
-    pub(super) fn restore(&self, config: &ServeConfig) -> Result<Registry, String> {
+    /// its journal replayed through it. The pool size comes from the
+    /// snapshot (the pool the books were admitted against).
+    pub(super) fn restore(&self) -> Result<Registry, String> {
         if self.version != SNAPSHOT_VERSION {
             return Err(format!(
                 "snapshot version {} unsupported (expected {SNAPSHOT_VERSION})",
                 self.version
             ));
         }
-        let mut registry = Registry::new(&ServeConfig {
-            workers: self.workers,
-            threads: config.threads,
-        });
+        let mut registry = Registry::new(self.workers);
         for snap in &self.tenants {
             let algorithm = algorithm_or_default(&snap.algorithm)?;
             let mut tenant = Tenant::new(snap.name.clone(), algorithm, snap.seed);
-            snap.log.replay(&mut tenant.allocator, registry.threads);
+            snap.log.replay(&mut tenant.allocator);
             tenant.log = snap.log.clone();
             tenant.running = snap.running.iter().map(Into::into).collect();
             tenant.queue = snap.queued.iter().map(Into::into).collect::<VecDeque<_>>();

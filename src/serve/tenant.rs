@@ -28,12 +28,11 @@
 
 use crate::cli::parse_algorithm;
 use crate::prelude::*;
-use tora_alloc::oplog::{AllocLog, AllocOp};
+use tora_alloc::oplog::{AllocLog, AllocOp, Applied};
 
 use std::collections::{BTreeSet, VecDeque};
 
 use super::protocol::Grant;
-use super::ServeConfig;
 
 /// A task the daemon is tracking: its id, category, feature vector, and the
 /// allocation it is running under (or will run under once admitted).
@@ -126,47 +125,11 @@ impl Tenant {
     /// Journal `op` and apply it to the allocator, returning whatever the
     /// allocator returned. Keeping journaling and application in one place
     /// guarantees the journal is exactly the applied sequence.
-    pub fn apply(&mut self, op: AllocOp, threads: usize) -> AppliedOp {
-        let result = match &op {
-            AllocOp::Observe { record } => {
-                self.allocator.observe(record);
-                AppliedOp::Observed
-            }
-            AllocOp::PredictFirstBatch { contexts } => {
-                AppliedOp::Decisions(self.allocator.predict_first_batch(contexts, threads))
-            }
-            AllocOp::PredictRetry {
-                context,
-                prev,
-                exhausted,
-            } => AppliedOp::Decision(self.allocator.predict_retry(*context, prev, exhausted)),
-            AllocOp::ObserveOutcome {
-                category,
-                outcome,
-                rack,
-            } => {
-                self.allocator.observe_outcome(*category, *outcome, *rack);
-                AppliedOp::Observed
-            }
-            AllocOp::RebucketAll => {
-                AppliedOp::Rebucketed(self.allocator.rebucket_all(threads).len() as u64)
-            }
-        };
+    pub fn apply(&mut self, op: AllocOp) -> Applied {
+        let result = op.apply(&mut self.allocator);
         self.log.push(op);
         result
     }
-}
-
-/// What [`Tenant::apply`] produced, by op shape.
-pub(super) enum AppliedOp {
-    /// `Observe` / `ObserveOutcome`: feedback ingested, nothing returned.
-    Observed,
-    /// `PredictFirstBatch`: one decision per request.
-    Decisions(Vec<AllocationDecision>),
-    /// `PredictRetry`: the escalated decision.
-    Decision(AllocationDecision),
-    /// `RebucketAll`: changed (category, axis) pairs.
-    Rebucketed(u64),
 }
 
 /// The daemon's tenants plus the shared pool.
@@ -177,20 +140,15 @@ pub(super) struct Registry {
     pub workers: usize,
     /// Aggregate pool capacity (`workers ×` worker shape).
     pub capacity: ResourceVector,
-    /// Resolved worker-thread count for the sharded allocator paths.
-    pub threads: usize,
 }
 
 impl Registry {
-    /// An empty registry over `config`'s pool.
-    pub fn new(config: &ServeConfig) -> Self {
+    /// An empty registry over a pool of `workers` paper-shaped workers.
+    pub fn new(workers: usize) -> Self {
         Registry {
             tenants: Vec::new(),
-            workers: config.workers,
-            capacity: WorkerSpec::paper_default()
-                .capacity
-                .scale(config.workers as f64),
-            threads: tora_alloc::par::resolve(config.threads),
+            workers,
+            capacity: WorkerSpec::paper_default().capacity.scale(workers as f64),
         }
     }
 
@@ -274,16 +232,9 @@ mod tests {
         }
     }
 
-    fn registry(workers: usize) -> Registry {
-        Registry::new(&ServeConfig {
-            workers,
-            threads: 1,
-        })
-    }
-
     #[test]
     fn admission_favors_the_smallest_dominant_share() {
-        let mut reg = registry(1); // 16 cores, 64 GB, 64 GB
+        let mut reg = Registry::new(1); // 16 cores, 64 GB, 64 GB
         for name in ["a", "b"] {
             reg.tenants.push(Tenant::new(
                 name.into(),
@@ -312,7 +263,7 @@ mod tests {
 
     #[test]
     fn admission_stops_at_capacity_and_ties_break_by_name() {
-        let mut reg = registry(1);
+        let mut reg = Registry::new(1);
         for name in ["b", "a"] {
             reg.tenants.push(Tenant::new(
                 name.into(),

@@ -320,6 +320,17 @@ fn unknown_flags_fail_and_help_prints_usage() {
 }
 
 #[test]
+fn threads_is_an_unknown_flag() {
+    // The allocator, engine and daemon are serial; no command takes a
+    // worker-thread count any more.
+    for command in ["simulate", "trace", "chaos", "serve"] {
+        let (ok, _, err) = tora(&[command, "--threads", "1"]);
+        assert!(!ok, "{command} accepted --threads");
+        assert!(err.contains("unknown flag `--threads`"), "{command}: {err}");
+    }
+}
+
+#[test]
 fn bad_input_fails_cleanly() {
     let (ok, _, err) = tora(&["simulate", "nonexistent-workflow"]);
     assert!(!ok);

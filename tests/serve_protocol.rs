@@ -10,6 +10,8 @@
 use std::io::Write as _;
 use std::process::{Command, Stdio};
 
+use proptest::prelude::*;
+use tora::serve::session::MAX_LINE_BYTES;
 use tora::serve::{Response, ServeConfig, Session};
 
 /// Pipe `input` through `tora serve <args>` and return stdout.
@@ -51,7 +53,7 @@ fn drive(session: &mut Session, requests: &[String]) -> Vec<String> {
 fn config() -> ServeConfig {
     ServeConfig {
         workers: 20,
-        threads: 1,
+        ..ServeConfig::default()
     }
 }
 
@@ -86,7 +88,7 @@ fn tenant_script(tenant: &str, seed: u64) -> Vec<String> {
 fn golden_transcript_is_byte_stable_across_runs() {
     let mut input = tenant_script("wf", 7).join("\n");
     input.push_str("\n{\"Stats\":{}}\n{\"Shutdown\":{}}\n");
-    let args = ["--workers", "20", "--threads", "1"];
+    let args = ["--workers", "20"];
     let first = serve_stdout(&args, &input);
     let second = serve_stdout(&args, &input);
     assert_eq!(first, second, "same requests, different responses");
@@ -109,9 +111,6 @@ fn golden_transcript_is_byte_stable_across_runs() {
             "no {tag} response in transcript:\n{first}"
         );
     }
-    // Thread count must not change a single byte.
-    let threaded = serve_stdout(&["--workers", "20", "--threads", "4"], &input);
-    assert_eq!(first, threaded, "responses depend on --threads");
 }
 
 /// Two tenants on one daemon: tenant a's responses must be byte-identical
@@ -265,7 +264,7 @@ fn the_binary_restores_from_a_snapshot_file() {
 
     let script = tenant_script("wf", 7);
     let (head, tail) = script.split_at(5);
-    let args = ["--workers", "20", "--threads", "1"];
+    let args = ["--workers", "20"];
 
     // Uninterrupted reference conversation.
     let mut full_input = script.join("\n");
@@ -282,10 +281,7 @@ fn the_binary_restores_from_a_snapshot_file() {
     // Second life: restore and finish the conversation.
     let mut second_input = tail.join("\n");
     second_input.push_str("\n{\"Shutdown\":{}}\n");
-    let resumed = serve_stdout(
-        &["--restore", snap_path, "--workers", "20", "--threads", "1"],
-        &second_input,
-    );
+    let resumed = serve_stdout(&["--restore", snap_path, "--workers", "20"], &second_input);
 
     let reference_tail: Vec<&str> = reference.lines().skip(head.len()).collect();
     let resumed_lines: Vec<&str> = resumed.lines().collect();
@@ -455,4 +451,174 @@ fn workload_error_codes_are_wire_stable() {
     for (err, code) in cases {
         assert_eq!(err.code(), code, "{err}");
     }
+}
+
+/// A high surrogate escape must be followed by a low one; anything else is
+/// a parse error, answered `bad-request` without opening a tenant.
+#[test]
+fn an_invalid_surrogate_is_a_bad_request() {
+    let mut session = Session::new(&config());
+    let before = session.snapshot_json().expect("snapshot serializes");
+    let (response, shutdown) = session.handle_line(r#"{"Open":{"tenant":"wf\ud800\ud800"}}"#);
+    assert!(!shutdown);
+    match response {
+        Response::Error { code, .. } => assert_eq!(code, "bad-request"),
+        other => panic!("expected an error, got {other:?}"),
+    }
+    assert_eq!(session.snapshot_json().unwrap(), before);
+    let (response, _) = session.handle_line(r#"{"Stats":{}}"#);
+    match response {
+        Response::StatsReport { tenants, .. } => assert!(tenants.is_empty(), "{tenants:?}"),
+        other => panic!("expected a stats report, got {other:?}"),
+    }
+}
+
+/// Tenants the script generators address. `a` and `b` are opened by
+/// [`PREFIX`]; `nobody` never is.
+const TENANTS: [&str; 2] = ["a", "b"];
+
+/// Opens both tenants and submits task 100 to `a`, so the hostile
+/// duplicate lines below are duplicates wherever they land.
+const PREFIX: [&str; 3] = [
+    r#"{"Open":{"tenant":"a","algorithm":"greedy-bucketing","seed":1}}"#,
+    r#"{"Open":{"tenant":"b","algorithm":"exhaustive-bucketing","seed":2}}"#,
+    r#"{"Submit":{"tenant":"a","task":100,"category":0}}"#,
+];
+
+/// Lines that must be refused wherever they appear after [`PREFIX`].
+const HOSTILE: [&str; 13] = [
+    r#"{"Open":"#,
+    "garbage",
+    r#"{"Submit":{"tenant":"a"}}"#,
+    r#"{"Open":{"tenant":"x\ud800\ud800"}}"#,
+    r#"{"Complete":{"tenant":"a","task":8,"cores":-1.0,"memory_mb":100.0,"disk_mb":10.0,"duration_s":5.0}}"#,
+    r#"{"Complete":{"tenant":"a","task":8,"cores":1.0,"memory_mb":100.0,"disk_mb":10.0,"duration_s":0.0}}"#,
+    r#"{"Complete":{"tenant":"b","task":8,"cores":1.0,"memory_mb":100.0,"disk_mb":10.0,"duration_s":-2.0}}"#,
+    r#"{"Predict":{"tenant":"nobody","categories":[0]}}"#,
+    r#"{"Complete":{"tenant":"a","task":999,"cores":1.0,"memory_mb":100.0,"disk_mb":10.0,"duration_s":5.0}}"#,
+    r#"{"Submit":{"tenant":"a","task":100,"category":1}}"#,
+    r#"{"Open":{"tenant":"b"}}"#,
+    r#"{"Fault":{"tenant":"a","task":8,"kind":"meteor"}}"#,
+    r#"{"Fault":{"tenant":"b","task":8,"kind":"exhaustion","exhausted":[]}}"#,
+];
+
+/// One well-formed request over the tenants of [`TENANTS`]. It may still
+/// be refused (a completion for a task that is not running, say); the
+/// property below covers every refusal.
+fn valid_line() -> impl Strategy<Value = String> {
+    let tenant = || prop::sample::select(TENANTS.to_vec());
+    prop_oneof![
+        (tenant(), 0u64..4).prop_map(|(t, seed)| format!(
+            r#"{{"Open":{{"tenant":"{t}","algorithm":"max-seen","seed":{seed}}}}}"#
+        )),
+        (tenant(), 8u64..16, 0u32..3).prop_map(|(t, task, c)| format!(
+            r#"{{"Submit":{{"tenant":"{t}","task":{task},"category":{c}}}}}"#
+        )),
+        (tenant(), 1usize..9, 0u64..4).prop_map(|(t, n, seed)| format!(
+            r#"{{"Workload":{{"tenant":"{t}","workflow":"bimodal","tasks":{n},"seed":{seed}}}}}"#
+        )),
+        (tenant(), 0u64..16, 0.5f64..4.0, 100.0f64..2000.0).prop_map(|(t, task, cores, mem)| {
+            format!(
+                r#"{{"Complete":{{"tenant":"{t}","task":{task},"cores":{cores:.3},"memory_mb":{mem:.3},"disk_mb":100.0,"duration_s":5.0}}}}"#
+            )
+        }),
+        (
+            tenant(),
+            0u64..16,
+            prop::sample::select(vec!["crash", "straggler", "exhaustion"])
+        )
+            .prop_map(|(t, task, kind)| format!(
+                r#"{{"Fault":{{"tenant":"{t}","task":{task},"kind":"{kind}","exhausted":["memory"]}}}}"#
+            )),
+        (tenant(), prop::collection::vec(0u32..3, 1..4)).prop_map(|(t, cats)| format!(
+            r#"{{"Predict":{{"tenant":"{t}","categories":{cats:?}}}}}"#
+        )),
+        tenant().prop_map(|t| format!(r#"{{"Rebucket":{{"tenant":"{t}"}}}}"#)),
+    ]
+}
+
+/// Answer `lines` in a fresh session. Every refusal must leave
+/// `snapshot_json()` exactly as it was; returns the responses, serialized.
+fn answer_checking_refusals(lines: &[String]) -> Result<Vec<String>, TestCaseError> {
+    let mut session = Session::new(&config());
+    let mut responses = Vec::with_capacity(lines.len());
+    for line in lines {
+        let before = session.snapshot_json().expect("snapshot serializes");
+        let (response, _) = session.handle_line(line);
+        if matches!(response, Response::Error { .. }) {
+            let after = session.snapshot_json().expect("snapshot serializes");
+            prop_assert!(after == before, "{line} changed daemon state: {response:?}");
+        }
+        responses.push(serde_json::to_string(&response).expect("responses serialize"));
+    }
+    Ok(responses)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// An Error response never changes daemon state: hostile lines at
+    /// random positions are refused, leave the snapshot untouched, and
+    /// the valid lines get the same answers as without them.
+    #[test]
+    fn errors_never_change_daemon_state(
+        body in prop::collection::vec(valid_line(), 8..40),
+        hostile in prop::collection::vec((0usize..64, prop::sample::select(HOSTILE.to_vec())), 1..10),
+    ) {
+        let clean: Vec<String> = PREFIX.iter().map(|l| l.to_string()).chain(body).collect();
+        let mut mixed = clean.clone();
+        let mut is_hostile = vec![false; mixed.len()];
+        for (at, line) in hostile {
+            let at = PREFIX.len() + at % (mixed.len() - PREFIX.len() + 1);
+            mixed.insert(at, line.to_string());
+            is_hostile.insert(at, true);
+        }
+        let mixed_responses = answer_checking_refusals(&mixed)?;
+        for (response, _) in mixed_responses.iter().zip(&is_hostile).filter(|(_, &h)| h) {
+            prop_assert!(response.starts_with(r#"{"Error""#), "hostile line answered {response}");
+        }
+        let kept: Vec<&String> = mixed_responses
+            .iter()
+            .zip(&is_hostile)
+            .filter(|(_, &h)| !h)
+            .map(|(r, _)| r)
+            .collect();
+        let clean_responses = answer_checking_refusals(&clean)?;
+        prop_assert_eq!(kept, clean_responses.iter().collect::<Vec<_>>());
+    }
+}
+
+/// The wire-level refusal inside a live conversation: a line over
+/// [`MAX_LINE_BYTES`] sent through [`Session::serve`] mid-script is answered
+/// `line-too-long`, and the conversation around it answers, and ends in the
+/// same state, exactly as it does without it.
+#[test]
+fn an_oversized_line_mid_script_changes_nothing() {
+    let script = tenant_script("wf", 7);
+    let (head, tail) = script.split_at(6);
+    let serve = |input: String| -> (Vec<String>, String) {
+        let mut session = Session::new(&config());
+        let mut out = Vec::new();
+        session
+            .serve(input.as_bytes(), &mut out)
+            .expect("connection survives");
+        let responses = String::from_utf8(out)
+            .expect("responses are UTF-8")
+            .lines()
+            .map(str::to_string)
+            .collect();
+        (
+            responses,
+            session.snapshot_json().expect("snapshot serializes"),
+        )
+    };
+    let (head, tail) = (head.join("\n"), tail.join("\n"));
+    let oversized = "x".repeat(MAX_LINE_BYTES + 1);
+    let (want, want_state) = serve(format!("{head}\n{tail}\n"));
+    let (mut got, got_state) = serve(format!("{head}\n{oversized}\n{tail}\n"));
+    let refused = got.remove(6);
+    assert!(refused.contains(r#""code":"line-too-long""#), "{refused}");
+    assert_eq!(got.len(), script.len());
+    assert_eq!(got, want);
+    assert_eq!(got_state, want_state);
 }
