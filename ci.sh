@@ -122,6 +122,22 @@ tail -n "$(wc -l < "$tail_req")" target/serve-smoke/ref-a.jsonl \
     > target/serve-smoke/ref-tail.jsonl
 cmp target/serve-smoke/ref-tail.jsonl target/serve-smoke/resumed.jsonl
 echo "serve smoke OK: byte-identical transcripts, kill/restore resumed exactly"
+# A Workload asking for 10^12 tasks must be refused before anything is built:
+# exactly one bad-request answer, then a StatsReport to the next line. A
+# daemon that tried to allocate the trace would abort and fail this step.
+oversized=target/serve-smoke/oversized.jsonl
+printf '%s\n' '{"Open":{"tenant":"big","seed":1}}' \
+    '{"Workload":{"tenant":"big","workflow":"bimodal","tasks":1000000000000,"seed":1}}' \
+    '{"Stats":{}}' '{"Shutdown":{}}' | $serve > "$oversized"
+[ "$(grep -c '"code":"bad-request"' "$oversized")" -eq 1 ] || {
+    echo "oversized Workload was not answered with exactly one bad-request" >&2
+    exit 1
+}
+sed -n 3p "$oversized" | grep -q '^{"StatsReport"' || {
+    echo "the daemon did not answer Stats after the oversized Workload" >&2
+    exit 1
+}
+echo "serve smoke OK: oversized Workload refused, daemon kept serving"
 
 echo "== serve protocol suite (golden transcripts, isolation, restore) =="
 cargo test -q --test serve_protocol

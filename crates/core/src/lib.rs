@@ -87,6 +87,5 @@ pub use record::{RecordList, ScalarRecord};
 pub use resources::{ResourceKind, ResourceMask, ResourceVector, WorkerSpec};
 pub use task::{CategoryId, ResourceRecord, TaskContext, TaskFeatures, TaskId, TaskSpec};
 pub use trace::{
-    AllocEvent, AxisProvenance, EventSink, JsonlSink, MemorySink, NoopSink, PredictKind,
-    SharedSink, TraceStats,
+    AllocEvent, AxisProvenance, EventSink, JsonlSink, MemorySink, NoopSink, PredictKind, TraceStats,
 };

@@ -18,7 +18,6 @@
 //! | [`TraceStats`]| Counts events, overall and per category            |
 //! | [`MemorySink`]| Buffers events for later inspection                |
 //! | [`JsonlSink`] | Serializes each event as one JSON line             |
-//! | [`SharedSink`]| Shares one sink between the caller and the tracer  |
 //! | `(A, B)`      | Fans each event out to two sinks                   |
 //!
 //! Events serialize with `serde`, externally tagged, so a JSONL line looks
@@ -41,10 +40,8 @@ use crate::feedback::AttemptFeedback;
 use crate::resources::{ResourceKind, ResourceVector};
 use crate::task::CategoryId;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::fmt;
 use std::io::Write;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Global count of [`AllocEvent`] values ever constructed (process-wide).
@@ -465,51 +462,6 @@ impl<W: Write> fmt::Debug for JsonlSink<W> {
     }
 }
 
-/// A cloneable handle to a shared sink.
-///
-/// The allocator takes its sink by value; `SharedSink` lets the caller keep
-/// a handle to the same sink and read it back after the run (see the
-/// `tora trace` subcommand).
-#[derive(Debug, Default)]
-pub struct SharedSink<S>(Rc<RefCell<S>>);
-
-impl<S: EventSink> SharedSink<S> {
-    /// Wrap a sink for shared access.
-    pub fn new(sink: S) -> Self {
-        SharedSink(Rc::new(RefCell::new(sink)))
-    }
-
-    /// Run `f` with a shared borrow of the inner sink.
-    pub fn with<R>(&self, f: impl FnOnce(&S) -> R) -> R {
-        f(&self.0.borrow())
-    }
-
-    /// Recover the inner sink. Panics if other handles are still alive.
-    pub fn into_inner(self) -> S {
-        Rc::try_unwrap(self.0)
-            .unwrap_or_else(|_| panic!("SharedSink still has live handles"))
-            .into_inner()
-    }
-}
-
-impl<S> Clone for SharedSink<S> {
-    fn clone(&self) -> Self {
-        SharedSink(Rc::clone(&self.0))
-    }
-}
-
-impl<S: EventSink> EventSink for SharedSink<S> {
-    const ENABLED: bool = S::ENABLED;
-
-    fn emit(&mut self, event: AllocEvent) {
-        self.0.borrow_mut().emit(event);
-    }
-
-    fn emit_sim(&mut self, time_s: f64, event: &SimEvent) {
-        self.0.borrow_mut().emit_sim(time_s, event);
-    }
-}
-
 /// Fan-out: each event goes to both sinks (cloned for the first).
 impl<A: EventSink, B: EventSink> EventSink for (A, B) {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
@@ -630,18 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_sink_aliases_one_store() {
-        let shared = SharedSink::new(MemorySink::new());
-        let mut handle = shared.clone();
-        for e in sample_events() {
-            handle.emit(e);
-        }
-        assert_eq!(shared.with(|s| s.len()), 7);
-        drop(handle);
-        assert_eq!(shared.into_inner().len(), 7);
-    }
-
-    #[test]
     fn pair_sink_fans_out() {
         let mut pair = (TraceStats::new(), MemorySink::new());
         for e in sample_events() {
@@ -651,7 +591,7 @@ mod tests {
         assert_eq!(pair.1.len(), 7);
         const { assert!(<(TraceStats, MemorySink) as EventSink>::ENABLED) };
         const { assert!(!NoopSink::ENABLED) };
-        const { assert!(!<SharedSink<NoopSink> as EventSink>::ENABLED) };
+        const { assert!(!<(NoopSink, NoopSink) as EventSink>::ENABLED) };
     }
 
     #[test]
@@ -675,14 +615,13 @@ mod tests {
         let event = SimEvent::WorkerLeft {
             worker: WorkerId(3),
         };
-        let shared = SharedSink::new(Stamps::default());
-        let mut fan = ((TraceStats::new(), shared.clone()), Stamps::default());
+        let mut fan = ((TraceStats::new(), Stamps::default()), Stamps::default());
         fan.emit_sim(2.5, &event);
         fan.emit_sim(4.0, &event);
         // Allocator-only sinks ignore engine events.
         assert_eq!(fan.0 .0, TraceStats::new());
+        assert_eq!(fan.0 .1 .0, [2.5, 4.0]);
         assert_eq!(fan.1 .0, [2.5, 4.0]);
-        assert_eq!(shared.with(|s| s.0.clone()), [2.5, 4.0]);
         NoopSink.emit_sim(1.0, &event);
     }
 }

@@ -1,9 +1,8 @@
 //! Incremental critical-path tracking for structured workloads.
 //!
 //! The tracker grows with the task list — [`CriticalPath::push`] runs once
-//! per task at creation (materialized build or streaming pull), so the
-//! longest-chain DP never needs the full workflow at once and a streamed
-//! DAG pays the same O(edges) as a materialized one. Predecessor links are
+//! per task at intake, so the longest-chain DP never needs the full
+//! workflow at once and pays O(edges) overall. Predecessor links are
 //! kept so the realized chain can be walked backwards at summary time;
 //! `dependents` can't serve that role because dispatch `mem::take`s it
 //! during dependency resolution.

@@ -174,7 +174,7 @@ pub(crate) struct TaskState {
 }
 
 impl TaskState {
-    pub(crate) fn fresh(deps_remaining: usize, arrived: bool) -> Self {
+    pub(crate) fn fresh(deps_remaining: usize) -> Self {
         TaskState {
             phase: TaskPhase::Pending,
             attempts: AttemptChain::default(),
@@ -182,7 +182,7 @@ impl TaskState {
             next_alloc: None,
             pinned: false,
             predicted_epoch: 0,
-            arrived,
+            arrived: false,
             deps_remaining,
             dispatch_failures: 0,
             unplaceable_strikes: 0,
@@ -295,7 +295,7 @@ mod tests {
 
     #[test]
     fn advance_applies_legal_and_rejects_illegal_transitions() {
-        let mut t = TaskState::fresh(0, true);
+        let mut t = TaskState::fresh(0);
         assert_eq!(t.phase, TaskPhase::Pending);
         t.advance(TaskPhase::Ready).unwrap();
         t.advance(TaskPhase::Running).unwrap();
@@ -344,7 +344,7 @@ mod tests {
 
     #[test]
     fn salvage_bank_accumulates_and_clamps_to_remaining_work() {
-        let mut t = TaskState::fresh(0, true);
+        let mut t = TaskState::fresh(0);
         // Half-checkpointing, full-speed attempt: 30 s elapsed of 100 s
         // remaining banks 15 s.
         assert_eq!(t.bank_salvage(0.5, 30.0, 1.0, 100.0), 15.0);

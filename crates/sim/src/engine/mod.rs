@@ -66,7 +66,7 @@ use tora_alloc::task::CategoryId;
 use tora_alloc::task::{TaskFeatures, TaskSpec};
 use tora_alloc::trace::{EventSink, NoopSink};
 use tora_metrics::{DeadLetterCause, WorkflowMetrics};
-use tora_workloads::{TaskSource, Workflow};
+use tora_workloads::{TaskSource, Workflow, WorkflowSource};
 
 /// How the dynamic workflow generates (submits) its tasks over time.
 ///
@@ -213,8 +213,8 @@ pub struct SimResult {
 /// batch of tasks and reacts to every completion — possibly submitting more
 /// work based on the results (Colmena's steering, Coffea's
 /// partition-then-accumulate). Driver-submitted tasks become ready
-/// immediately (subject to their dependencies); the static [`Workflow`] path
-/// is the degenerate driver that submits everything up front.
+/// immediately (subject to their dependencies); a [`TaskSource`] is the
+/// degenerate driver that submits everything on its arrival schedule.
 pub trait Driver: Send {
     /// Called once at time zero.
     fn on_start(&mut self, api: &mut SubmitApi);
@@ -285,16 +285,17 @@ impl SubmitApi {
 pub struct Simulation<S: EventSink = NoopSink> {
     worker: WorkerSpec,
     specs: Vec<TaskSpec>,
-    /// Streaming generator: specs are pulled on demand (just before each
-    /// arrival fires), so a million-task workload never sits fully
-    /// materialized ahead of the event horizon.
-    source: Option<Box<dyn TaskSource>>,
+    /// The run's task generator: specs are pulled on demand (just before
+    /// each arrival fires), so a million-task workload never sits fully
+    /// materialized ahead of the event horizon. Driver runs hold an empty
+    /// one.
+    source: Box<dyn TaskSource>,
     /// Total the source will yield; `specs` grows toward it lazily.
     source_total: usize,
     /// The source's bounded dependency lookahead (`0` = dependency-free).
-    /// A dead-letter first materializes this span past the dying task so
-    /// every potential dependent exists before the cascade — which keeps
-    /// cascade timing byte-identical to the materialized run.
+    /// A dead-letter first pulls this span past the dying task so every
+    /// potential dependent exists before the cascade, which then dooms them
+    /// all at the dying task's own sim time.
     source_window: usize,
     /// Incremental critical-path tracker; present iff the workload carries
     /// dependency structure.
@@ -347,64 +348,97 @@ pub struct Simulation<S: EventSink = NoopSink> {
 }
 
 impl Simulation {
-    /// Build an engine for one (static) workflow and algorithm.
+    /// Build an engine for one materialized workflow and algorithm: a run
+    /// over the workflow's [`WorkflowSource`].
     pub fn new(workflow: &Workflow, algorithm: AlgorithmKind, config: SimConfig) -> Self {
-        let mut sim = Self::bare(workflow.worker, algorithm, config);
-        sim.specs = workflow.tasks.clone();
-        sim.tasks = workflow
-            .tasks
-            .iter()
-            .enumerate()
-            .map(|(i, _)| TaskState::fresh(workflow.deps_of(i).len(), false))
-            .collect();
-        // Reverse adjacency for dependency resolution.
-        sim.dependents = vec![Vec::new(); workflow.len()];
-        for i in 0..workflow.len() {
-            for &d in workflow.deps_of(i) {
-                sim.dependents[d as usize].push(i);
-            }
-        }
-        if workflow.has_dependencies() {
-            let mut cp = CriticalPath::new();
-            for i in 0..workflow.len() {
-                cp.push(workflow.tasks[i].duration_s, workflow.deps_of(i));
-            }
-            sim.cp = Some(cp);
-        }
-        sim
+        Self::from_source(
+            Box::new(WorkflowSource::new(workflow.clone())),
+            algorithm,
+            config,
+        )
     }
 
-    /// Build an engine that pulls its tasks lazily from a streaming
-    /// [`TaskSource`] — the scaling path. Specs are generated on demand as
-    /// their arrivals fire, so generation overlaps simulation and the
-    /// engine's footprint stays bounded by what has actually arrived. The
-    /// run is byte-identical to `Simulation::new` over the materialized
-    /// form of the same source.
+    /// Build an engine for the workload a [`TaskSource`] yields — every
+    /// run's way in. Specs are pulled on demand as their arrivals fire, so
+    /// generation overlaps simulation and the engine's footprint stays
+    /// bounded by what has actually arrived.
     pub fn from_source(
         source: Box<dyn TaskSource>,
         algorithm: AlgorithmKind,
         config: SimConfig,
     ) -> Self {
-        let mut sim = Self::bare(source.worker(), algorithm, config);
-        sim.source_total = source.total_tasks();
-        sim.source_window = source.dependency_window();
-        if sim.source_window > 0 {
-            sim.cp = Some(CriticalPath::new());
+        let worker = source.worker();
+        config.churn.validate().expect("invalid churn config");
+        config.faults.validate().expect("invalid fault plan");
+        let alloc_config = AllocatorConfig {
+            machine: worker,
+            ..AllocatorConfig::default()
+        };
+        if let Some(mix) = config.worker_mix {
+            mix.validate().expect("invalid worker mix");
         }
-        sim.specs.reserve(sim.source_total.min(1 << 20));
-        sim.source = Some(source);
-        sim
+        if let Some(policy) = config.fault_policy {
+            policy.validate().expect("invalid fault policy");
+        }
+        let mut allocator = Allocator::with_config(algorithm, alloc_config, config.seed);
+        allocator.set_fault_policy(config.fault_policy);
+        let mut churn_rng = StdRng::seed_from_u64(config.seed ^ 0xC4_0A17);
+        let mut pool = WorkerPool::new();
+        let mut joined_workers = 0u64;
+        for _ in 0..config.churn.initial {
+            let spec = Self::sample_worker_spec(worker, &config, &mut churn_rng);
+            let spec = Self::assign_rack(spec, config.faults.rack_count, joined_workers);
+            joined_workers += 1;
+            pool.join(spec);
+        }
+        let initial_workers = config.churn.initial;
+        let source_total = source.total_tasks();
+        let source_window = source.dependency_window();
+        Simulation {
+            worker,
+            specs: Vec::with_capacity(source_total.min(1 << 20)),
+            source,
+            source_total,
+            source_window,
+            cp: (source_window > 0).then(CriticalPath::new),
+            driver: None,
+            allocator,
+            config,
+            pool,
+            churn_rng,
+            fault_rng: StdRng::seed_from_u64(config.seed ^ 0x00FA_0175),
+            events: EventQueue::new(),
+            dispatch_ids: 0,
+            running: RunArena::new(),
+            running_by_worker: HashMap::new(),
+            attempt_arena: AttemptArena::new(),
+            ready: VecDeque::new(),
+            tasks: Vec::new(),
+            dependents: Vec::new(),
+            replay_candidates: BTreeSet::new(),
+            completed: 0,
+            dead_lettered: 0,
+            now: SimTime::ZERO,
+            result_metrics: WorkflowMetrics::new(),
+            preempted_alloc_time: ResourceVector::ZERO,
+            worker_range: (initial_workers, initial_workers),
+            stats: SimStats::new(),
+            alloc_epoch: 0,
+            joined_workers,
+            peak_workers: initial_workers,
+        }
     }
 
     /// Build an engine whose tasks are generated at runtime by `driver`
-    /// (no static workload).
+    /// over an empty source.
     pub fn with_driver(
         driver: Box<dyn Driver>,
         worker: WorkerSpec,
         algorithm: AlgorithmKind,
         config: SimConfig,
     ) -> Self {
-        let mut sim = Self::bare(worker, algorithm, config);
+        let empty = Workflow::new("driver", Vec::new(), Vec::new(), worker);
+        let mut sim = Self::new(&empty, algorithm, config);
         sim.driver = Some(driver);
         sim
     }
@@ -445,66 +479,6 @@ impl Simulation {
             alloc_epoch: self.alloc_epoch,
             joined_workers: self.joined_workers,
             peak_workers: self.peak_workers,
-        }
-    }
-
-    fn bare(worker: WorkerSpec, algorithm: AlgorithmKind, config: SimConfig) -> Self {
-        config.churn.validate().expect("invalid churn config");
-        config.faults.validate().expect("invalid fault plan");
-        let alloc_config = AllocatorConfig {
-            machine: worker,
-            ..AllocatorConfig::default()
-        };
-        if let Some(mix) = config.worker_mix {
-            mix.validate().expect("invalid worker mix");
-        }
-        if let Some(policy) = config.fault_policy {
-            policy.validate().expect("invalid fault policy");
-        }
-        let mut allocator = Allocator::with_config(algorithm, alloc_config, config.seed);
-        allocator.set_fault_policy(config.fault_policy);
-        let mut churn_rng = StdRng::seed_from_u64(config.seed ^ 0xC4_0A17);
-        let mut pool = WorkerPool::new();
-        let mut joined_workers = 0u64;
-        for _ in 0..config.churn.initial {
-            let spec = Self::sample_worker_spec(worker, &config, &mut churn_rng);
-            let spec = Self::assign_rack(spec, config.faults.rack_count, joined_workers);
-            joined_workers += 1;
-            pool.join(spec);
-        }
-        let initial_workers = config.churn.initial;
-        Simulation {
-            worker,
-            specs: Vec::new(),
-            source: None,
-            source_total: 0,
-            source_window: 0,
-            cp: None,
-            driver: None,
-            allocator,
-            config,
-            pool,
-            churn_rng,
-            fault_rng: StdRng::seed_from_u64(config.seed ^ 0x00FA_0175),
-            events: EventQueue::new(),
-            dispatch_ids: 0,
-            running: RunArena::new(),
-            running_by_worker: HashMap::new(),
-            attempt_arena: AttemptArena::new(),
-            ready: VecDeque::new(),
-            tasks: Vec::new(),
-            dependents: Vec::new(),
-            replay_candidates: BTreeSet::new(),
-            completed: 0,
-            dead_lettered: 0,
-            now: SimTime::ZERO,
-            result_metrics: WorkflowMetrics::new(),
-            preempted_alloc_time: ResourceVector::ZERO,
-            worker_range: (initial_workers, initial_workers),
-            stats: SimStats::new(),
-            alloc_epoch: 0,
-            joined_workers,
-            peak_workers: initial_workers,
         }
     }
 }
@@ -569,62 +543,59 @@ impl<S: EventSink> Simulation<S> {
         self.specs.len().max(self.source_total)
     }
 
-    /// Pull tasks from the streaming source until `task_idx` is
-    /// materialized. A no-op for materialized runs and already-pulled
-    /// indices. Sources yield sequential tasks whose dependencies (if any)
-    /// are confined to the declared lookahead window, so each pull is a
-    /// spec push, a lifecycle slot counting the still-incomplete
-    /// dependencies, and the reverse-adjacency wiring for them — exactly
-    /// the state a materialized run would hold for that task at this
-    /// moment (a completed dependency is already resolved; a dead one is
-    /// impossible, because its death would have materialized this task
-    /// first, see `dead_letter`).
+    /// Pull tasks from the source until `task_idx` is materialized. A
+    /// no-op for already-pulled indices. Sources yield sequential tasks
+    /// whose dependencies (if any) are confined to the declared lookahead
+    /// window, so a pulled task's dependencies are never dead: a death
+    /// would have pulled this task first (see `dead_letter`).
     fn ensure_spec(&mut self, task_idx: usize) {
-        if self.specs.len() > task_idx || self.source.is_none() {
-            return;
-        }
         while self.specs.len() <= task_idx {
             let idx = self.specs.len();
-            let source = self.source.as_mut().expect("checked above");
-            let spec = source
+            let spec = self
+                .source
                 .next_task()
                 .expect("source ended before its declared total");
-            assert_eq!(
-                spec.id.0, idx as u64,
-                "streaming sources must yield sequential ids"
-            );
-            assert!(
-                self.worker.capacity.dominates(&spec.peak),
-                "{}: peak {} exceeds worker capacity {}",
-                spec.id,
-                spec.peak,
-                self.worker.capacity
-            );
             let deps = if self.source_window > 0 {
-                self.source.as_ref().expect("checked above").deps_of(idx)
+                self.source.deps_of(idx)
             } else {
                 Vec::new()
             };
-            let deps_remaining = deps
-                .iter()
-                .filter(|&&d| !self.tasks[d as usize].is_completed())
-                .count();
-            for &d in &deps {
-                if !self.tasks[d as usize].is_completed() {
-                    debug_assert!(
-                        !self.tasks[d as usize].is_dead(),
-                        "a dead dependency must have materialized its window"
-                    );
-                    self.dependents[d as usize].push(idx);
-                }
-            }
-            if let Some(cp) = self.cp.as_mut() {
-                cp.push(spec.duration_s, &deps);
-            }
-            self.specs.push(spec);
-            self.tasks.push(TaskState::fresh(deps_remaining, false));
-            self.dependents.push(Vec::new());
+            debug_assert!(
+                deps.iter().all(|&d| !self.tasks[d as usize].is_dead()),
+                "a dead dependency must have materialized its window"
+            );
+            self.intake(spec, &deps);
         }
+    }
+
+    /// Take the next task into the run — the one intake for source pulls
+    /// and driver submissions alike: a spec push, a lifecycle slot counting
+    /// the still-incomplete dependencies, the reverse-adjacency wiring for
+    /// them and the critical-path entry. A completed dependency is already
+    /// resolved, so it is neither counted nor wired.
+    fn intake(&mut self, spec: TaskSpec, deps: &[u64]) {
+        let idx = self.specs.len();
+        assert_eq!(spec.id.0, idx as u64, "task ids must be sequential");
+        assert!(
+            self.worker.capacity.dominates(&spec.peak),
+            "{}: peak {} exceeds worker capacity {}",
+            spec.id,
+            spec.peak,
+            self.worker.capacity
+        );
+        let mut deps_remaining = 0;
+        for &d in deps {
+            if !self.tasks[d as usize].is_completed() {
+                self.dependents[d as usize].push(idx);
+                deps_remaining += 1;
+            }
+        }
+        if let Some(cp) = self.cp.as_mut() {
+            cp.push(spec.duration_s, deps);
+        }
+        self.specs.push(spec);
+        self.tasks.push(TaskState::fresh(deps_remaining));
+        self.dependents.push(Vec::new());
     }
 
     /// The arrival model released a task: it becomes ready once its
@@ -681,45 +652,15 @@ impl<S: EventSink> Simulation<S> {
         }
     }
 
-    /// Fold driver submissions into the live run: new tasks arrive
-    /// immediately, gated only by their dependencies.
+    /// Fold driver submissions into the live run: each one is taken in and
+    /// arrives immediately, gated only by its dependencies.
     fn integrate_submissions(&mut self, api: SubmitApi) {
-        assert!(
-            self.source.is_none(),
-            "driver submissions cannot mix with a streaming source"
-        );
         for (category, features, peak, duration_s, deps) in api.submissions {
-            let id = self.specs.len() as u64;
-            let spec = TaskSpec::new(id, category, peak, duration_s).with_features(features);
-            assert!(
-                self.worker.capacity.dominates(&spec.peak),
-                "{}: peak {} exceeds worker capacity {}",
-                spec.id,
-                spec.peak,
-                self.worker.capacity
-            );
-            let deps_remaining = deps
-                .iter()
-                .filter(|&&d| !self.tasks[d as usize].is_completed())
-                .count();
-            for &d in &deps {
-                if !self.tasks[d as usize].is_completed() {
-                    self.dependents[d as usize].push(id as usize);
-                }
-            }
-            self.specs.push(spec);
-            let mut state = TaskState::fresh(deps_remaining, true);
-            if deps_remaining == 0 {
-                state
-                    .advance(TaskPhase::Ready)
-                    .expect("fresh submission was pending");
-            }
-            self.tasks.push(state);
-            self.dependents.push(Vec::new());
-            self.record(SimEvent::TaskSubmitted { task: spec.id });
-            if deps_remaining == 0 {
-                self.push_ready(id as usize);
-            }
+            let idx = self.specs.len();
+            let spec =
+                TaskSpec::new(idx as u64, category, peak, duration_s).with_features(features);
+            self.intake(spec, &deps);
+            self.on_arrive(idx);
         }
     }
 

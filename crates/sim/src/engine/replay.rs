@@ -25,9 +25,9 @@ impl<S: EventSink> Simulation<S> {
         }
         if self.source_window > 0 {
             // Bounded-lookahead cascade: every dependent of the dying task
-            // lies within the source's declared window, so materializing
-            // that span now lets the recursion doom them at this exact sim
-            // time — the same moment the fully materialized run dooms them.
+            // lies within the source's declared window, so pulling that
+            // span now lets the recursion doom them at this exact sim time,
+            // as if every task had been present from the start.
             let horizon = (task_idx + self.source_window).min(self.total_target() - 1);
             self.ensure_spec(horizon);
         }
@@ -83,11 +83,7 @@ impl<S: EventSink> Simulation<S> {
     /// [`tora_workloads::TaskSource::category_of`], which is RNG-free — the
     /// whole point is that a >10M-task unpulled tail costs nothing to sweep.
     pub(super) fn dead_letter_unpulled(&mut self, index: usize, cause: DeadLetterCause) {
-        let category = self
-            .source
-            .as_ref()
-            .expect("an unpulled tail only exists under a streaming source")
-            .category_of(index);
+        let category = self.source.category_of(index);
         let task = TaskId(index as u64);
         let letter = DeadLetter {
             task,

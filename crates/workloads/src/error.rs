@@ -14,10 +14,6 @@ use std::fmt;
 /// Why a workload could not be built, streamed, or loaded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkloadError {
-    /// The Coffea trace's DAG was asked to stream: its dependency lists
-    /// index into the full task range (no bounded lookahead window), so it
-    /// must materialize. Generated shapes ([`crate::DagShape`]) stream.
-    DagCannotStream,
     /// The Coffea dependency structure was requested for a workflow that
     /// does not define one (only TopEFT does). Generated structure via
     /// `dag_shape(..)` works for every workflow.
@@ -69,7 +65,6 @@ impl WorkloadError {
     /// meaning once shipped.
     pub fn code(&self) -> &'static str {
         match self {
-            WorkloadError::DagCannotStream => "dag-cannot-stream",
             WorkloadError::DagUnsupported { .. } => "dag-unsupported",
             WorkloadError::ShapeConflict { .. } => "shape-conflict",
             WorkloadError::CategoryArity { .. } => "category-arity",
@@ -90,13 +85,6 @@ impl WorkloadError {
 impl fmt::Display for WorkloadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WorkloadError::DagCannotStream => {
-                write!(
-                    f,
-                    "the Coffea DAG trace cannot stream (its dependencies are \
-                     not window-bounded); materialize it"
-                )
-            }
             WorkloadError::DagUnsupported { workflow } => {
                 write!(
                     f,
@@ -131,7 +119,6 @@ mod tests {
     #[test]
     fn codes_are_stable_and_distinct() {
         let all = [
-            WorkloadError::DagCannotStream,
             WorkloadError::DagUnsupported {
                 workflow: "bimodal".into(),
             },
@@ -156,7 +143,6 @@ mod tests {
         assert_eq!(
             codes,
             vec![
-                "dag-cannot-stream",
                 "dag-unsupported",
                 "shape-conflict",
                 "category-arity",

@@ -35,7 +35,7 @@ pub use catalog::PaperWorkflow;
 pub use dag::{DagShape, DagSource, DagStructure};
 pub use dist::Dist;
 pub use error::WorkloadError;
-pub use source::{CatalogSource, TaskSource};
+pub use source::{CatalogSource, TaskSource, WorkflowSource};
 pub use spec::WorkloadSpec;
 pub use synthetic::SyntheticKind;
 pub use workflow::Workflow;

@@ -10,10 +10,14 @@
 //! shares the per-task samplers (and the per-family RNG streams) with the
 //! materialized path, so draining a source yields *byte-identical* specs to
 //! [`crate::spec::WorkloadSpec::materialize`] — a property the simulation
-//! parity suite pins down to the event log.
+//! parity suite pins down to the event log. [`WorkflowSource`] is the
+//! source form of an already materialized [`Workflow`] (a loaded trace, a
+//! hand-built DAG, the Coffea structure), so every run reaches the engine
+//! through the one [`TaskSource`] intake.
 
 use crate::catalog::PaperWorkflow;
 use crate::dag::splitmix64;
+use crate::workflow::Workflow;
 use crate::{colmena, synthetic, topeft};
 use rand::rngs::StdRng;
 use tora_alloc::resources::WorkerSpec;
@@ -45,8 +49,7 @@ pub(crate) fn input_signal(seed: u64, id: u64, peak_mem_mb: f64, cap_mem_mb: f64
 /// guarantees every id in [`TaskSource::deps_of`]`(i)` lies in `[i - W, i)`,
 /// so the engine can resolve dependency cascades while materializing at
 /// most `W` tasks ahead of a dying one. Flat sources keep the defaults
-/// (`W = 0`, no deps). Only the TopEFT Coffea trace, whose dependency lists
-/// index into the full task range, still has to materialize.
+/// (`W = 0`, no deps).
 pub trait TaskSource: Send {
     /// Workflow name as used in reports.
     fn name(&self) -> &str;
@@ -67,7 +70,8 @@ pub trait TaskSource: Send {
     /// `TaskSpec`s. Catalog families satisfy this for free: their category
     /// is a pure function of the index and the per-category counts.
     fn category_of(&self, index: usize) -> u32;
-    /// Dependency ids of the task at `index`, ascending.
+    /// Dependency ids of the task at `index`. On a tie the engine's
+    /// critical path follows the first listed.
     ///
     /// Like [`TaskSource::category_of`] this must be RNG-free and valid for
     /// indices not yet pulled, and every returned id must lie in
@@ -180,6 +184,68 @@ impl TaskSource for CatalogSource {
     }
 }
 
+/// The source form of a materialized [`Workflow`]: it drains `tasks` in
+/// order and answers [`TaskSource::category_of`] and
+/// [`TaskSource::deps_of`] from the workflow itself. The window is the
+/// largest lookback over the dependency lists, which
+/// [`Workflow::validate`] already confines to earlier ids.
+pub struct WorkflowSource {
+    workflow: Workflow,
+    window: usize,
+    next: usize,
+}
+
+impl WorkflowSource {
+    /// Stream `workflow`'s tasks.
+    pub fn new(workflow: Workflow) -> Self {
+        let window = (0..workflow.len())
+            .filter_map(|i| workflow.deps_of(i).iter().map(|&d| i - d as usize).max())
+            .max()
+            .unwrap_or(0);
+        WorkflowSource {
+            workflow,
+            window,
+            next: 0,
+        }
+    }
+}
+
+impl TaskSource for WorkflowSource {
+    fn name(&self) -> &str {
+        &self.workflow.name
+    }
+
+    fn categories(&self) -> &[String] {
+        &self.workflow.categories
+    }
+
+    fn worker(&self) -> WorkerSpec {
+        self.workflow.worker
+    }
+
+    fn total_tasks(&self) -> usize {
+        self.workflow.len()
+    }
+
+    fn next_task(&mut self) -> Option<TaskSpec> {
+        let task = self.workflow.tasks.get(self.next).copied();
+        self.next += usize::from(task.is_some());
+        task
+    }
+
+    fn category_of(&self, index: usize) -> u32 {
+        self.workflow.tasks[index].category.0
+    }
+
+    fn deps_of(&self, index: usize) -> Vec<u64> {
+        self.workflow.deps_of(index).to_vec()
+    }
+
+    fn dependency_window(&self) -> usize {
+        self.window
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,6 +344,40 @@ mod tests {
         for t in &drained {
             let expected = input_signal(7, t.id.0, t.peak.memory_mb(), cap);
             assert_eq!(t.features.input_signal, expected, "{}", t.id);
+        }
+    }
+
+    #[test]
+    fn workflow_sources_drain_their_trace_within_the_window() {
+        use crate::dag::DagShape;
+        let traces = [
+            WorkloadSpec::new(PaperWorkflow::Bimodal, 4).tasks(60),
+            WorkloadSpec::new(PaperWorkflow::Normal, 5).dag_shape(DagShape::random_layered(4, 5)),
+            WorkloadSpec::new(PaperWorkflow::TopEft, 6)
+                .category_tasks(vec![8, 64, 5])
+                .dag(),
+        ];
+        for spec in traces {
+            let wf = spec.materialize().unwrap();
+            let mut source = WorkflowSource::new(wf.clone());
+            assert_eq!(source.name(), wf.name);
+            assert_eq!(source.categories(), wf.categories.as_slice());
+            assert_eq!(source.worker(), wf.worker);
+            assert_eq!(source.total_tasks(), wf.len());
+            let window = source.dependency_window();
+            assert_eq!(window > 0, wf.has_dependencies(), "{}", wf.name);
+            // Queried before any pull: answers read the workflow, not the cursor.
+            for (i, task) in wf.tasks.iter().enumerate() {
+                assert_eq!(source.category_of(i), task.category.0);
+                let deps = source.deps_of(i);
+                assert_eq!(deps, wf.deps_of(i));
+                assert!(deps
+                    .iter()
+                    .all(|&d| (d as usize) < i && d as usize + window >= i));
+            }
+            let drained: Vec<_> = std::iter::from_fn(|| source.next_task()).collect();
+            assert_eq!(drained, wf.tasks, "{}", wf.name);
+            assert!(source.next_task().is_none(), "source is exhausted");
         }
     }
 

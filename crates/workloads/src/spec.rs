@@ -14,7 +14,7 @@
 use crate::catalog::PaperWorkflow;
 use crate::dag::{DagShape, DagSource};
 use crate::error::WorkloadError;
-use crate::source::{CatalogSource, TaskSource};
+use crate::source::{CatalogSource, TaskSource, WorkflowSource};
 use crate::topeft;
 use crate::workflow::Workflow;
 use serde::{Deserialize, Serialize};
@@ -165,14 +165,14 @@ impl WorkloadSpec {
     }
 
     /// The workload as a streaming [`TaskSource`]. Generated shapes stream
-    /// with a bounded dependency-lookahead window; only the Coffea trace
-    /// (`dag()`) must materialize instead (its dependency lists index the
-    /// full range).
+    /// with a bounded dependency-lookahead window; the Coffea trace
+    /// (`dag()`), whose dependency lists reach back across whole stages, is
+    /// built once and served by a [`WorkflowSource`].
     pub fn stream(&self) -> Result<Box<dyn TaskSource>, WorkloadError> {
-        self.validate()?;
         if self.dag {
-            return Err(WorkloadError::DagCannotStream);
+            return Ok(Box::new(WorkflowSource::new(self.materialize()?)));
         }
+        self.validate()?;
         let catalog = CatalogSource::new(self.workflow, self.category_counts()?, self.seed);
         Ok(match &self.shape {
             Some(shape) => Box::new(DagSource::new(catalog, shape.structure(self.seed))),
@@ -209,16 +209,18 @@ impl WorkloadSpec {
 
 /// Split `n` across categories in proportion to `weights`, exactly:
 /// cumulative rounding keeps the sum at `n` and every split deterministic.
+/// The products run in `u128`, so no `n` up to `usize::MAX` overflows.
 fn split_proportionally(n: usize, weights: &[usize]) -> Vec<usize> {
-    let total: usize = weights.iter().sum();
+    let total: u128 = weights.iter().map(|&w| w as u128).sum();
     if total == 0 {
         return vec![0; weights.len()];
     }
     let mut out = Vec::with_capacity(weights.len());
-    let (mut acc, mut wacc) = (0usize, 0usize);
+    let (mut acc, mut wacc) = (0usize, 0u128);
     for &w in weights {
-        wacc += w;
-        let target = n * wacc / total;
+        wacc += w as u128;
+        // `wacc <= total`, so the quotient is at most `n` and fits a usize.
+        let target = (n as u128 * wacc / total) as usize;
         out.push(target - acc);
         acc = target;
     }
@@ -257,7 +259,6 @@ mod tests {
         let dag = PaperWorkflow::TopEft.spec(1).dag().materialize().unwrap();
         assert!(dag.has_dependencies());
         dag.validate().unwrap();
-        assert!(PaperWorkflow::TopEft.spec(1).dag().stream().is_err());
     }
 
     #[test]
@@ -323,5 +324,12 @@ mod tests {
         assert_eq!(split_proportionally(7, &[1]), vec![7]);
         let s = split_proportionally(1, &[363, 3994, 212]);
         assert_eq!(s.iter().sum::<usize>(), 1);
+        // `n * weight` would overflow a usize here; the split must not.
+        for n in [100_000_000_000_000_000, usize::MAX] {
+            let s = split_proportionally(n, &[363, 3994, 212]);
+            assert_eq!(s.iter().sum::<usize>(), n);
+            assert!(s[1] > s[0] && s[0] > s[2], "{s:?}");
+        }
+        assert_eq!(split_proportionally(usize::MAX, &[1]), vec![usize::MAX]);
     }
 }

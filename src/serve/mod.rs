@@ -28,7 +28,7 @@
 //!
 //! | code | meaning |
 //! |------|---------|
-//! | `bad-request` | unparseable or non-UTF-8 line, or a field failed validation |
+//! | `bad-request` | unparseable or non-UTF-8 line, or a field failed validation (including `Workload.tasks` over [`session::MAX_WORKLOAD_TASKS`]) |
 //! | `line-too-long` | a request line over [`session::MAX_LINE_BYTES`]; the rest of the line is skipped |
 //! | `unknown-tenant` | no open tenant by that name |
 //! | `duplicate-tenant` | `Open` for a name already open |

@@ -129,7 +129,9 @@ pub enum Request {
         tenant: String,
         /// Built-in workflow name (see `tora workflows`).
         workflow: String,
-        /// Task count for synthetic workflows; 0 keeps the default size.
+        /// Task count for synthetic workflows, at most
+        /// [`MAX_WORKLOAD_TASKS`](super::session::MAX_WORKLOAD_TASKS); 0
+        /// keeps the default size.
         #[serde(default)]
         tasks: usize,
         /// Workflow generation seed.

@@ -22,6 +22,11 @@ use super::ServeConfig;
 /// Longer lines are answered `line-too-long` without being buffered.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
+/// The most tasks one `Workload` request may generate. Larger requests are
+/// answered `bad-request` before anything is built, so one line cannot ask
+/// the daemon for more memory than the machine has.
+pub const MAX_WORKLOAD_TASKS: usize = 1 << 20;
+
 /// A live daemon: the tenant registry plus the request dispatcher.
 pub struct Session {
     registry: Registry,
@@ -254,6 +259,11 @@ impl Session {
         };
         let built = if tasks == 0 {
             by_name.build(seed)
+        } else if tasks > MAX_WORKLOAD_TASKS {
+            return Response::error(
+                "bad-request",
+                format!("`tasks` {tasks} exceeds the {MAX_WORKLOAD_TASKS}-task cap"),
+            );
         } else {
             match by_name {
                 PaperWorkflow::ColmenaXtb | PaperWorkflow::TopEft => {

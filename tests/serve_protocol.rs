@@ -432,13 +432,6 @@ fn workload_error_codes_are_wire_stable() {
             "dag-unsupported",
         ),
         (
-            match PaperWorkflow::TopEft.spec(1).dag().stream() {
-                Err(e) => e,
-                Ok(_) => panic!("the Coffea DAG trace must not stream"),
-            },
-            "dag-cannot-stream",
-        ),
-        (
             PaperWorkflow::ColmenaXtb
                 .spec(1)
                 .category_tasks(vec![10])
@@ -486,7 +479,7 @@ const PREFIX: [&str; 3] = [
 ];
 
 /// Lines that must be refused wherever they appear after [`PREFIX`].
-const HOSTILE: [&str; 13] = [
+const HOSTILE: [&str; 14] = [
     r#"{"Open":"#,
     "garbage",
     r#"{"Submit":{"tenant":"a"}}"#,
@@ -500,6 +493,7 @@ const HOSTILE: [&str; 13] = [
     r#"{"Open":{"tenant":"b"}}"#,
     r#"{"Fault":{"tenant":"a","task":8,"kind":"meteor"}}"#,
     r#"{"Fault":{"tenant":"b","task":8,"kind":"exhaustion","exhausted":[]}}"#,
+    r#"{"Workload":{"tenant":"a","workflow":"bimodal","tasks":1000000000000,"seed":1}}"#,
 ];
 
 /// One well-formed request over the tenants of [`TENANTS`]. It may still

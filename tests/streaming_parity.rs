@@ -1,11 +1,15 @@
-//! Streaming ≡ materialized: the scaling path must not change physics.
+//! Streaming ≡ materialized: how a workload is generated must not change
+//! physics.
 //!
-//! `Simulation::from_source` pulls specs lazily from a [`TaskSource`];
-//! `Simulation::new` gets the same workload fully materialized. Because the
-//! source shares the per-family samplers and RNG streams with
+//! Every run enters the engine through one [`TaskSource`] intake.
+//! `Simulation::from_source` over [`WorkloadSpec::stream`] generates specs
+//! lazily; `Simulation::new` streams the same workload, already
+//! materialized, through a `WorkflowSource`. Because the catalog sources
+//! share the per-family samplers and RNG streams with
 //! [`WorkloadSpec::materialize`], the two runs must be *byte-identical* —
 //! same metrics, same stats, same event log, same allocator trace, same
-//! fault report — for every catalog workflow and any seed.
+//! fault report — for every catalog workflow, generated DAG shape and the
+//! Coffea `dag()` trace, at any seed.
 
 use tora::prelude::*;
 
@@ -89,9 +93,11 @@ fn streaming_and_materialized_runs_are_byte_identical() {
 /// that DAG specs could not): the source's bounded dependency-lookahead
 /// window lets the engine wire dependencies and resolve dead-letter
 /// cascades lazily, and the result must still be byte-identical to the
-/// materialized run — including the critical-path stats, which the
-/// streaming engine accumulates incrementally while the materialized one
-/// builds them up front. Heavy faults make the cascade path actually fire.
+/// materialized run — including the critical-path stats. The Coffea
+/// `dag()` trace, whose dependency lists reach back across whole stages,
+/// streams as its built `WorkflowSource`. Heavy faults make the cascade
+/// path actually fire; slow arrivals on a small pool make it reach tasks
+/// not yet pulled, through the source's lookahead window.
 #[test]
 fn dag_shapes_stream_byte_identically() {
     let shapes = [
@@ -101,13 +107,27 @@ fn dag_shapes_stream_byte_identically() {
         DagShape::random_layered(4, 4).with_loopback(1),
     ];
     for seed in SEEDS {
-        for shape in shapes {
+        let coffea = PaperWorkflow::TopEft
+            .spec(seed)
+            .category_tasks(vec![20, 160, 12])
+            .dag();
+        let specs = shapes.map(|shape| PaperWorkflow::Bimodal.spec(seed).dag_shape(shape));
+        for (spec, slow) in specs
+            .into_iter()
+            .chain([coffea])
+            .flat_map(|spec| [(spec.clone(), false), (spec, true)])
+        {
             let mut config = config_for(seed);
             config.faults = FaultPlan::named("heavy").expect("preset exists");
-            let spec = PaperWorkflow::Bimodal.spec(seed).dag_shape(shape);
-            let materialized = spec.materialize().expect("shaped spec is valid");
+            if slow {
+                config.arrival = ArrivalModel::Poisson {
+                    mean_interval_s: 80.0,
+                };
+                config.churn = ChurnConfig::fixed(3);
+            }
+            let materialized = spec.materialize().expect("DAG spec is valid");
             assert!(materialized.has_dependencies());
-            let source = spec.stream().expect("generated DAG shapes stream");
+            let source = spec.stream().expect("DAG specs stream");
             assert!(source.dependency_window() >= 1);
 
             let from_workflow = fingerprint(
@@ -120,12 +140,18 @@ fn dag_shapes_stream_byte_identically() {
             );
             assert_eq!(
                 from_workflow, from_stream,
-                "{shape:?} seed {seed}: streamed DAG diverged"
+                "{spec:?}: streamed DAG diverged"
             );
             assert!(
                 from_workflow.0.contains("critical_path"),
-                "{shape:?} seed {seed}: critical-path stats missing"
+                "{spec:?}: critical-path stats missing"
             );
+            if slow {
+                assert!(
+                    from_workflow.3.contains(r#""unarrived":true"#),
+                    "{spec:?}: no cascade reached an unpulled task"
+                );
+            }
         }
     }
 }
