@@ -89,6 +89,12 @@ print(f"benchmark ok: sim-flat-1m {rate:.0f} tasks/s, "
       f"serve-predict-burst p99 {p99:.0f} us")
 EOF
 
+echo "== perf gate: interleaved benchmark pairs against the parent commit =="
+# The floors above only catch order-of-magnitude regressions; this gate
+# fails on any metric worse than the parent by more than its BENCHMARK.json
+# bound, on the workloads whose layers the diff touches (see perf_gate.sh).
+./perf_gate.sh
+
 echo "== tora serve smoke (protocol + snapshot/restore byte parity) =="
 # A fixed conversation is answered twice (must be byte-identical), then
 # replayed across a kill: head of the conversation + Snapshot in one daemon

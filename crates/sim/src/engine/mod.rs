@@ -18,7 +18,7 @@
 //! | module      | owns |
 //! |-------------|------|
 //! | [`lifecycle`] | the typed per-task state machine ([`TaskPhase`]) and per-task bookkeeping |
-//! | `queue`     | the `(time, seq)`-ordered event queue with deterministic tie-breaking |
+//! | `queue`     | the `(time, seq)` min-heap of pending events, with deterministic tie-breaking |
 //! | `dispatch`  | allocation at dispatch time, placement, flaky-dispatch backoff, attempt completion |
 //! | `faults`    | crash / rack-crash / straggler injection and checkpoint salvage |
 //! | `churn`     | pool evolution and preemption |
@@ -85,6 +85,21 @@ pub enum ArrivalModel {
         /// Mean seconds between submissions.
         mean_interval_s: f64,
     },
+}
+
+impl ArrivalModel {
+    /// Validate the arrival parameters: a Poisson mean interval must be
+    /// finite and positive.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            ArrivalModel::Poisson { mean_interval_s }
+                if !(mean_interval_s.is_finite() && mean_interval_s > 0.0) =>
+            {
+                Err(format!("bad mean_interval_s {mean_interval_s}"))
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Optional heterogeneous pool: a fraction of joining workers are scaled-up
@@ -305,6 +320,9 @@ pub struct Simulation<S: EventSink = NoopSink> {
     config: SimConfig,
     pool: WorkerPool,
     churn_rng: StdRng,
+    /// Dedicated Poisson-arrival stream, drawn one gap per arrival as each
+    /// arrival fires.
+    arrival_rng: StdRng,
     /// Dedicated fault stream: a plan of all-zero rates draws nothing, so
     /// the churn/arrival/allocator streams are never perturbed.
     fault_rng: StdRng,
@@ -370,6 +388,7 @@ impl Simulation {
         let worker = source.worker();
         config.churn.validate().expect("invalid churn config");
         config.faults.validate().expect("invalid fault plan");
+        config.arrival.validate().expect("invalid arrival model");
         let alloc_config = AllocatorConfig {
             machine: worker,
             ..AllocatorConfig::default()
@@ -406,6 +425,7 @@ impl Simulation {
             config,
             pool,
             churn_rng,
+            arrival_rng: StdRng::seed_from_u64(config.seed ^ 0x0A88_17E5),
             fault_rng: StdRng::seed_from_u64(config.seed ^ 0x00FA_0175),
             events: EventQueue::new(),
             dispatch_ids: 0,
@@ -459,6 +479,7 @@ impl Simulation {
             config: self.config,
             pool: self.pool,
             churn_rng: self.churn_rng,
+            arrival_rng: self.arrival_rng,
             fault_rng: self.fault_rng,
             events: self.events,
             dispatch_ids: self.dispatch_ids,
@@ -621,7 +642,8 @@ impl<S: EventSink> Simulation<S> {
         }
     }
 
-    /// Schedule every task's arrival according to the arrival model.
+    /// Start the arrival model: a batch arrives whole at time zero; a
+    /// Poisson process schedules its first arrival.
     fn schedule_arrivals(&mut self) {
         match self.config.arrival {
             ArrivalModel::Batch => {
@@ -629,18 +651,23 @@ impl<S: EventSink> Simulation<S> {
                     self.on_arrive(task_idx);
                 }
             }
-            ArrivalModel::Poisson { mean_interval_s } => {
-                assert!(
-                    mean_interval_s.is_finite() && mean_interval_s > 0.0,
-                    "bad arrival interval"
-                );
-                let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x0A88_17E5);
-                let mut t = SimTime::ZERO;
-                for task_idx in 0..self.total_target() {
-                    t = t + exponential_interval_s(&mut rng, mean_interval_s).max(0.0);
-                    self.events.schedule(t, Event::Arrive { task_idx });
-                }
-            }
+            ArrivalModel::Poisson { .. } => self.schedule_arrival(0),
+        }
+    }
+
+    /// Schedule source task `task_idx`'s Poisson arrival one exponential
+    /// gap after now. Each arrival schedules the next as it fires, so one
+    /// arrival is pending at a time; the gaps come from the dedicated
+    /// stream in task order, so every arrival time is the same cumulative
+    /// sum an up-front schedule would compute.
+    fn schedule_arrival(&mut self, task_idx: usize) {
+        let ArrivalModel::Poisson { mean_interval_s } = self.config.arrival else {
+            return;
+        };
+        if task_idx < self.source_total {
+            let gap = exponential_interval_s(&mut self.arrival_rng, mean_interval_s).max(0.0);
+            self.events
+                .schedule(self.now + gap, Event::Arrive { task_idx });
         }
     }
 
@@ -729,10 +756,12 @@ impl<S: EventSink> Simulation<S> {
         while self.completed + self.dead_lettered < self.total_target() {
             let Some(ev) = self.events.pop() else {
                 // Without faults this is unreachable: every non-terminal
-                // task has a Finish or Arrive event in flight. Under a fault
-                // plan the event stream can legitimately dry up (e.g. every
-                // worker crashed away); dead-letter the stranded remainder
-                // so the run still terminates with conserved accounting.
+                // task has a Finish event in flight or an arrival still to
+                // come, and a Poisson process always keeps its next arrival
+                // pending. Under a fault plan the event stream can
+                // legitimately dry up (e.g. every worker crashed away);
+                // dead-letter the stranded remainder so the run still
+                // terminates with conserved accounting.
                 assert!(
                     self.config.faults.is_active(),
                     "tasks pending but no events scheduled"
@@ -744,7 +773,10 @@ impl<S: EventSink> Simulation<S> {
             self.now = ev.time;
             match ev.event {
                 Event::Finish { run } => self.on_finish(run),
-                Event::Arrive { task_idx } => self.on_arrive(task_idx),
+                Event::Arrive { task_idx } => {
+                    self.schedule_arrival(task_idx + 1);
+                    self.on_arrive(task_idx);
+                }
                 Event::Churn => self.on_churn(),
                 Event::Crash => self.on_crash(),
                 Event::RackCrash => self.on_rack_crash(),

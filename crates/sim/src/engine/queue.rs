@@ -6,17 +6,15 @@
 //! were scheduled, on every platform, every run — the golden chaos suite
 //! pins entire fault timelines byte for byte on this property.
 //!
-//! Internally the queue is a *calendar queue* (Brown 1988): a ring of time
-//! buckets, each `width` simulated seconds wide, scanned one epoch window
-//! at a time. Push is O(1); pop scans only the current window, which the
-//! resize policy keeps at O(1) events on average, so both ends are O(1)
-//! amortized where a `BinaryHeap` pays O(log n) per million-task event.
-//! The structure is invisible in output: pop always returns the exact
-//! `(time, seq)` minimum, so bucket width and resize thresholds can never
-//! change a simulation result, only its speed.
+//! The queue is a min-heap on that pair. It stays small: each renewal
+//! process (churn, crashes, rack crashes, Poisson arrivals) keeps one event
+//! pending, so it holds the in-flight attempts, the requeue backoffs and a
+//! handful more — never the workload's task count.
 
 use super::arena::RunId;
 use crate::time::SimTime;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// What the engine can wake up to.
 #[derive(Debug)]
@@ -44,12 +42,6 @@ pub(crate) struct QueuedEvent {
     pub(crate) time: SimTime,
     pub(crate) seq: u64,
     pub(crate) event: Event,
-    /// Epoch key `floor(time / width)`, stamped at insertion (and
-    /// re-stamped on rebuild, where the width changes). Window membership
-    /// is the integer comparison `key == epoch` — the *same* computation
-    /// that placed the event in its bucket, so bucket placement and window
-    /// scans can never disagree, even where floating-point edges round.
-    key: u64,
 }
 
 impl QueuedEvent {
@@ -59,42 +51,37 @@ impl QueuedEvent {
     }
 }
 
-/// Smallest bucket count; also the floor the queue shrinks back to.
-const MIN_BUCKETS: usize = 16;
-/// Largest bucket count. Beyond this the per-bucket allocation churn of a
-/// rebuild costs more (in page faults) than the slightly longer window
-/// scans save: a million-event backlog at 2^16 buckets still averages
-/// only ~16 events per window.
-const MAX_BUCKETS: usize = 1 << 16;
-/// Grow when the population exceeds this many events per bucket.
-const GROW_AT: usize = 2;
+impl PartialEq for QueuedEvent {
+    fn eq(&self, other: &Self) -> bool {
+        self.rank() == other.rank()
+    }
+}
 
-/// The calendar queue itself. It owns the sequence counter, so
-/// deterministic tie-breaking cannot be forgotten at a call site.
-///
-/// Invariant: every pending event's key is at least `epoch` (the current
-/// window). It holds because pop only advances the window past empty
-/// regions, and the engine never schedules into the past — new events
-/// land at or after the time being processed.
+impl Eq for QueuedEvent {}
+
+impl PartialOrd for QueuedEvent {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for QueuedEvent {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.rank().cmp(&other.rank())
+    }
+}
+
+/// The event queue. It owns the sequence counter, so deterministic
+/// tie-breaking cannot be forgotten at a call site.
 pub(crate) struct EventQueue {
-    buckets: Vec<Vec<QueuedEvent>>,
-    /// Simulated seconds covered by one bucket per epoch.
-    width: f64,
-    /// The window being scanned: events whose key equals this epoch.
-    /// Integer arithmetic only — the epoch never drifts the way a
-    /// float accumulator (`cur_top += width`) would.
-    epoch: u64,
-    len: usize,
+    heap: BinaryHeap<Reverse<QueuedEvent>>,
     seq: u64,
 }
 
 impl EventQueue {
     pub(crate) fn new() -> Self {
         EventQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width: 1.0,
-            epoch: 0,
-            len: 0,
+            heap: BinaryHeap::new(),
             seq: 0,
         }
     }
@@ -102,112 +89,16 @@ impl EventQueue {
     /// Schedule `event` at `time`, stamping the next sequence number.
     pub(crate) fn schedule(&mut self, time: SimTime, event: Event) {
         self.seq += 1;
-        if self.len >= GROW_AT * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
-            let target = (self.len * 2).next_power_of_two().min(MAX_BUCKETS);
-            self.rebuild(target);
-        }
-        let key = self.key_of(time);
-        let bucket = (key % self.buckets.len() as u64) as usize;
-        self.buckets[bucket].push(QueuedEvent {
+        self.heap.push(Reverse(QueuedEvent {
             time,
             seq: self.seq,
             event,
-            key,
-        });
-        self.len += 1;
+        }));
     }
 
     /// Pop the earliest event: smallest time, then earliest scheduled.
     pub(crate) fn pop(&mut self) -> Option<QueuedEvent> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.buckets.len() > MIN_BUCKETS && self.len * 8 < self.buckets.len() {
-            let target = (self.len * 2).next_power_of_two().max(MIN_BUCKETS);
-            self.rebuild(target);
-        }
-        let n = self.buckets.len();
-        for _ in 0..n {
-            let cur = (self.epoch % n as u64) as usize;
-            if let Some(best) = self.min_in_window(cur) {
-                self.len -= 1;
-                return Some(self.buckets[cur].swap_remove(best));
-            }
-            self.epoch += 1;
-        }
-        // Sparse tail: a full epoch cycle is empty, so jump the window
-        // straight to the global minimum instead of spinning across years.
-        let (bucket, idx) = self.global_min();
-        self.epoch = self.buckets[bucket][idx].key;
-        self.len -= 1;
-        Some(self.buckets[bucket].swap_remove(idx))
-    }
-
-    /// Epoch key `time` falls into under the current width.
-    fn key_of(&self, time: SimTime) -> u64 {
-        (time.seconds().max(0.0) / self.width).floor() as u64
-    }
-
-    /// Index of the `(time, seq)`-smallest event in bucket `cur` belonging
-    /// to the current epoch, if any. By the queue invariant (no event ever
-    /// lands in a past epoch) that event is the global minimum.
-    fn min_in_window(&self, cur: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, ev) in self.buckets[cur].iter().enumerate() {
-            if ev.key != self.epoch {
-                continue;
-            }
-            if best.is_none_or(|b| ev.rank() < self.buckets[cur][b].rank()) {
-                best = Some(i);
-            }
-        }
-        best
-    }
-
-    /// `(bucket, index)` of the `(time, seq)`-smallest pending event.
-    /// Only reached on the sparse-tail path, so the O(n) scan is rare.
-    fn global_min(&self) -> (usize, usize) {
-        let mut best: Option<((SimTime, u64), (usize, usize))> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, ev) in bucket.iter().enumerate() {
-                if best.is_none_or(|(rank, _)| ev.rank() < rank) {
-                    best = Some((ev.rank(), (b, i)));
-                }
-            }
-        }
-        best.expect("global_min on empty queue").1
-    }
-
-    /// Re-bucket every pending event into `nbuckets` buckets, re-deriving
-    /// the width from the observed event-time span so the average window
-    /// holds O(1) events. Keys are re-stamped under the new width, and the
-    /// epoch resumes at the current position translated into new-width
-    /// units — clamped to the earliest re-stamped key, so boundary
-    /// rounding in the translation can never strand a pending event in a
-    /// past window.
-    fn rebuild(&mut self, nbuckets: usize) {
-        let resume_s = self.epoch as f64 * self.width;
-        let mut pending: Vec<QueuedEvent> =
-            self.buckets.iter_mut().flat_map(|b| b.drain(..)).collect();
-        if let (Some(lo), Some(hi)) = (
-            pending.iter().map(|e| e.time).min(),
-            pending.iter().map(|e| e.time).max(),
-        ) {
-            let span = hi.seconds() - lo.seconds();
-            if span > 0.0 {
-                self.width = (span / pending.len() as f64).clamp(1e-3, 1e6);
-            }
-        }
-        self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-        self.epoch = (resume_s / self.width).floor() as u64;
-        for ev in &mut pending {
-            ev.key = (ev.time.seconds().max(0.0) / self.width).floor() as u64;
-            self.epoch = self.epoch.min(ev.key);
-        }
-        for ev in pending {
-            let bucket = (ev.key % nbuckets as u64) as usize;
-            self.buckets[bucket].push(ev);
-        }
+        self.heap.pop().map(|Reverse(ev)| ev)
     }
 }
 
@@ -256,11 +147,10 @@ mod tests {
     }
 
     #[test]
-    fn ties_break_by_seq_across_bucket_resizes() {
-        // Enough events to force several grow rebuilds, with deliberate
-        // time collisions so the (time, seq) tie-break is exercised under
-        // re-bucketing, plus a sparse far-future tail to hit the
-        // global-min jump.
+    fn ties_break_by_seq_among_many_collisions() {
+        // Thousands of events with deliberate time collisions, so the
+        // (time, seq) tie-break decides most pops, plus one far-future
+        // straggler.
         let mut q = EventQueue::new();
         let mut expect: Vec<(u64, u64)> = Vec::new(); // (time_key, seq)
         let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -278,7 +168,10 @@ mod tests {
         let got: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
             .map(|e| (e.time.seconds() as u64, e.seq))
             .collect();
-        assert_eq!(got, expect, "exact (time, seq) order survives resizes");
+        assert_eq!(
+            got, expect,
+            "exact (time, seq) order under heavy collisions"
+        );
     }
 
     #[test]

@@ -369,6 +369,77 @@ fn worker_mix_validation() {
     .is_err());
 }
 
+#[test]
+fn arrival_model_validation() {
+    assert!(ArrivalModel::Batch.validate().is_ok());
+    assert!(ArrivalModel::Poisson {
+        mean_interval_s: 1.5
+    }
+    .validate()
+    .is_ok());
+    for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        assert!(
+            ArrivalModel::Poisson {
+                mean_interval_s: bad
+            }
+            .validate()
+            .is_err(),
+            "mean interval {bad} accepted"
+        );
+    }
+}
+
+#[test]
+#[should_panic(expected = "bad mean_interval_s 0")]
+fn bad_arrival_interval_is_refused_at_construction() {
+    let config = SimConfig {
+        arrival: ArrivalModel::Poisson {
+            mean_interval_s: 0.0,
+        },
+        ..SimConfig::default()
+    };
+    // Building the engine must refuse the config; it is never run.
+    let _ = Simulation::new(
+        &small(SyntheticKind::Bimodal),
+        AlgorithmKind::ExhaustiveBucketing,
+        config,
+    );
+}
+
+#[test]
+fn poisson_arrivals_are_cumulative_sums_of_the_arrival_stream() {
+    // Each arrival schedules the next as it fires, so the arrival times
+    // must be exactly the running sums of the dedicated stream's draws, as
+    // if the whole schedule had been laid out at time zero.
+    let wf = small(SyntheticKind::Bimodal);
+    let mean_interval_s = 0.7;
+    let config = SimConfig {
+        arrival: ArrivalModel::Poisson { mean_interval_s },
+        seed: 11,
+        ..SimConfig::default()
+    };
+    let (_, log) = Simulation::new(&wf, AlgorithmKind::ExhaustiveBucketing, config)
+        .with_sink(EventLog::new())
+        .run_traced();
+    let submitted: Vec<(u64, f64)> = log
+        .entries()
+        .iter()
+        .filter_map(|e| match e.event {
+            SimEvent::TaskSubmitted { task } => Some((task.0, e.time_s)),
+            _ => None,
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x0A88_17E5);
+    let mut t = SimTime::ZERO;
+    let expected: Vec<(u64, f64)> = (0..wf.len() as u64)
+        .map(|id| {
+            t = t + exponential_interval_s(&mut rng, mean_interval_s).max(0.0);
+            (id, t.seconds())
+        })
+        .collect();
+    assert_eq!(submitted, expected);
+}
+
 /// A two-phase steering driver: submit `n` probe tasks, then — once all
 /// probes are done — submit one downstream task per probe whose memory
 /// depends on the probe's "result".

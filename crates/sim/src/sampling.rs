@@ -14,8 +14,8 @@ use rand::Rng;
 ///
 /// Inverse-CDF sampling on `1 - U` (never zero, so the log is finite):
 /// `-mean * ln(1 - U)`. The caller applies its own floor — event processes
-/// clamp to a small positive step to guarantee forward progress, while the
-/// arrival pre-roll tolerates zero-length gaps.
+/// clamp to a small positive step to guarantee forward progress, while
+/// Poisson arrivals tolerate zero-length gaps.
 pub fn exponential_interval_s<R: Rng>(rng: &mut R, mean_s: f64) -> f64 {
     let u: f64 = 1.0 - rng.gen::<f64>();
     -mean_s * u.ln()

@@ -1,15 +1,16 @@
 //! Simulation time: a totally ordered wrapper over `f64` seconds.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, Sub};
 
 /// A point in simulated time, in seconds since the run started.
 ///
-/// Wraps `f64` with `Ord` via `total_cmp` so it can key the event queue.
-/// Construction rejects NaN.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Wraps `f64` with `Ord` via `total_cmp` so it can key the event queue;
+/// equality is the same order's `Equal`. Construction rejects NaN and
+/// negative values and stores `-0.0` as `0.0`, so `total_cmp` and `==`
+/// agree on every value a `SimTime` can hold.
+#[derive(Debug, Clone, Copy)]
 pub struct SimTime(f64);
 
 impl SimTime {
@@ -22,12 +23,20 @@ impl SimTime {
     /// On NaN or negative values.
     pub fn new(seconds: f64) -> Self {
         assert!(seconds.is_finite() && seconds >= 0.0, "bad time {seconds}");
-        SimTime(seconds)
+        // `-0.0 >= 0.0` passes the check, but `total_cmp` orders it below
+        // `0.0`; adding `0.0` maps it to `+0.0` and leaves the rest alone.
+        SimTime(seconds + 0.0)
     }
 
     /// Seconds since the run started.
     pub fn seconds(self) -> f64 {
         self.0
+    }
+}
+
+impl PartialEq for SimTime {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
     }
 }
 
@@ -77,6 +86,15 @@ mod tests {
         assert_eq!(b - a, 1.5);
         assert_eq!((a + 1.5).seconds(), 2.5);
         assert_eq!(SimTime::ZERO.seconds(), 0.0);
+    }
+
+    #[test]
+    fn negative_zero_is_zero() {
+        let z = SimTime::new(-0.0);
+        assert_eq!(z, SimTime::ZERO);
+        assert_eq!(z.cmp(&SimTime::ZERO), Ordering::Equal);
+        assert!(z.seconds().is_sign_positive());
+        assert!((SimTime::ZERO + -0.0).seconds().is_sign_positive());
     }
 
     #[test]
