@@ -144,6 +144,23 @@ sed -n 3p "$oversized" | grep -q '^{"StatsReport"' || {
     exit 1
 }
 echo "serve smoke OK: oversized Workload refused, daemon kept serving"
+# A line of 200,000 `[` is under the line cap but nests past the parser's
+# 128-level bound: exactly one bad-request, then a StatsReport to the next
+# line. This checks the release binary's stdin line path end to end.
+deep=target/serve-smoke/deep.jsonl
+{
+    head -c 200000 /dev/zero | tr '\0' '['
+    printf '\n%s\n%s\n' '{"Stats":{}}' '{"Shutdown":{}}'
+} | $serve > "$deep"
+[ "$(grep -c '"code":"bad-request"' "$deep")" -eq 1 ] || {
+    echo "the 200,000-deep line was not answered with exactly one bad-request" >&2
+    exit 1
+}
+sed -n 2p "$deep" | grep -q '^{"StatsReport"' || {
+    echo "the daemon did not answer Stats after the 200,000-deep line" >&2
+    exit 1
+}
+echo "serve smoke OK: 200,000-deep line refused, daemon kept serving"
 
 echo "== serve protocol suite (golden transcripts, isolation, restore) =="
 cargo test -q --test serve_protocol

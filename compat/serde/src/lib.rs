@@ -2,14 +2,20 @@
 //! uses: the `Serialize`/`Deserialize` derives plus the machinery
 //! `serde_json` (compat) needs.
 //!
-//! Unlike upstream serde there is no zero-copy visitor pipeline — values
-//! round-trip through an owned [`Value`] tree. That is plenty for the
+//! Unlike upstream serde there is no data-model visitor pipeline: JSON is
+//! the only format. Writing goes straight to text — every [`Serialize`]
+//! impl calls the one JSON [`Serializer`], which appends to a `String`.
+//! Reading goes through an owned [`Value`] tree: the parser builds it and
+//! [`Deserialize`] rebuilds typed values from it. That is plenty for the
 //! workflow/event JSONL files this workspace reads and writes, and it keeps
-//! the whole layer ~600 lines with no external dependencies (the build must
+//! the whole layer small with no external dependencies (the build must
 //! succeed with an empty registry; see DESIGN.md).
 
 #![warn(missing_docs)]
 
+mod ser;
+
+pub use ser::Serializer;
 pub use serde_derive::{Deserialize, Serialize};
 
 /// An owned JSON-shaped value tree.
@@ -137,10 +143,10 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types convertible to a [`Value`] tree.
+/// Types that write themselves as JSON through a [`Serializer`].
 pub trait Serialize {
-    /// Convert to a value tree.
-    fn to_value(&self) -> Value;
+    /// Write `self` as one JSON value.
+    fn serialize(&self, out: &mut Serializer);
 }
 
 /// Types reconstructible from a [`Value`] tree.
@@ -152,8 +158,8 @@ pub trait Deserialize: Sized {
 // ------------------------------------------------------------- primitives --
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, out: &mut Serializer) {
+        out.bool(*self);
     }
 }
 
@@ -166,7 +172,7 @@ impl Deserialize for bool {
 macro_rules! uint_impl {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::UInt(*self as u64) }
+            fn serialize(&self, out: &mut Serializer) { out.u64(*self as u64) }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -184,10 +190,7 @@ uint_impl!(u8, u16, u32, u64, usize);
 macro_rules! int_impl {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let i = *self as i64;
-                if i >= 0 { Value::UInt(i as u64) } else { Value::Int(i) }
-            }
+            fn serialize(&self, out: &mut Serializer) { out.i64(*self as i64) }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -203,8 +206,8 @@ macro_rules! int_impl {
 int_impl!(i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Float(*self)
+    fn serialize(&self, out: &mut Serializer) {
+        out.f64(*self);
     }
 }
 
@@ -215,8 +218,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Float(*self as f64)
+    fn serialize(&self, out: &mut Serializer) {
+        out.f64(*self as f64);
     }
 }
 
@@ -227,8 +230,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize(&self, out: &mut Serializer) {
+        out.str(self);
     }
 }
 
@@ -241,14 +244,14 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, out: &mut Serializer) {
+        out.str(self);
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, out: &mut Serializer) {
+        out.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
@@ -266,14 +269,14 @@ impl Deserialize for char {
 // ------------------------------------------------------------- containers --
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, out: &mut Serializer) {
+        (**self).serialize(out);
     }
 }
 
 impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, out: &mut Serializer) {
+        (**self).serialize(out);
     }
 }
 
@@ -284,10 +287,10 @@ impl<T: Deserialize> Deserialize for Box<T> {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, out: &mut Serializer) {
         match self {
-            Some(t) => t.to_value(),
-            None => Value::Null,
+            Some(t) => t.serialize(out),
+            None => out.null(),
         }
     }
 }
@@ -302,20 +305,25 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, out: &mut Serializer) {
+        self.as_slice().serialize(out);
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, out: &mut Serializer) {
+        out.begin_array();
+        for item in self {
+            out.element();
+            item.serialize(out);
+        }
+        out.end_array();
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, out: &mut Serializer) {
+        self.as_slice().serialize(out);
     }
 }
 
@@ -347,8 +355,13 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 macro_rules! tuple_impl {
     ($len:literal; $($t:ident . $idx:tt),+) => {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
+            fn serialize(&self, out: &mut Serializer) {
+                out.begin_array();
+                $(
+                    out.element();
+                    self.$idx.serialize(out);
+                )+
+                out.end_array();
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -371,8 +384,24 @@ tuple_impl!(3; A.0, B.1, C.2);
 tuple_impl!(4; A.0, B.1, C.2, D.3);
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize(&self, out: &mut Serializer) {
+        match self {
+            Value::Null => out.null(),
+            Value::Bool(b) => out.bool(*b),
+            Value::UInt(u) => out.u64(*u),
+            Value::Int(i) => out.i64(*i),
+            Value::Float(f) => out.f64(*f),
+            Value::Str(s) => out.str(s),
+            Value::Array(items) => items.serialize(out),
+            Value::Object(fields) => {
+                out.begin_object();
+                for (k, v) in fields {
+                    out.key(k);
+                    v.serialize(out);
+                }
+                out.end_object();
+            }
+        }
     }
 }
 
@@ -383,11 +412,12 @@ impl Deserialize for Value {
 }
 
 impl<K: std::fmt::Display, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_value()))
-                .collect(),
-        )
+    fn serialize(&self, out: &mut Serializer) {
+        out.begin_object();
+        for (k, v) in self {
+            out.key(&k.to_string());
+            v.serialize(out);
+        }
+        out.end_object();
     }
 }

@@ -246,18 +246,28 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
 
 // ---------------------------------------------------------------- codegen --
 
-fn named_to_value(fields: &[Field], access: impl Fn(&str) -> String) -> String {
-    let pairs: String = fields
+/// Writes the named fields as one object; `access` names each field's value.
+fn named_serialize(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let entries: String = fields
         .iter()
         .map(|f| {
             format!(
-                "(::std::string::String::from(\"{n}\"), ::serde::Serialize::to_value({a})),",
+                "__out.key(\"{n}\"); ::serde::Serialize::serialize({a}, __out);",
                 n = f.name,
                 a = access(&f.name)
             )
         })
         .collect();
-    format!("::serde::Value::Object(::std::vec![{pairs}])")
+    format!("__out.begin_object(); {entries} __out.end_object();")
+}
+
+/// Writes the bindings as one array.
+fn elements_serialize(binds: &[String]) -> String {
+    let items: String = binds
+        .iter()
+        .map(|b| format!("__out.element(); ::serde::Serialize::serialize({b}, __out);"))
+        .collect();
+    format!("__out.begin_array(); {items} __out.end_array();")
 }
 
 fn named_from_value(ty: &str, ctor: &str, fields: &[Field], obj: &str) -> String {
@@ -286,53 +296,46 @@ fn named_from_value(ty: &str, ctor: &str, fields: &[Field], obj: &str) -> String
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.kind {
-        ItemKind::NamedStruct(fields) => named_to_value(fields, |f| format!("&self.{f}")),
-        ItemKind::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
+        ItemKind::NamedStruct(fields) => named_serialize(fields, |f| format!("&self.{f}")),
+        ItemKind::TupleStruct(1) => "::serde::Serialize::serialize(&self.0, __out);".to_string(),
         ItemKind::TupleStruct(n) => {
-            let elems: String = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i}),"))
-                .collect();
-            format!("::serde::Value::Array(::std::vec![{elems}])")
+            let fields: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+            elements_serialize(&fields)
         }
-        ItemKind::UnitStruct => "::serde::Value::Null".to_string(),
+        ItemKind::UnitStruct => "__out.null();".to_string(),
         ItemKind::Enum(variants) => {
+            // Externally tagged: a unit variant is its name, any other
+            // variant a one-key object from its name to its content.
             let arms: String = variants
                 .iter()
                 .map(|v| {
                     let vn = &v.name;
-                    match &v.shape {
-                        VariantShape::Unit => format!(
-                            "{name}::{vn} => ::serde::Value::Str(::std::string::String::from(\"{vn}\")),"
-                        ),
-                        VariantShape::Tuple(1) => format!(
-                            "{name}::{vn}(x0) => ::serde::Value::Object(::std::vec![(\
-                               ::std::string::String::from(\"{vn}\"), \
-                               ::serde::Serialize::to_value(x0))]),"
+                    let (pattern, content) = match &v.shape {
+                        VariantShape::Unit => {
+                            return format!("{name}::{vn} => __out.str(\"{vn}\"),");
+                        }
+                        VariantShape::Tuple(1) => (
+                            "(x0)".to_string(),
+                            "::serde::Serialize::serialize(x0, __out);".to_string(),
                         ),
                         VariantShape::Tuple(n) => {
                             let binds: Vec<String> = (0..*n).map(|i| format!("x{i}")).collect();
-                            let elems: String = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_value({b}),"))
-                                .collect();
-                            format!(
-                                "{name}::{vn}({binds}) => ::serde::Value::Object(::std::vec![(\
-                                   ::std::string::String::from(\"{vn}\"), \
-                                   ::serde::Value::Array(::std::vec![{elems}]))]),",
-                                binds = binds.join(", ")
-                            )
+                            (format!("({})", binds.join(", ")), elements_serialize(&binds))
                         }
                         VariantShape::Named(fields) => {
                             let binds: Vec<&str> =
                                 fields.iter().map(|f| f.name.as_str()).collect();
-                            let inner = named_to_value(fields, |f| f.to_string());
-                            format!(
-                                "{name}::{vn} {{ {binds} }} => ::serde::Value::Object(::std::vec![(\
-                                   ::std::string::String::from(\"{vn}\"), {inner})]),",
-                                binds = binds.join(", ")
+                            (
+                                format!("{{ {} }}", binds.join(", ")),
+                                named_serialize(fields, |f| f.to_string()),
                             )
                         }
-                    }
+                    };
+                    format!(
+                        "{name}::{vn} {pattern} => {{ \
+                           __out.begin_object(); __out.key(\"{vn}\"); {content} __out.end_object(); \
+                         }}"
+                    )
                 })
                 .collect();
             format!("match self {{ {arms} }}")
@@ -340,7 +343,7 @@ fn gen_serialize(item: &Item) -> String {
     };
     format!(
         "impl ::serde::Serialize for {name} {{ \
-           fn to_value(&self) -> ::serde::Value {{ {body} }} \
+           fn serialize(&self, __out: &mut ::serde::Serializer) {{ {body} }} \
          }}"
     )
 }

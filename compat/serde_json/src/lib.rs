@@ -1,16 +1,21 @@
-//! Offline JSON front-end for the in-tree serde compatibility layer:
-//! `to_string`, `to_string_pretty`, `to_value`, `from_value` and `from_str`
-//! over [`serde::Value`] trees.
+//! Offline JSON front-end for the in-tree serde compatibility layer.
+//!
+//! `to_string` and `to_string_pretty` drive the one [`serde::Serializer`],
+//! which writes straight into the output string. `from_str` parses into a
+//! [`serde::Value`] tree and rebuilds the typed value from it;
+//! `parse_value` and `from_value` expose the two halves.
 //!
 //! Output matches upstream `serde_json` closely enough for the workspace's
 //! JSONL logs: objects keep field order, floats print in Rust's shortest
 //! round-trip form with a `.0` marker when integral, and parsing floats uses
 //! `str::parse::<f64>` (correctly rounded, i.e. `float_roundtrip` behaviour).
+//! The parser refuses documents nested deeper than 128 levels and numbers
+//! that overflow to infinity.
 
 #![warn(missing_docs)]
 
 pub use serde::Value;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Serializer};
 
 /// Serialization/deserialization error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,11 +38,6 @@ impl From<serde::Error> for Error {
 /// `Result` alias matching `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Serialize to a value tree.
-pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
-    value.to_value()
-}
-
 /// Reconstruct a typed value from a value tree.
 pub fn from_value<T: Deserialize>(value: &Value) -> Result<T> {
     T::from_value(value).map_err(Error::from)
@@ -45,16 +45,16 @@ pub fn from_value<T: Deserialize>(value: &Value) -> Result<T> {
 
 /// Serialize to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0)?;
-    Ok(out)
+    let mut out = Serializer::compact();
+    value.serialize(&mut out);
+    Ok(out.finish()?)
 }
 
 /// Serialize to a 2-space-indented JSON string.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0)?;
-    Ok(out)
+    let mut out = Serializer::pretty();
+    value.serialize(&mut out);
+    Ok(out.finish()?)
 }
 
 /// Parse a typed value from JSON text.
@@ -63,103 +63,13 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T> {
     T::from_value(&value).map_err(Error::from)
 }
 
-// ---------------------------------------------------------------- printer --
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_float(out: &mut String, f: f64) -> std::result::Result<(), Error> {
-    if !f.is_finite() {
-        return Err(Error(format!("cannot serialize non-finite float {f}")));
-    }
-    let s = format!("{f}");
-    out.push_str(&s);
-    // Keep float-ness visible so the value re-parses as a float.
-    if !s.contains(['.', 'e', 'E']) {
-        out.push_str(".0");
-    }
-    Ok(())
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', width * depth));
-    }
-}
-
-fn write_value(
-    out: &mut String,
-    v: &Value,
-    indent: Option<usize>,
-    depth: usize,
-) -> std::result::Result<(), Error> {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => write_float(out, *f)?,
-        Value::Str(s) => write_escaped(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return Ok(());
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1)?;
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return Ok(());
-            }
-            out.push('{');
-            for (i, (k, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_escaped(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, depth + 1)?;
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-    Ok(())
-}
-
 // ----------------------------------------------------------------- parser --
+
+/// The deepest nesting of arrays and objects a document may have. The
+/// parser recurses once per level, so the bound keeps hostile input such as
+/// a line of 200,000 `[` from overflowing the stack; the workspace's deepest
+/// documents (serve snapshots) nest 10 levels.
+const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     text: &'a str,
@@ -204,9 +114,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse(&mut self) -> std::result::Result<Value, Error> {
+    /// Parse one value inside `depth` open arrays and objects.
+    fn parse(&mut self, depth: usize) -> std::result::Result<Value, Error> {
         self.skip_ws();
-        match self.peek().ok_or_else(|| self.err("unexpected end"))? {
+        let b = self.peek().ok_or_else(|| self.err("unexpected end"))?;
+        if matches!(b, b'[' | b'{') && depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        match b {
             b'n' => {
                 if self.eat_literal("null") {
                     Ok(Value::Null)
@@ -238,7 +153,7 @@ impl<'a> Parser<'a> {
                     return Ok(Value::Array(items));
                 }
                 loop {
-                    items.push(self.parse()?);
+                    items.push(self.parse(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => {
@@ -265,7 +180,7 @@ impl<'a> Parser<'a> {
                     let key = self.parse_string()?;
                     self.skip_ws();
                     self.expect(b':')?;
-                    let value = self.parse()?;
+                    let value = self.parse(depth + 1)?;
                     fields.push((key, value));
                     self.skip_ws();
                     match self.peek() {
@@ -375,19 +290,22 @@ impl<'a> Parser<'a> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
         if !is_float {
-            if let Some(digits) = text.strip_prefix('-') {
-                if let Ok(i) = digits.parse::<u64>() {
-                    if i <= i64::MAX as u64 {
-                        return Ok(Value::Int(-(i as i64)));
-                    }
+            if text.starts_with('-') {
+                if let Ok(i) = text.parse::<i64>() {
+                    return Ok(Value::Int(i));
                 }
             } else if let Ok(u) = text.parse::<u64>() {
                 return Ok(Value::UInt(u));
             }
         }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| self.err("invalid number"))
+        let f = text
+            .parse::<f64>()
+            .map_err(|_| self.err("invalid number"))?;
+        if !f.is_finite() {
+            // `1e400` parses to infinity, which no writer can emit again.
+            return Err(self.err("number out of range"));
+        }
+        Ok(Value::Float(f))
     }
 }
 
@@ -398,7 +316,7 @@ pub fn parse_value(text: &str) -> Result<Value> {
         bytes: text.as_bytes(),
         pos: 0,
     };
-    let v = p.parse()?;
+    let v = p.parse(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters"));
@@ -499,6 +417,48 @@ mod tests {
         let s = to_string(&v).unwrap();
         let back: Vec<Option<(u32, f64)>> = from_str(&s).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn extreme_integers_roundtrip() {
+        for text in ["-9223372036854775808", "18446744073709551615"] {
+            assert_eq!(to_string(&parse_value(text).unwrap()).unwrap(), text);
+        }
+        assert_eq!(from_str::<i64>("-9223372036854775808").unwrap(), i64::MIN);
+        // Below `i64::MIN` a negative integer is only representable as a float.
+        assert_eq!(
+            parse_value("-9223372036854775809").unwrap(),
+            Value::Float(-9223372036854775809.0)
+        );
+    }
+
+    #[test]
+    fn numbers_that_overflow_to_infinity_are_refused() {
+        for text in ["1e400", "-1e400", "[1.7976931348623159e308]"] {
+            let err = from_str::<Value>(text).unwrap_err();
+            assert!(
+                err.to_string().contains("number out of range"),
+                "{text}: {err}"
+            );
+        }
+        assert_eq!(from_str::<f64>("1e308").unwrap(), 1e308);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_128_levels() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_value(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_value(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse_value(&objects).is_err());
+        // A line of 200,000 `[` fails at the cap instead of overflowing the stack.
+        let err = parse_value(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
     }
 
     #[test]

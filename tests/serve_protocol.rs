@@ -466,6 +466,37 @@ fn an_invalid_surrogate_is_a_bad_request() {
     }
 }
 
+/// A line of 200,000 `[` fits under [`MAX_LINE_BYTES`] but nests far past
+/// the JSON parser's 128-level bound: it is answered `bad-request` instead
+/// of overflowing the stack, and the daemon's `Stats` reads the same after.
+#[test]
+fn a_deeply_nested_line_is_a_bad_request() {
+    let mut session = Session::new(&config());
+    session.handle_line(r#"{"Open":{"tenant":"wf","seed":7}}"#);
+    session.handle_line(r#"{"Submit":{"tenant":"wf","task":0,"category":0}}"#);
+    let stats = |session: &mut Session| {
+        let (response, _) = session.handle_line(r#"{"Stats":{}}"#);
+        serde_json::to_string(&response).expect("responses serialize")
+    };
+    let before = stats(&mut session);
+    let deep = "[".repeat(200_000);
+    assert!(deep.len() < MAX_LINE_BYTES);
+    let mut out = Vec::new();
+    let shutdown = session
+        .serve(format!("{deep}\n").as_bytes(), &mut out)
+        .expect("connection survives");
+    assert!(!shutdown);
+    let out = String::from_utf8(out).expect("responses are UTF-8");
+    match serde_json::from_str(out.trim_end()).expect("one response") {
+        Response::Error { code, message } => {
+            assert_eq!(code, "bad-request");
+            assert!(message.contains("nesting deeper than 128"), "{message}");
+        }
+        other => panic!("expected an error, got {other:?}"),
+    }
+    assert_eq!(stats(&mut session), before);
+}
+
 /// Tenants the script generators address. `a` and `b` are opened by
 /// [`PREFIX`]; `nobody` never is.
 const TENANTS: [&str; 2] = ["a", "b"];
