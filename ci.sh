@@ -16,6 +16,43 @@ if [ -n "$oversized" ]; then
     exit 1
 fi
 
+echo "== doc references resolve (README, DESIGN, EXPERIMENTS) =="
+# Every backticked `path.rs` or `path.rs:N` must name an existing file (a
+# path suffix, so `engine/queue.rs` finds crates/sim/src/engine/queue.rs)
+# with at least N lines, and every `tora-<crate>::<module>` (or
+# `tora-<crate>::{a,b}`) must name <crate dir>/src/<module>.rs or
+# <module>/mod.rs. ROADMAP.md is left out: its history names deleted files.
+python3 - <<'EOF'
+import os, re, sys
+files = []
+for dp, dn, fn in os.walk("."):
+    dn[:] = [d for d in dn if d not in ("target", ".git")]
+    files += [os.path.join(dp, f)[2:] for f in fn if f.endswith(".rs")]
+crates = {}
+for d in os.listdir("crates"):
+    m = re.search(r'^name = "([^"]+)"', open(f"crates/{d}/Cargo.toml").read(), re.M)
+    crates[m.group(1)] = f"crates/{d}/src"
+bad = []
+for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"]:
+    for ref in re.findall(r"`([^`\s]+)`", open(doc).read()):
+        m = re.fullmatch(r"([\w./-]+\.rs)(?::(\d+))?", ref)
+        if m:
+            path, lines = m.group(1), int(m.group(2) or 0)
+            hits = [f for f in files if f == path or f.endswith("/" + path)]
+            if not any(sum(1 for _ in open(f)) >= lines for f in hits):
+                bad.append(f"{doc}: `{ref}` names no such file")
+        m = re.match(r"(tora-[a-z]+)::(?:\{([\w, ]+)\}|([a-z_][a-z0-9_]*))", ref)
+        if m and m.group(1) in crates:
+            src = crates[m.group(1)]
+            for module in (m.group(2) or m.group(3)).split(","):
+                module = module.strip()
+                if not any(os.path.isfile(f"{src}/{p}") for p in (f"{module}.rs", f"{module}/mod.rs")):
+                    bad.append(f"{doc}: `{ref}` names no module {src}/{module}.rs")
+if bad:
+    sys.exit("unresolved doc references:\n" + "\n".join(bad))
+print("doc references ok")
+EOF
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

@@ -119,23 +119,24 @@ impl<T: Clone> Strategy for Just<T> {
 }
 
 macro_rules! range_strategy {
-    ($($t:ty),*) => {$(
-        impl Strategy for std::ops::Range<$t> {
-            type Value = $t;
-            fn generate(&self, rng: &mut TestRng) -> $t {
-                rng.gen_range(self.clone())
-            }
-        }
-        impl Strategy for std::ops::RangeInclusive<$t> {
-            type Value = $t;
-            fn generate(&self, rng: &mut TestRng) -> $t {
+    ($($range:ty),*) => {$(
+        impl Strategy for $range {
+            type Value = <$range as rand::SampleRange>::Output;
+            fn generate(&self, rng: &mut TestRng) -> Self::Value {
                 rng.gen_range(self.clone())
             }
         }
     )*};
 }
 
-range_strategy!(usize, u64, u32, i64, f64);
+range_strategy!(
+    std::ops::Range<usize>,
+    std::ops::RangeInclusive<usize>,
+    std::ops::Range<u64>,
+    std::ops::Range<u32>,
+    std::ops::Range<f64>,
+    std::ops::RangeInclusive<f64>
+);
 
 macro_rules! tuple_strategy {
     ($($s:ident . $idx:tt),+) => {
@@ -148,11 +149,9 @@ macro_rules! tuple_strategy {
     };
 }
 
-tuple_strategy!(A.0);
 tuple_strategy!(A.0, B.1);
 tuple_strategy!(A.0, B.1, C.2);
 tuple_strategy!(A.0, B.1, C.2, D.3);
-tuple_strategy!(A.0, B.1, C.2, D.3, E.4);
 tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5);
 tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5, G.6);
 
@@ -170,12 +169,6 @@ impl Arbitrary for bool {
 
 impl Arbitrary for u64 {
     fn arbitrary(rng: &mut TestRng) -> u64 {
-        rng.gen()
-    }
-}
-
-impl Arbitrary for f64 {
-    fn arbitrary(rng: &mut TestRng) -> f64 {
         rng.gen()
     }
 }
@@ -286,11 +279,6 @@ impl<T> Strategy for Union<T> {
         let i = rng.gen_range(0..self.options.len());
         self.options[i].generate(rng)
     }
-}
-
-/// Everything the generated test bodies need.
-pub mod test_runner {
-    pub use super::{ProptestConfig, TestCaseError};
 }
 
 /// Run one property across `config.cases` deterministic cases.

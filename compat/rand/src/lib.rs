@@ -24,12 +24,6 @@ impl FromRng for f64 {
     }
 }
 
-impl FromRng for f32 {
-    fn from_rng<R: Rng + ?Sized>(rng: &mut R) -> f32 {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
-    }
-}
-
 impl FromRng for bool {
     fn from_rng<R: Rng + ?Sized>(rng: &mut R) -> bool {
         rng.next_u64() >> 63 == 1
@@ -39,18 +33,6 @@ impl FromRng for bool {
 impl FromRng for u64 {
     fn from_rng<R: Rng + ?Sized>(rng: &mut R) -> u64 {
         rng.next_u64()
-    }
-}
-
-impl FromRng for u32 {
-    fn from_rng<R: Rng + ?Sized>(rng: &mut R) -> u32 {
-        (rng.next_u64() >> 32) as u32
-    }
-}
-
-impl FromRng for usize {
-    fn from_rng<R: Rng + ?Sized>(rng: &mut R) -> usize {
-        rng.next_u64() as usize
     }
 }
 
@@ -92,7 +74,7 @@ macro_rules! int_range {
     )*};
 }
 
-int_range!(usize, u64, u32, i64);
+int_range!(usize, u64, u32);
 
 impl SampleRange for std::ops::Range<f64> {
     type Output = f64;
@@ -129,12 +111,6 @@ pub trait Rng {
     /// Uniform draw from a range.
     fn gen_range<S: SampleRange>(&mut self, range: S) -> S::Output {
         range.sample_from(self)
-    }
-}
-
-impl<R: Rng + ?Sized> Rng for &mut R {
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
     }
 }
 

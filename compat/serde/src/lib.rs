@@ -185,7 +185,7 @@ macro_rules! uint_impl {
     )*};
 }
 
-uint_impl!(u8, u16, u32, u64, usize);
+uint_impl!(u32, u64, usize);
 
 macro_rules! int_impl {
     ($($t:ty),*) => {$(
@@ -203,7 +203,7 @@ macro_rules! int_impl {
     )*};
 }
 
-int_impl!(i8, i16, i32, i64, isize);
+int_impl!(i64);
 
 impl Serialize for f64 {
     fn serialize(&self, out: &mut Serializer) {
@@ -214,18 +214,6 @@ impl Serialize for f64 {
 impl Deserialize for f64 {
     fn from_value(v: &Value) -> Result<Self, Error> {
         v.as_f64().ok_or_else(|| Error::custom("expected number"))
-    }
-}
-
-impl Serialize for f32 {
-    fn serialize(&self, out: &mut Serializer) {
-        out.f64(*self as f64);
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.as_f64().ok_or_else(|| Error::custom("expected number"))? as f32)
     }
 }
 
@@ -249,40 +237,11 @@ impl Serialize for str {
     }
 }
 
-impl Serialize for char {
-    fn serialize(&self, out: &mut Serializer) {
-        out.str(self.encode_utf8(&mut [0; 4]));
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let s = v.as_str().ok_or_else(|| Error::custom("expected char"))?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(Error::custom("expected single-character string")),
-        }
-    }
-}
-
 // ------------------------------------------------------------- containers --
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn serialize(&self, out: &mut Serializer) {
         (**self).serialize(out);
-    }
-}
-
-impl<T: Serialize> Serialize for Box<T> {
-    fn serialize(&self, out: &mut Serializer) {
-        (**self).serialize(out);
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        T::from_value(v).map(Box::new)
     }
 }
 
@@ -378,10 +337,8 @@ macro_rules! tuple_impl {
     };
 }
 
-tuple_impl!(1; A.0);
 tuple_impl!(2; A.0, B.1);
 tuple_impl!(3; A.0, B.1, C.2);
-tuple_impl!(4; A.0, B.1, C.2, D.3);
 
 impl Serialize for Value {
     fn serialize(&self, out: &mut Serializer) {
@@ -408,16 +365,5 @@ impl Serialize for Value {
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
-    }
-}
-
-impl<K: std::fmt::Display, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
-    fn serialize(&self, out: &mut Serializer) {
-        out.begin_object();
-        for (k, v) in self {
-            out.key(&k.to_string());
-            v.serialize(out);
-        }
-        out.end_object();
     }
 }

@@ -8,11 +8,12 @@
 //! * structs with named fields (`#[serde(default)]` honoured per field;
 //!   any other `serde(...)` key is a compile error rather than a silent
 //!   no-op);
-//! * tuple structs (newtype and general);
-//! * enums with unit, newtype, tuple and struct variants, serialized in
-//!   serde's externally-tagged form (`"Variant"` / `{"Variant": ...}`).
+//! * newtype structs;
+//! * enums with unit, newtype and struct variants, serialized in serde's
+//!   externally-tagged form (`"Variant"` / `{"Variant": ...}`).
 //!
-//! Generics are not supported and produce a compile error.
+//! Generics, unit structs and tuple structs or variants of more than one
+//! field are not supported and produce a compile error.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -25,7 +26,7 @@ struct Field {
 #[derive(Debug)]
 enum VariantShape {
     Unit,
-    Tuple(usize),
+    Newtype,
     Named(Vec<Field>),
 }
 
@@ -38,8 +39,7 @@ struct Variant {
 #[derive(Debug)]
 enum ItemKind {
     NamedStruct(Vec<Field>),
-    TupleStruct(usize),
-    UnitStruct,
+    Newtype,
     Enum(Vec<Variant>),
 }
 
@@ -145,8 +145,9 @@ fn parse_named_fields(stream: TokenStream) -> Result<Vec<Field>, String> {
     Ok(fields)
 }
 
-/// Count the fields of a tuple-struct/-variant parenthesis group.
-fn count_tuple_fields(stream: TokenStream) -> Result<usize, String> {
+/// Check that a tuple-struct/-variant parenthesis group holds exactly one
+/// field; `what` names the struct or variant in the error.
+fn expect_newtype(stream: TokenStream, what: &str) -> Result<(), String> {
     let mut tokens = stream.into_iter().peekable();
     let mut n = 0;
     loop {
@@ -160,7 +161,13 @@ fn count_tuple_fields(stream: TokenStream) -> Result<usize, String> {
         }
         n += 1;
     }
-    Ok(n)
+    if n == 1 {
+        Ok(())
+    } else {
+        Err(format!(
+            "the serde compat derive supports one-field tuples only; `{what}` has {n}"
+        ))
+    }
 }
 
 fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
@@ -179,9 +186,9 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
                 VariantShape::Named(fields)
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let n = count_tuple_fields(g.stream())?;
+                expect_newtype(g.stream(), &name.to_string())?;
                 tokens.next();
-                VariantShape::Tuple(n)
+                VariantShape::Newtype
             }
             _ => VariantShape::Unit,
         };
@@ -236,9 +243,9 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
             }
         }
         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-            ItemKind::TupleStruct(count_tuple_fields(g.stream())?)
+            expect_newtype(g.stream(), &name)?;
+            ItemKind::Newtype
         }
-        Some(ref tt) if is_punct(tt, ';') => ItemKind::UnitStruct,
         other => panic!("unsupported item body for `{name}`: {other:?}"),
     };
     Ok(Item { name, kind })
@@ -259,15 +266,6 @@ fn named_serialize(fields: &[Field], access: impl Fn(&str) -> String) -> String 
         })
         .collect();
     format!("__out.begin_object(); {entries} __out.end_object();")
-}
-
-/// Writes the bindings as one array.
-fn elements_serialize(binds: &[String]) -> String {
-    let items: String = binds
-        .iter()
-        .map(|b| format!("__out.element(); ::serde::Serialize::serialize({b}, __out);"))
-        .collect();
-    format!("__out.begin_array(); {items} __out.end_array();")
 }
 
 fn named_from_value(ty: &str, ctor: &str, fields: &[Field], obj: &str) -> String {
@@ -297,12 +295,7 @@ fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.kind {
         ItemKind::NamedStruct(fields) => named_serialize(fields, |f| format!("&self.{f}")),
-        ItemKind::TupleStruct(1) => "::serde::Serialize::serialize(&self.0, __out);".to_string(),
-        ItemKind::TupleStruct(n) => {
-            let fields: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
-            elements_serialize(&fields)
-        }
-        ItemKind::UnitStruct => "__out.null();".to_string(),
+        ItemKind::Newtype => "::serde::Serialize::serialize(&self.0, __out);".to_string(),
         ItemKind::Enum(variants) => {
             // Externally tagged: a unit variant is its name, any other
             // variant a one-key object from its name to its content.
@@ -314,14 +307,10 @@ fn gen_serialize(item: &Item) -> String {
                         VariantShape::Unit => {
                             return format!("{name}::{vn} => __out.str(\"{vn}\"),");
                         }
-                        VariantShape::Tuple(1) => (
+                        VariantShape::Newtype => (
                             "(x0)".to_string(),
                             "::serde::Serialize::serialize(x0, __out);".to_string(),
                         ),
-                        VariantShape::Tuple(n) => {
-                            let binds: Vec<String> = (0..*n).map(|i| format!("x{i}")).collect();
-                            (format!("({})", binds.join(", ")), elements_serialize(&binds))
-                        }
                         VariantShape::Named(fields) => {
                             let binds: Vec<&str> =
                                 fields.iter().map(|f| f.name.as_str()).collect();
@@ -361,22 +350,9 @@ fn gen_deserialize(item: &Item) -> String {
                  ::std::result::Result::Ok({build})"
             )
         }
-        ItemKind::TupleStruct(1) => {
+        ItemKind::Newtype => {
             format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
         }
-        ItemKind::TupleStruct(n) => {
-            let elems: String = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?,"))
-                .collect();
-            format!(
-                "let items = match v {{ \
-                   ::serde::Value::Array(a) if a.len() == {n} => a, \
-                   _ => return ::std::result::Result::Err(::serde::Error::custom(\
-                        \"{name}: expected {n}-element array\")), }}; \
-                 ::std::result::Result::Ok({name}({elems}))"
-            )
-        }
-        ItemKind::UnitStruct => format!("::std::result::Result::Ok({name})"),
         ItemKind::Enum(variants) => {
             let unit_arms: String = variants
                 .iter()
@@ -395,23 +371,10 @@ fn gen_deserialize(item: &Item) -> String {
                     let vn = &v.name;
                     match &v.shape {
                         VariantShape::Unit => unreachable!(),
-                        VariantShape::Tuple(1) => format!(
+                        VariantShape::Newtype => format!(
                             "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}(\
                                ::serde::Deserialize::from_value(inner)?)),"
                         ),
-                        VariantShape::Tuple(n) => {
-                            let elems: String = (0..*n)
-                                .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?,"))
-                                .collect();
-                            format!(
-                                "\"{vn}\" => {{ \
-                                   let items = match inner {{ \
-                                     ::serde::Value::Array(a) if a.len() == {n} => a, \
-                                     _ => return ::std::result::Result::Err(::serde::Error::custom(\
-                                          \"{name}::{vn}: expected {n}-element array\")), }}; \
-                                   ::std::result::Result::Ok({name}::{vn}({elems})) }},"
-                            )
-                        }
                         VariantShape::Named(fields) => {
                             let build = named_from_value(
                                 &format!("{name}::{vn}"),

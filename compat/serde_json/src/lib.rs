@@ -38,11 +38,6 @@ impl From<serde::Error> for Error {
 /// `Result` alias matching `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Reconstruct a typed value from a value tree.
-pub fn from_value<T: Deserialize>(value: &Value) -> Result<T> {
-    T::from_value(value).map_err(Error::from)
-}
-
 /// Serialize to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = Serializer::compact();

@@ -128,7 +128,7 @@ pub fn run_matrix_for(
 /// Run an arbitrary sub-matrix on an explicit worker-thread count
 /// (`threads = 1` is the sequential reference; output is identical at any
 /// value).
-pub fn run_matrix_on(
+fn run_matrix_on(
     workflows: &[PaperWorkflow],
     algorithms: &[AlgorithmKind],
     config: &MatrixConfig,

@@ -18,16 +18,24 @@
 //!
 //! ## Construction
 //!
-//! [`Allocator::builder`] is the primary construction path:
+//! [`Allocator::builder`] sets the seed, worker shape, fault policy and
+//! event sink; [`Allocator::with_config`] takes a whole
+//! [`AllocatorConfig`]:
 //!
 //! ```
-//! use tora_alloc::allocator::{AlgorithmKind, Allocator};
+//! use tora_alloc::allocator::{AlgorithmKind, Allocator, AllocatorConfig};
 //!
 //! let allocator = Allocator::builder(AlgorithmKind::GreedyBucketing)
 //!     .seed(42)
-//!     .exploratory_records(5)
 //!     .build();
 //! assert_eq!(allocator.label(), "greedy-bucketing");
+//!
+//! let config = AllocatorConfig {
+//!     exploratory_records: 5,
+//!     ..AllocatorConfig::default()
+//! };
+//! let allocator = Allocator::with_config(AlgorithmKind::GreedyBucketing, config, 42);
+//! assert_eq!(allocator.config().exploratory_records, 5);
 //! ```
 //!
 //! ## Decision tracing
@@ -82,36 +90,6 @@ impl AllocatorBuilder {
     /// Worker shape allocations are clamped to.
     pub fn machine(mut self, machine: WorkerSpec) -> Self {
         self.config.machine = machine;
-        self
-    }
-
-    /// Resource kinds under management.
-    pub fn managed(mut self, managed: impl Into<Vec<ResourceKind>>) -> Self {
-        self.config.managed = managed.into();
-        self
-    }
-
-    /// Records required per category before leaving exploratory mode.
-    pub fn exploratory_records(mut self, n: usize) -> Self {
-        self.config.exploratory_records = n;
-        self
-    }
-
-    /// Exploratory policy override (the default follows the algorithm).
-    pub fn exploratory(mut self, policy: ExploratoryPolicy) -> Self {
-        self.config.exploratory = Some(policy);
-        self
-    }
-
-    /// Disable the §IV-A recency weighting (ablation).
-    pub fn uniform_significance(mut self, on: bool) -> Self {
-        self.config.uniform_significance = on;
-        self
-    }
-
-    /// Replace the whole configuration at once.
-    pub fn config(mut self, config: AllocatorConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -264,12 +242,8 @@ impl<S: EventSink> Allocator<S> {
         &self.config
     }
 
-    /// The exploratory policy in effect.
-    pub fn exploratory_policy(&self) -> ExploratoryPolicy {
-        self.exploratory
-    }
-
     /// Records observed for `category`.
+    #[cfg(test)]
     pub fn records_for(&self, category: CategoryId) -> usize {
         self.categories.get(&category).map_or(0, |s| s.records())
     }

@@ -433,32 +433,31 @@ fn paper_set_has_seven_distinct_labels() {
 }
 
 #[test]
-fn builder_configures_everything() {
-    let a = Allocator::builder(AlgorithmKind::MaxSeen)
-        .seed(7)
-        .machine(WorkerSpec::new(ResourceVector::new(8.0, 4096.0, 4096.0)))
-        .managed(vec![ResourceKind::MemoryMb])
-        .exploratory_records(3)
-        .exploratory(ExploratoryPolicy::paper_conservative())
-        .uniform_significance(true)
-        .build();
+fn with_config_configures_everything() {
+    let config = AllocatorConfig {
+        machine: WorkerSpec::new(ResourceVector::new(8.0, 4096.0, 4096.0)),
+        managed: vec![ResourceKind::MemoryMb],
+        exploratory_records: 3,
+        exploratory: Some(ExploratoryPolicy::paper_conservative()),
+        uniform_significance: true,
+    };
+    let a = Allocator::with_config(AlgorithmKind::MaxSeen, config, 7);
     assert_eq!(a.config().machine.capacity.cores(), 8.0);
     assert_eq!(a.config().managed, vec![ResourceKind::MemoryMb]);
     assert_eq!(a.config().exploratory_records, 3);
     assert!(a.config().uniform_significance);
-    assert_eq!(
-        a.exploratory_policy(),
-        ExploratoryPolicy::paper_conservative()
-    );
+    assert_eq!(a.exploratory, ExploratoryPolicy::paper_conservative());
     assert_eq!(a.algorithm(), Some(AlgorithmKind::MaxSeen));
 }
 
 #[test]
 fn traced_allocator_emits_the_full_event_stream() {
-    let mut a = Allocator::builder(AlgorithmKind::GreedyBucketing)
-        .seed(5)
-        .exploratory_records(2)
-        .sink(TraceStats::new());
+    let config = AllocatorConfig {
+        exploratory_records: 2,
+        ..AllocatorConfig::default()
+    };
+    let mut a = Allocator::with_config(AlgorithmKind::GreedyBucketing, config, 5)
+        .with_sink(TraceStats::new());
     // One exploratory prediction.
     let _ = a.predict_first(CategoryId(0));
     // Two observations leave exploration.

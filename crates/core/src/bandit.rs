@@ -93,19 +93,19 @@ impl SemiBandit {
     pub const ARMS: usize = 7;
 
     /// Depth buckets: depths `0, 1, 2` and `3+` learn separate tables.
-    pub const PHASES: usize = 4;
+    const PHASES: usize = 4;
 
     /// Exploration rate of the ε-greedy selection.
     pub const EPSILON: f64 = 0.1;
 
     /// Per-round exponential decay of the loss statistics.
-    pub const DECAY: f64 = 0.98;
+    const DECAY: f64 = 0.98;
 
     /// Fixed extra loss for an arm that would not have fit the task.
-    pub const RETRY_PENALTY: f64 = 0.25;
+    const RETRY_PENALTY: f64 = 0.25;
 
     /// Rounds a phase table needs before it answers instead of the global.
-    pub const MIN_ROUNDS: usize = 8;
+    const MIN_ROUNDS: usize = 8;
 
     /// A policy over one resource axis with the worker's capacity of it.
     pub fn new(capacity: f64) -> Self {
@@ -129,13 +129,8 @@ impl SemiBandit {
     }
 
     /// The phase bucket a DAG depth maps to.
-    pub fn phase_of(depth: u32) -> usize {
+    fn phase_of(depth: u32) -> usize {
         (depth as usize).min(Self::PHASES - 1)
-    }
-
-    /// The allocation levels on the arm grid (test/observability hook).
-    pub fn levels(&self) -> &[f64; Self::ARMS] {
-        &self.levels
     }
 
     /// The table that should answer for `depth`: its phase table once it
@@ -233,9 +228,9 @@ mod tests {
     #[test]
     fn levels_are_a_geometric_grid() {
         let sb = SemiBandit::new(1024.0);
-        assert_eq!(sb.levels()[0], 1024.0);
-        assert_eq!(sb.levels()[1], 512.0);
-        assert_eq!(sb.levels()[SemiBandit::ARMS - 1], 16.0);
+        assert_eq!(sb.levels[0], 1024.0);
+        assert_eq!(sb.levels[1], 512.0);
+        assert_eq!(sb.levels[SemiBandit::ARMS - 1], 16.0);
     }
 
     #[test]

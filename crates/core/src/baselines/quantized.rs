@@ -46,12 +46,12 @@ impl QuantizedBucketing {
     }
 
     /// The current low-bucket representative (the quantile value).
-    pub fn low_rep(&self) -> Option<f64> {
+    fn low_rep(&self) -> Option<f64> {
         self.records.quantile(self.quantile)
     }
 
     /// The current high-bucket representative (the max value).
-    pub fn high_rep(&self) -> Option<f64> {
+    fn high_rep(&self) -> Option<f64> {
         self.records.max_value()
     }
 }

@@ -73,11 +73,6 @@ impl Tovar {
         Self::new(TovarObjective::MaxThroughput, machine_capacity)
     }
 
-    /// The objective in use.
-    pub fn objective(&self) -> TovarObjective {
-        self.objective
-    }
-
     /// Evaluate the objective at candidate allocation `a` by walking the
     /// full record set (lower is better for both objectives — Max
     /// Throughput is expressed as expected allocation per packed success).
@@ -343,7 +338,7 @@ mod tests {
         assert_eq!(Tovar::min_waste(1.0).name(), "min-waste");
         assert_eq!(Tovar::max_throughput(1.0).name(), "max-throughput");
         assert_eq!(
-            Tovar::max_throughput(1.0).objective(),
+            Tovar::max_throughput(1.0).objective,
             TovarObjective::MaxThroughput
         );
     }

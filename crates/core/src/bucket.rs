@@ -120,11 +120,6 @@ impl BucketSet {
         self.buckets.is_empty()
     }
 
-    /// The largest representative value (the global max record).
-    pub fn max_rep(&self) -> Option<f64> {
-        self.buckets.last().map(|b| b.rep)
-    }
-
     /// Sample a bucket index according to the probability values, using a
     /// uniform draw `u ∈ [0, 1)`.
     ///
@@ -313,13 +308,6 @@ mod tests {
     #[should_panic(expected = "empty record list")]
     fn empty_records_rejected() {
         BucketSet::from_breaks(&[], &[]);
-    }
-
-    #[test]
-    fn max_rep_is_global_max() {
-        let l = records(&[3.0, 1.0, 2.0]);
-        let set = BucketSet::from_breaks(l.sorted(), &[0]);
-        assert_eq!(set.max_rep(), Some(3.0));
     }
 
     #[test]

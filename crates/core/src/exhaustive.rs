@@ -14,10 +14,10 @@
 use crate::bucket::BucketSet;
 use crate::cost::{exhaustive_cost, exhaustive_cost_with, ExhaustiveScratch, PrefixStats};
 use crate::partition::Partitioner;
-use crate::record::{RecordList, ScalarRecord};
+use crate::record::ScalarRecord;
 
 /// Bucket-count cap used in all paper experiments (§V-A).
-pub const PAPER_MAX_BUCKETS: usize = 10;
+const PAPER_MAX_BUCKETS: usize = 10;
 
 /// The Exhaustive Bucketing partitioner.
 ///
@@ -75,17 +75,6 @@ impl ExhaustiveBucketing {
             max_buckets,
             faithful: false,
         }
-    }
-
-    /// The configured bucket-count cap.
-    pub fn max_buckets(&self) -> usize {
-        self.max_buckets
-    }
-
-    /// Whether this instance reproduces the paper's per-configuration
-    /// costing (fresh bucket set per candidate count).
-    pub fn is_faithful(&self) -> bool {
-        self.faithful
     }
 
     /// The §IV-D grid for a `b`-bucket configuration over `records`:
@@ -195,19 +184,10 @@ impl Partitioner for ExhaustiveBucketing {
     }
 }
 
-/// Convenience: partition a [`RecordList`] and materialize the bucket set.
-pub fn bucketize(list: &RecordList, partitioner: &dyn Partitioner) -> Option<BucketSet> {
-    if list.is_empty() {
-        return None;
-    }
-    let breaks = partitioner.partition(list.sorted());
-    Some(BucketSet::from_breaks(list.sorted(), &breaks))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::GreedyBucketing;
+    use crate::record::RecordList;
 
     fn list(values: &[f64]) -> RecordList {
         values
@@ -331,23 +311,9 @@ mod tests {
             ExhaustiveBucketing::faithful().name(),
             "exhaustive-bucketing-faithful"
         );
-        assert!(ExhaustiveBucketing::faithful().is_faithful());
-        assert!(!ExhaustiveBucketing::new().is_faithful());
-        assert!(!ExhaustiveBucketing::with_max_buckets(3).is_faithful());
-    }
-
-    #[test]
-    fn bucketize_roundtrip_for_both_algorithms() {
-        let l = list(&[1.0, 2.0, 50.0, 51.0, 52.0, 400.0]);
-        for p in [
-            &ExhaustiveBucketing::new() as &dyn Partitioner,
-            &GreedyBucketing::new() as &dyn Partitioner,
-        ] {
-            let set = bucketize(&l, p).unwrap();
-            set.check_invariants(l.sorted()).unwrap();
-            assert_eq!(set.max_rep(), Some(400.0));
-        }
-        assert!(bucketize(&RecordList::new(), &ExhaustiveBucketing::new()).is_none());
+        assert!(ExhaustiveBucketing::faithful().faithful);
+        assert!(!ExhaustiveBucketing::new().faithful);
+        assert!(!ExhaustiveBucketing::with_max_buckets(3).faithful);
     }
 
     #[test]

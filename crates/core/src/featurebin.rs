@@ -13,7 +13,7 @@
 //! Two fallback rules keep the estimator safe where the feature is
 //! uninformative:
 //!
-//! 1. **Low support** — a bin with fewer than `min_support` observations
+//! 1. **Low support** — a bin with fewer than 4 observations
 //!    answers from the *category state* (the global running max over all
 //!    bins) instead, exactly what a category-global algorithm would know.
 //! 2. **Category floor** — a bin prediction is clamped from below by the
@@ -40,43 +40,29 @@ pub struct FeatureBinned {
     bins: [BinState; Self::BINS],
     global: BinState,
     min_seen: f64,
-    min_support: usize,
-    headroom: f64,
 }
 
 impl FeatureBinned {
     /// Number of equal-width bins over the `[0, 1]` input-signal range.
     pub const BINS: usize = 8;
 
-    /// Default minimum per-bin observations before the sub-state answers.
-    pub const MIN_SUPPORT: usize = 4;
+    /// Minimum per-bin observations before the sub-state answers.
+    const MIN_SUPPORT: usize = 4;
 
-    /// Default multiplicative headroom over a bin's running maximum.
-    pub const HEADROOM: f64 = 1.05;
+    /// Multiplicative headroom over a bin's running maximum.
+    const HEADROOM: f64 = 1.05;
 
-    /// The default configuration (support 4, 5% headroom).
+    /// An empty estimator (support 4, 5% headroom).
     pub fn new() -> Self {
-        Self::with_params(Self::MIN_SUPPORT, Self::HEADROOM)
-    }
-
-    /// Ablation constructor: explicit support threshold and headroom.
-    pub fn with_params(min_support: usize, headroom: f64) -> Self {
-        assert!(min_support >= 1, "min_support must be at least 1");
-        assert!(
-            headroom.is_finite() && headroom >= 1.0,
-            "headroom must be at least 1"
-        );
         FeatureBinned {
             bins: [BinState::default(); Self::BINS],
             global: BinState::default(),
             min_seen: f64::INFINITY,
-            min_support,
-            headroom,
         }
     }
 
     /// The bin index a signal falls into.
-    pub fn bin_of(signal: f64) -> usize {
+    fn bin_of(signal: f64) -> usize {
         let clamped = signal.clamp(0.0, 1.0);
         ((clamped * Self::BINS as f64) as usize).min(Self::BINS - 1)
     }
@@ -84,11 +70,6 @@ impl FeatureBinned {
     /// The category floor: the smallest peak observed so far.
     pub fn floor(&self) -> Option<f64> {
         (self.global.count > 0).then_some(self.min_seen)
-    }
-
-    /// Support of the bin the signal maps to (test/observability hook).
-    pub fn support_of(&self, signal: f64) -> usize {
-        self.bins[Self::bin_of(signal)].count
     }
 }
 
@@ -129,13 +110,13 @@ impl ValueEstimator for FeatureBinned {
         }
         let idx = Self::bin_of(ctx.features.input_signal);
         let bin = self.bins[idx];
-        if bin.count >= self.min_support {
+        if bin.count >= Self::MIN_SUPPORT {
             // Rule 2: never below the category floor.
-            let value = (bin.max * self.headroom).max(self.min_seen);
+            let value = (bin.max * Self::HEADROOM).max(self.min_seen);
             Some(Prediction::feature_bin(value, idx))
         } else {
             // Rule 1: low support falls back to the category state.
-            Some(Prediction::point(self.global.max * self.headroom))
+            Some(Prediction::point(self.global.max * Self::HEADROOM))
         }
     }
 
@@ -145,7 +126,7 @@ impl ValueEstimator for FeatureBinned {
         }
         // The sub-state under-predicted; escalate through the category max,
         // then geometrically.
-        let category_max = self.global.max * self.headroom;
+        let category_max = self.global.max * Self::HEADROOM;
         if prev < category_max {
             Some(Prediction::point(category_max))
         } else {
@@ -267,14 +248,8 @@ mod tests {
             fb.observe(400.0, 1.0);
         }
         assert_eq!(fb.len(), 10);
-        assert_eq!(fb.support_of(0.0), 0);
+        assert_eq!(fb.bins[FeatureBinned::bin_of(0.0)].count, 0);
         let p = fb.predict_first(&ctx(0.0), 0.0).unwrap();
         assert_eq!(p.source, crate::estimator::AllocSource::Point);
-    }
-
-    #[test]
-    #[should_panic(expected = "min_support")]
-    fn zero_support_rejected() {
-        FeatureBinned::with_params(0, 1.1);
     }
 }

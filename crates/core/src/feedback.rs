@@ -89,16 +89,11 @@ pub struct FaultPolicy {
     /// multiplies all prior weights by `decay` before adding itself with
     /// weight `1`. `1.0` weighs every held outcome equally; values below `1`
     /// favour recent outcomes, so the padding tracks fault *bursts* instead
-    /// of the long-run average. `0` (the serde default, produced by
-    /// pre-decay policy JSON) means *unset* — [`FaultPolicy::effective_decay`]
-    /// substitutes [`FaultPolicy::DEFAULT_DECAY`].
-    #[serde(default)]
+    /// of the long-run average. Must lie in `(0, 1]`.
     pub decay: f64,
     /// Decayed per-rack crash rate at or above which a rack is reported in
     /// [`FeedbackState::avoided_racks`] and deprioritized at placement.
-    /// `0` means *unset* — [`FaultPolicy::effective_rack_threshold`]
-    /// substitutes [`FaultPolicy::DEFAULT_RACK_THRESHOLD`].
-    #[serde(default)]
+    /// Must be positive.
     pub rack_crash_threshold: f64,
 }
 
@@ -109,8 +104,8 @@ impl Default for FaultPolicy {
             max_padding: 1.5,
             escalation_bias: 1.0,
             min_samples: 8,
-            decay: Self::DEFAULT_DECAY,
-            rack_crash_threshold: Self::DEFAULT_RACK_THRESHOLD,
+            decay: 0.95,
+            rack_crash_threshold: 0.5,
         }
     }
 }
@@ -136,44 +131,19 @@ impl FaultPolicy {
                 self.escalation_bias
             ));
         }
-        if !(self.decay.is_finite() && (0.0..=1.0).contains(&self.decay)) {
+        if !(self.decay > 0.0 && self.decay <= 1.0) {
             return Err(format!(
-                "fault policy decay must be in [0, 1] (0 = unset), got {}",
+                "fault policy decay must be in (0, 1], got {}",
                 self.decay
             ));
         }
-        if !(self.rack_crash_threshold.is_finite() && self.rack_crash_threshold >= 0.0) {
+        if !(self.rack_crash_threshold.is_finite() && self.rack_crash_threshold > 0.0) {
             return Err(format!(
-                "fault policy rack_crash_threshold must be >= 0 (0 = unset), got {}",
+                "fault policy rack_crash_threshold must be > 0, got {}",
                 self.rack_crash_threshold
             ));
         }
         Ok(())
-    }
-
-    /// Decay applied when the field was never set (pre-decay policies).
-    pub const DEFAULT_DECAY: f64 = 0.95;
-    /// Rack-avoidance threshold applied when the field was never set.
-    pub const DEFAULT_RACK_THRESHOLD: f64 = 0.5;
-
-    /// The decay in force: the configured value, or
-    /// [`Self::DEFAULT_DECAY`] when unset (`0`).
-    pub fn effective_decay(&self) -> f64 {
-        if self.decay > 0.0 {
-            self.decay
-        } else {
-            Self::DEFAULT_DECAY
-        }
-    }
-
-    /// The rack-avoidance threshold in force: the configured value, or
-    /// [`Self::DEFAULT_RACK_THRESHOLD`] when unset (`0`).
-    pub fn effective_rack_threshold(&self) -> f64 {
-        if self.rack_crash_threshold > 0.0 {
-            self.rack_crash_threshold
-        } else {
-            Self::DEFAULT_RACK_THRESHOLD
-        }
     }
 
     /// Padding factor on first predictions at the given fault rate.
@@ -247,7 +217,7 @@ impl FeedbackWindow {
 /// fraction. The decayed counts are maintained incrementally (O(1) push),
 /// so the hot path never walks the window.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DecayWindow {
+struct DecayWindow {
     capacity: usize,
     decay: f64,
     outcomes: VecDeque<AttemptFeedback>,
@@ -335,8 +305,8 @@ impl FeedbackState {
         let p = policy.unwrap_or(&defaults);
         FeedbackState {
             capacity: p.window.max(1),
-            decay: p.effective_decay(),
-            global: DecayWindow::new(p.window, p.effective_decay()),
+            decay: p.decay,
+            global: DecayWindow::new(p.window, p.decay),
             categories: std::collections::BTreeMap::new(),
             racks: std::collections::BTreeMap::new(),
         }
@@ -381,14 +351,6 @@ impl FeedbackState {
         self.categories.get(&category).map_or(0, |w| w.len())
     }
 
-    /// Decayed fault rate of one rack; racks that never reported read as
-    /// `0`.
-    pub fn rack_rate(&self, rack: u32, min_samples: usize) -> f64 {
-        self.racks
-            .get(&rack)
-            .map_or(0.0, |w| w.fault_rate(min_samples))
-    }
-
     /// Racks whose decayed crash rate meets
     /// [`FaultPolicy::rack_crash_threshold`] at sufficient support, in
     /// ascending rack order. Empty at zero observed faults, so placement
@@ -396,7 +358,7 @@ impl FeedbackState {
     pub fn avoided_racks(&self, policy: &FaultPolicy) -> Vec<u32> {
         self.racks
             .iter()
-            .filter(|(_, w)| w.fault_rate(policy.min_samples) >= policy.effective_rack_threshold())
+            .filter(|(_, w)| w.fault_rate(policy.min_samples) >= policy.rack_crash_threshold)
             .map(|(rack, _)| *rack)
             .collect()
     }
@@ -487,22 +449,43 @@ mod tests {
             let back: AttemptFeedback = serde_json::from_str(&json).unwrap();
             assert_eq!(back, outcome);
         }
+    }
+
+    #[test]
+    fn default_policy_round_trips_through_json() {
         let policy = FaultPolicy::default();
         let json = serde_json::to_string(&policy).unwrap();
         let back: FaultPolicy = serde_json::from_str(&json).unwrap();
         assert_eq!(back, policy);
-        // Pre-decay policy JSON (no decay/rack keys) parses to the zero
-        // sentinel, which the effective accessors resolve to the defaults.
-        let legacy = r#"{"window":64,"max_padding":1.5,"escalation_bias":1.0,"min_samples":8}"#;
-        let back: FaultPolicy = serde_json::from_str(legacy).unwrap();
-        assert_eq!(back.decay, 0.0);
-        assert!(back.validate().is_ok(), "zero sentinel is valid");
-        assert_eq!(back.effective_decay(), FaultPolicy::DEFAULT_DECAY);
-        assert_eq!(
-            back.effective_rack_threshold(),
-            FaultPolicy::DEFAULT_RACK_THRESHOLD
-        );
-        assert_eq!(policy.effective_decay(), policy.decay);
+        back.validate().unwrap();
+    }
+
+    #[test]
+    fn validation_rejects_out_of_range_decay_and_rack_threshold() {
+        for decay in [0.0, 1.5, f64::NAN] {
+            let p = FaultPolicy {
+                decay,
+                ..FaultPolicy::default()
+            };
+            let err = p.validate().unwrap_err();
+            assert!(err.contains("decay"), "decay {decay}: {err}");
+        }
+        for rack_crash_threshold in [0.0, -0.5] {
+            let p = FaultPolicy {
+                rack_crash_threshold,
+                ..FaultPolicy::default()
+            };
+            let err = p.validate().unwrap_err();
+            assert!(
+                err.contains("rack_crash_threshold"),
+                "threshold {rack_crash_threshold}: {err}"
+            );
+        }
+        let full = FaultPolicy {
+            decay: 1.0,
+            ..FaultPolicy::default()
+        };
+        full.validate().unwrap();
     }
 
     #[test]
@@ -587,8 +570,8 @@ mod tests {
         assert!(state.category_rate(CategoryId(1), policy.min_samples) > 0.99);
         // An unseen category reads as healthy.
         assert_eq!(state.category_rate(CategoryId(9), policy.min_samples), 0.0);
-        assert_eq!(state.rack_rate(1, policy.min_samples), 0.0);
-        assert!(state.rack_rate(2, policy.min_samples) > 0.99);
+        assert_eq!(state.racks[&1].fault_rate(policy.min_samples), 0.0);
+        assert!(state.racks[&2].fault_rate(policy.min_samples) > 0.99);
         assert_eq!(state.avoided_racks(&policy), vec![2]);
         // The pooled global rate sits between the two.
         let g = state.global_rate(policy.min_samples);

@@ -43,11 +43,6 @@ impl GreedyBucketing {
         GreedyBucketing { faithful: true }
     }
 
-    /// Whether this instance reproduces the paper's O(len²) scan cost.
-    pub fn is_faithful(&self) -> bool {
-        self.faithful
-    }
-
     /// Find the best break for `records[lo..=hi]`. Returns `(break, cost)`;
     /// `break == hi` means "keep one bucket". `stats` is only consulted by
     /// the prefix scan.
@@ -282,7 +277,7 @@ mod tests {
             GreedyBucketing::faithful().name(),
             "greedy-bucketing-faithful"
         );
-        assert!(GreedyBucketing::faithful().is_faithful());
-        assert!(!GreedyBucketing::new().is_faithful());
+        assert!(GreedyBucketing::faithful().faithful);
+        assert!(!GreedyBucketing::new().faithful);
     }
 }

@@ -18,47 +18,24 @@ use crate::cost::exhaustive_cost;
 use crate::partition::Partitioner;
 use crate::record::ScalarRecord;
 
-/// The k-means bucketing partitioner.
-#[derive(Debug, Clone, Copy)]
-pub struct KMeansBucketing {
-    max_clusters: usize,
-    max_iterations: usize,
-}
-
-impl Default for KMeansBucketing {
-    fn default() -> Self {
-        KMeansBucketing {
-            max_clusters: 10,
-            max_iterations: 50,
-        }
-    }
-}
+/// The k-means bucketing partitioner: up to 10 clusters (the same cap as
+/// Exhaustive Bucketing), at most 50 Lloyd iterations per `k`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KMeansBucketing;
 
 impl KMeansBucketing {
-    /// Default configuration: up to 10 clusters (the same cap as Exhaustive
-    /// Bucketing), at most 50 Lloyd iterations per `k`.
+    const MAX_CLUSTERS: usize = 10;
+    const MAX_ITERATIONS: usize = 50;
+
+    /// The partitioner.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Ablation constructor.
-    pub fn with_max_clusters(max_clusters: usize) -> Self {
-        assert!(max_clusters >= 1);
-        KMeansBucketing {
-            max_clusters,
-            ..Self::default()
-        }
-    }
-
-    /// The configured cluster cap.
-    pub fn max_clusters(&self) -> usize {
-        self.max_clusters
+        KMeansBucketing
     }
 
     /// Run weighted 1-D Lloyd's algorithm for exactly `k` clusters over the
     /// sorted records. Returns bucket end indices (excluding the final one),
     /// or `None` when the data cannot support `k` distinct clusters.
-    pub fn lloyd(&self, records: &[ScalarRecord], k: usize) -> Option<Vec<usize>> {
+    fn lloyd(&self, records: &[ScalarRecord], k: usize) -> Option<Vec<usize>> {
         let n = records.len();
         if k == 0 || k > n {
             return None;
@@ -81,7 +58,7 @@ impl KMeansBucketing {
         // In 1-D with sorted data, an assignment is a set of boundaries:
         // record i belongs to the centroid nearest its value.
         let mut boundaries = vec![0usize; k - 1];
-        for _ in 0..self.max_iterations {
+        for _ in 0..Self::MAX_ITERATIONS {
             // Assignment step: boundary between cluster j and j+1 is the
             // midpoint of their centroids.
             let mut new_boundaries = Vec::with_capacity(k - 1);
@@ -139,7 +116,7 @@ impl Partitioner for KMeansBucketing {
         }
         let mut best_breaks = Vec::new();
         let mut best_cost = exhaustive_cost(&BucketSet::single(records));
-        for k in 2..=self.max_clusters.min(n) {
+        for k in 2..=Self::MAX_CLUSTERS.min(n) {
             let Some(breaks) = self.lloyd(records, k) else {
                 continue;
             };
@@ -215,12 +192,14 @@ mod tests {
 
     #[test]
     fn respects_cluster_cap() {
-        let values: Vec<f64> = (0..60).map(|i| (i as f64 + 1.0) * 100.0).collect();
+        // Sixteen tight, widely spaced groups want more than the 10-cluster
+        // cap allows.
+        let values: Vec<f64> = (0..16)
+            .flat_map(|g| (0..5).map(move |i| 1000.0 * 2f64.powi(g) + i as f64))
+            .collect();
         let l = list(&values);
-        let km = KMeansBucketing::with_max_clusters(4);
-        let breaks = km.partition(l.sorted());
-        assert!(breaks.len() < 4, "{breaks:?}");
-        assert_eq!(km.max_clusters(), 4);
+        let breaks = KMeansBucketing::new().partition(l.sorted());
+        assert!(!breaks.is_empty() && breaks.len() < 10, "{breaks:?}");
     }
 
     #[test]

@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// One allocator input: everything that can move allocator state.
 ///
 /// The variants mirror the mutating half of the [`Allocator`] API. Read-only
-/// calls (`snapshot`, `records_for`, …) are not journaled — they cannot
+/// calls (`snapshot`, `config`, …) are not journaled — they cannot
 /// change what a later call returns.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum AllocOp {

@@ -114,7 +114,7 @@ impl<P: Partitioner> BucketingEstimator<P> {
     /// Past [`EXACT_REBUCKET_LIMIT`] records a dirty state may serve the
     /// cached (slightly stale) set until the pending batch is large enough —
     /// see the module docs on geometric batching.
-    pub fn bucket_set(&mut self) -> Option<&BucketSet> {
+    fn bucket_set(&mut self) -> Option<&BucketSet> {
         self.bucket_set_inner(false)
     }
 
@@ -290,7 +290,7 @@ mod tests {
         let next = est.retry(first, 0.5).unwrap();
         assert!(next > first);
         // Retrying from the top representative must double.
-        let top = est.bucket_set().unwrap().max_rep().unwrap();
+        let top = est.bucket_set().unwrap().buckets().last().unwrap().rep;
         let ctx = TaskContext::from(crate::task::CategoryId(0));
         let doubled = est.predict_retry(&ctx, top, 0.5).unwrap();
         assert_eq!(doubled.value, top * 2.0);

@@ -7,10 +7,8 @@
 //! in a pending buffer in O(1) and are folded into the sorted list in one
 //! merge pass when a consumer next needs the order
 //! ([`RecordList::commit`]). Aggregates that don't need the order —
-//! [`RecordList::sig_sum`], [`RecordList::weighted_mean`],
-//! [`RecordList::min_value`], [`RecordList::max_value`],
-//! [`RecordList::max_sig`] — are maintained as running caches and stay O(1)
-//! regardless of pending state.
+//! [`RecordList::min_value`], [`RecordList::max_value`] — are maintained as
+//! running caches and stay O(1) regardless of pending state.
 
 use serde::{Deserialize, Serialize};
 
@@ -46,13 +44,6 @@ pub struct RecordList {
     sorted: Vec<ScalarRecord>,
     /// Observations not yet merged into `sorted`.
     pending: Vec<ScalarRecord>,
-    /// Running maximum significance, used by callers that need a "most
-    /// recent" notion without re-scanning.
-    max_sig: f64,
-    /// Running Σ sig over `sorted` and `pending`.
-    sig_sum: f64,
-    /// Running Σ value·sig over `sorted` and `pending`.
-    weighted_sum: f64,
     /// Running min/max value over `sorted` and `pending` (NaN when empty).
     min_value: f64,
     max_value: f64,
@@ -64,9 +55,6 @@ impl RecordList {
         RecordList {
             sorted: Vec::new(),
             pending: Vec::new(),
-            max_sig: 0.0,
-            sig_sum: 0.0,
-            weighted_sum: 0.0,
             min_value: f64::NAN,
             max_value: f64::NAN,
         }
@@ -82,11 +70,6 @@ impl RecordList {
         self.sorted.is_empty() && self.pending.is_empty()
     }
 
-    /// Whether all observations have been merged into the sorted list.
-    pub fn is_committed(&self) -> bool {
-        self.pending.is_empty()
-    }
-
     /// Number of observations waiting in the pending batch.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
@@ -95,11 +78,6 @@ impl RecordList {
     /// Buffer a record in O(1); it joins the sorted order at the next
     /// [`commit`](Self::commit).
     pub fn push(&mut self, record: ScalarRecord) {
-        if record.sig > self.max_sig {
-            self.max_sig = record.sig;
-        }
-        self.sig_sum += record.sig;
-        self.weighted_sum += record.value * record.sig;
         if self.min_value.is_nan() || record.value < self.min_value {
             self.min_value = record.value;
         }
@@ -187,25 +165,6 @@ impl RecordList {
         }
     }
 
-    /// Largest significance seen so far.
-    pub fn max_sig(&self) -> f64 {
-        self.max_sig
-    }
-
-    /// Total significance weight (O(1), pending included).
-    pub fn sig_sum(&self) -> f64 {
-        self.sig_sum
-    }
-
-    /// Significance-weighted mean of all values (`None` when empty; O(1),
-    /// pending included).
-    pub fn weighted_mean(&self) -> Option<f64> {
-        if self.is_empty() {
-            return None;
-        }
-        Some(self.weighted_sum / self.sig_sum)
-    }
-
     /// The value at the given quantile `q ∈ [0, 1]` by *record count*
     /// (nearest-rank on the sorted list). `None` when empty.
     ///
@@ -242,9 +201,6 @@ impl RecordList {
     pub fn clear(&mut self) {
         self.sorted.clear();
         self.pending.clear();
-        self.max_sig = 0.0;
-        self.sig_sum = 0.0;
-        self.weighted_sum = 0.0;
         self.min_value = f64::NAN;
         self.max_value = f64::NAN;
     }
@@ -284,30 +240,17 @@ mod tests {
     }
 
     #[test]
-    fn weighted_mean_matches_hand_computation() {
-        // values 2 (sig 1) and 4 (sig 3): mean = (2*1 + 4*3) / 4 = 3.5
-        let mut l = RecordList::new();
-        l.observe(2.0, 1.0);
-        l.observe(4.0, 3.0);
-        assert!((l.weighted_mean().unwrap() - 3.5).abs() < 1e-12);
-        assert_eq!(l.sig_sum(), 4.0);
-    }
-
-    #[test]
     fn aggregates_are_live_before_commit() {
         // The running caches answer without a merge.
         let mut l = RecordList::new();
         l.observe(10.0, 1.0);
         l.observe(2.0, 3.0);
-        assert!(!l.is_committed());
+        assert_eq!(l.pending_len(), 2);
         assert_eq!(l.len(), 2);
         assert_eq!(l.min_value(), Some(2.0));
         assert_eq!(l.max_value(), Some(10.0));
-        assert_eq!(l.sig_sum(), 4.0);
-        assert_eq!(l.max_sig(), 3.0);
-        assert!((l.weighted_mean().unwrap() - 4.0).abs() < 1e-12);
         assert!(l.commit());
-        assert!(l.is_committed());
+        assert_eq!(l.pending_len(), 0);
         assert!(!l.commit(), "second commit is a no-op");
         assert_eq!(l.sorted().len(), 2);
     }
@@ -325,7 +268,6 @@ mod tests {
         l.commit();
         let values: Vec<f64> = l.sorted().iter().map(|r| r.value).collect();
         assert_eq!(values, vec![0.5, 1.0, 3.0, 5.0, 7.0, 9.0, 9.5]);
-        assert_eq!(l.max_sig(), 2.0);
     }
 
     #[test]
@@ -357,7 +299,6 @@ mod tests {
         assert!(l.is_empty());
         assert_eq!(l.max_value(), None);
         assert_eq!(l.min_value(), None);
-        assert_eq!(l.weighted_mean(), None);
         assert_eq!(l.quantile(0.5), None);
         assert_eq!(l.closest_below(10.0), None);
     }
@@ -383,17 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn max_sig_tracks_running_maximum() {
-        let mut l = RecordList::new();
-        l.observe(5.0, 3.0);
-        l.observe(1.0, 7.0);
-        l.observe(9.0, 2.0);
-        assert_eq!(l.max_sig(), 7.0);
-        l.commit();
-        assert_eq!(l.max_sig(), 7.0, "merge must not disturb max_sig");
-    }
-
-    #[test]
     fn duplicate_values_all_kept() {
         let mut l = RecordList::new();
         for i in 0..4 {
@@ -409,26 +339,20 @@ mod tests {
         let mut l = list(&[1.0, 2.0]);
         l.clear();
         assert!(l.is_empty());
-        assert_eq!(l.max_sig(), 0.0);
-        assert_eq!(l.sig_sum(), 0.0);
-        assert_eq!(l.weighted_mean(), None);
         assert_eq!(l.min_value(), None);
         assert_eq!(l.max_value(), None);
     }
 
     #[test]
     fn clear_then_observe_rebuilds_caches_from_scratch() {
-        // Regression: a stale running sum after clear() would poison every
-        // later weighted_mean/sig_sum.
+        // Regression: a stale running cache after clear() would poison every
+        // later min/max.
         let mut l = list(&[100.0, 200.0]);
         l.observe(300.0, 50.0); // leave something pending too
         l.clear();
         l.observe(4.0, 2.0);
         l.observe(8.0, 2.0);
         assert_eq!(l.len(), 2);
-        assert_eq!(l.sig_sum(), 4.0);
-        assert_eq!(l.max_sig(), 2.0);
-        assert!((l.weighted_mean().unwrap() - 6.0).abs() < 1e-12);
         assert_eq!(l.min_value(), Some(4.0));
         assert_eq!(l.max_value(), Some(8.0));
         l.commit();

@@ -19,7 +19,7 @@ use std::fmt;
 use std::ops::{Index, IndexMut};
 
 /// Number of resource axes carried by a [`ResourceVector`].
-pub const NUM_KINDS: usize = 5;
+const NUM_KINDS: usize = 5;
 
 /// An enforced (allocatable) resource dimension.
 ///
@@ -135,17 +135,6 @@ impl ResourceMask {
     pub fn iter(&self) -> impl Iterator<Item = ResourceKind> + '_ {
         ResourceKind::ALL.into_iter().filter(|&k| self.contains(k))
     }
-
-    /// Union with another mask.
-    pub fn union(&self, other: &ResourceMask) -> ResourceMask {
-        let mut out = *self;
-        for k in ResourceKind::ALL {
-            if other.contains(k) {
-                out.set(k, true);
-            }
-        }
-        out
-    }
 }
 
 impl FromIterator<ResourceKind> for ResourceMask {
@@ -180,11 +169,6 @@ impl ResourceVector {
         v[ResourceKind::MemoryMb] = memory_mb;
         v[ResourceKind::DiskMb] = disk_mb;
         v
-    }
-
-    /// Build from an explicit array in [`ResourceKind::ALL`] order.
-    pub fn from_array(values: [f64; NUM_KINDS]) -> Self {
-        ResourceVector { values }
     }
 
     /// Cores component.
@@ -436,17 +420,13 @@ mod tests {
     }
 
     #[test]
-    fn mask_union_and_from_iter() {
-        let a = ResourceMask::only(ResourceKind::Cores);
-        let b = ResourceMask::only(ResourceKind::DiskMb);
-        let u = a.union(&b);
-        assert!(u.contains(ResourceKind::Cores));
-        assert!(u.contains(ResourceKind::DiskMb));
-        assert!(!u.contains(ResourceKind::MemoryMb));
+    fn mask_from_iter() {
         let c: ResourceMask = [ResourceKind::Cores, ResourceKind::DiskMb]
             .into_iter()
             .collect();
-        assert_eq!(u, c);
+        assert!(c.contains(ResourceKind::Cores));
+        assert!(c.contains(ResourceKind::DiskMb));
+        assert!(!c.contains(ResourceKind::MemoryMb));
     }
 
     #[test]

@@ -104,12 +104,6 @@ impl TaskContext {
             attempt: 0,
         }
     }
-
-    /// A copy with the attempt count set.
-    pub fn with_attempt(mut self, attempt: u32) -> Self {
-        self.attempt = attempt;
-        self
-    }
 }
 
 impl From<CategoryId> for TaskContext {
@@ -274,7 +268,6 @@ mod tests {
         assert_eq!(ctx.category, CategoryId(1));
         assert_eq!(ctx.features.depth, 2);
         assert_eq!(ctx.attempt, 0);
-        assert_eq!(ctx.with_attempt(3).attempt, 3);
         let r = ResourceRecord::from_task(&spec);
         assert_eq!(r.features, spec.features);
         let round: TaskContext =

@@ -156,7 +156,7 @@ impl WorkflowMetrics {
     }
 
     /// Allocation burned by dead-lettered tasks in one dimension.
-    pub fn dead_letter_allocation(&self, kind: ResourceKind) -> f64 {
+    fn dead_letter_allocation(&self, kind: ResourceKind) -> f64 {
         self.dead_letters
             .iter()
             .map(|d| d.total_allocation(kind))
@@ -207,12 +207,6 @@ impl WorkflowMetrics {
                 .cloned()
                 .collect(),
         }
-    }
-
-    /// Merge another run's outcomes into this accumulator.
-    pub fn merge(&mut self, other: WorkflowMetrics) {
-        self.outcomes.extend(other.outcomes);
-        self.dead_letters.extend(other.dead_letters);
     }
 }
 
@@ -324,14 +318,6 @@ mod tests {
         assert_eq!(c1.len(), 1);
         assert_eq!(c1.awe(ResourceKind::MemoryMb), Some(1.0));
         assert_eq!(c0.len() + c1.len(), m.len());
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a: WorkflowMetrics = (0..3).map(|i| simple(i, 0, 100.0, 100.0)).collect();
-        let b: WorkflowMetrics = (3..5).map(|i| simple(i, 0, 100.0, 100.0)).collect();
-        a.merge(b);
-        assert_eq!(a.len(), 5);
     }
 
     #[test]

@@ -13,17 +13,13 @@
 #![warn(rust_2018_idioms)]
 
 pub mod awe;
-pub mod cost;
 pub mod critical;
 pub mod outcome;
 pub mod report;
 pub mod summary;
 
 pub use awe::{WasteAttribution, WasteBreakdown, WorkflowMetrics};
-pub use cost::{Bill, CostModel};
 pub use critical::CriticalPathStats;
 pub use outcome::{AttemptCause, AttemptOutcome, DeadLetter, DeadLetterCause, TaskOutcome};
 pub use report::{grouped, pct, Table};
-pub use summary::{
-    attempts_histogram, rolling_awe, steady_state_onset, waste_quantiles, Quantiles,
-};
+pub use summary::{attempts_histogram, rolling_awe, steady_state_onset};

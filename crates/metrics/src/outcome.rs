@@ -216,7 +216,7 @@ impl TaskOutcome {
     }
 
     /// The successful attempt.
-    pub fn final_attempt(&self) -> &AttemptOutcome {
+    fn final_attempt(&self) -> &AttemptOutcome {
         self.attempts.last().expect("outcome with no attempts")
     }
 

@@ -8,51 +8,11 @@
 //!   trajectory a converging allocator flattens out;
 //! * [`steady_state_onset`] — the first task index after which the rolling
 //!   AWE stays inside a band around its final value;
-//! * [`attempts_histogram`] — how many tasks needed 1, 2, 3… attempts;
-//! * [`Quantiles`] — min/p25/p50/p75/p90/max of any per-task series.
+//! * [`attempts_histogram`] — how many tasks needed 1, 2, 3… attempts.
 
 use crate::awe::WorkflowMetrics;
 use crate::outcome::TaskOutcome;
-use serde::{Deserialize, Serialize};
 use tora_alloc::resources::ResourceKind;
-
-/// Standard quantile summary of a series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Quantiles {
-    /// Smallest value.
-    pub min: f64,
-    /// 25th percentile.
-    pub p25: f64,
-    /// Median.
-    pub p50: f64,
-    /// 75th percentile.
-    pub p75: f64,
-    /// 90th percentile.
-    pub p90: f64,
-    /// Largest value.
-    pub max: f64,
-}
-
-impl Quantiles {
-    /// Compute over a series (`None` when empty). Nearest-rank quantiles.
-    pub fn of(values: &[f64]) -> Option<Quantiles> {
-        if values.is_empty() {
-            return None;
-        }
-        let mut sorted: Vec<f64> = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite series"));
-        let n = sorted.len();
-        let at = |q: f64| sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
-        Some(Quantiles {
-            min: sorted[0],
-            p25: at(0.25),
-            p50: at(0.5),
-            p75: at(0.75),
-            p90: at(0.9),
-            max: sorted[n - 1],
-        })
-    }
-}
 
 /// Outcomes sorted by task id (completion order differs under concurrency;
 /// convergence is defined over the submission order, which is what the
@@ -131,12 +91,6 @@ pub fn attempts_histogram(metrics: &WorkflowMetrics) -> Vec<usize> {
     hist
 }
 
-/// Quantiles of per-task total waste in one dimension.
-pub fn waste_quantiles(metrics: &WorkflowMetrics, kind: ResourceKind) -> Option<Quantiles> {
-    let series: Vec<f64> = metrics.outcomes().iter().map(|o| o.waste(kind)).collect();
-    Quantiles::of(&series)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,18 +110,6 @@ mod tests {
             duration_s: 10.0,
             attempts,
         }
-    }
-
-    #[test]
-    fn quantiles_nearest_rank() {
-        let q = Quantiles::of(&[4.0, 1.0, 3.0, 2.0]).unwrap();
-        assert_eq!(q.min, 1.0);
-        assert_eq!(q.p25, 1.0);
-        assert_eq!(q.p50, 2.0);
-        assert_eq!(q.p75, 3.0);
-        assert_eq!(q.p90, 4.0);
-        assert_eq!(q.max, 4.0);
-        assert!(Quantiles::of(&[]).is_none());
     }
 
     #[test]
@@ -221,16 +163,5 @@ mod tests {
         let hist = attempts_histogram(&m);
         assert_eq!(hist, vec![2, 1, 0, 1]);
         assert!(attempts_histogram(&WorkflowMetrics::new()).is_empty());
-    }
-
-    #[test]
-    fn waste_quantiles_reflect_spread() {
-        let m: WorkflowMetrics = (0..10)
-            .map(|i| outcome(i, 100.0, 100.0 + (i as f64) * 50.0, 0))
-            .collect();
-        let q = waste_quantiles(&m, ResourceKind::MemoryMb).unwrap();
-        assert_eq!(q.min, 0.0); // task 0 perfectly allocated
-        assert_eq!(q.max, 4500.0); // (550-100)×10
-        assert!(q.p50 > q.p25 && q.p75 > q.p50);
     }
 }

@@ -253,7 +253,7 @@ impl SubmitApi {
     ///
     /// # Panics
     /// If a dependency id is not strictly smaller than the new task's id.
-    pub fn submit_with_deps(
+    fn submit_with_deps(
         &mut self,
         category: u32,
         peak: ResourceVector,

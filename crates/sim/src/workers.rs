@@ -216,13 +216,6 @@ impl WorkerPool {
             .values()
             .any(|w| w.spec.capacity.dominates(&demand))
     }
-
-    /// Total available capacity across workers (diagnostics).
-    pub fn total_available(&self) -> ResourceVector {
-        self.workers
-            .values()
-            .fold(ResourceVector::ZERO, |acc, w| acc.add(&w.available))
-    }
 }
 
 /// Worker churn configuration: how the opportunistic pool evolves.
@@ -396,10 +389,15 @@ mod tests {
         let mut pool = WorkerPool::new();
         pool.join(spec());
         pool.join(spec());
-        let before = pool.total_available();
+        let total_available = |pool: &WorkerPool| {
+            pool.workers
+                .values()
+                .fold(ResourceVector::ZERO, |acc, w| acc.add(&w.available))
+        };
+        let before = total_available(&pool);
         let alloc = ResourceVector::new(4.0, 2048.0, 512.0);
         pool.place(&alloc).unwrap();
-        let after = pool.total_available();
+        let after = total_available(&pool);
         assert_eq!(before.sub(&after), alloc);
     }
 

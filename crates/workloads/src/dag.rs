@@ -332,7 +332,7 @@ impl DagStructure {
     /// DAG depth of task `task`: the longest dependency chain below it, in
     /// edges. Matches the depth DP over [`DagStructure::deps_of`], answered
     /// in O(log nodes) without materializing anything.
-    pub fn depth_of(&self, task: usize) -> u32 {
+    fn depth_of(&self, task: usize) -> u32 {
         let t = task as u64;
         debug_assert!(t < *self.starts.last().unwrap(), "task {task} out of range");
         let node = self.starts.partition_point(|&s| s <= t) - 1;

@@ -113,23 +113,6 @@ impl Dist {
             }
         }
     }
-
-    /// The theoretical mean (truncation ignored; used only for sanity tests
-    /// and documentation).
-    pub fn untruncated_mean(&self) -> f64 {
-        match *self {
-            Dist::Constant(v) => v,
-            Dist::Normal { mean, .. } => mean,
-            Dist::Uniform { lo, hi } => (lo + hi) / 2.0,
-            Dist::Exponential { offset, mean, .. } => offset + mean,
-            Dist::Bimodal {
-                p_low,
-                low_mean,
-                high_mean,
-                ..
-            } => p_low * low_mean + (1.0 - p_low) * high_mean,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -223,7 +206,6 @@ mod tests {
             ),
         ];
         for (d, expect) in cases {
-            assert_eq!(d.untruncated_mean(), expect);
             let m = sample_mean(&d, 20_000);
             assert!(
                 (m - expect).abs() / expect < 0.05,

@@ -7,7 +7,7 @@
 
 use crate::error::WorkloadError;
 use crate::workflow::Workflow;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::path::Path;
 
 /// Serialize a workflow to pretty-printed JSON.
@@ -22,19 +22,6 @@ pub fn from_json(text: &str) -> Result<Workflow, WorkloadError> {
     })?;
     wf.validate()?;
     Ok(wf)
-}
-
-/// Write a workflow to a file.
-pub fn save(workflow: &Workflow, path: &Path) -> Result<(), WorkloadError> {
-    let io_err = |e: std::io::Error| WorkloadError::Io {
-        path: path.display().to_string(),
-        reason: e.to_string(),
-    };
-    let json = to_json(workflow).map_err(|e| WorkloadError::Parse {
-        reason: e.to_string(),
-    })?;
-    let mut file = std::fs::File::create(path).map_err(io_err)?;
-    file.write_all(json.as_bytes()).map_err(io_err)
 }
 
 /// Read and validate a workflow from a file.
@@ -83,7 +70,7 @@ mod tests {
         let dir = std::env::temp_dir().join("tora-io-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.json");
-        save(&wf, &path).unwrap();
+        std::fs::write(&path, to_json(&wf).unwrap()).unwrap();
         let back = load(&path).unwrap();
         assert_eq!(back.tasks, wf.tasks);
         std::fs::remove_file(&path).ok();

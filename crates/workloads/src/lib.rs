@@ -27,7 +27,8 @@ pub mod source;
 pub mod spec;
 pub mod synthetic;
 pub mod topeft;
-pub mod validate;
+#[cfg(test)]
+mod validate;
 pub mod workflow;
 
 pub use builder::{CategorySpec, WorkflowBuilder};

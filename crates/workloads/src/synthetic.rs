@@ -70,7 +70,7 @@ impl SyntheticKind {
     /// comparators' whole-machine exploration is costly but not fatal. The
     /// Exponential tail reaches tens of GB, supplying the outliers that make
     /// that workflow the hardest.
-    pub fn memory_dist(self, index: usize, n: usize) -> Dist {
+    fn memory_dist(self, index: usize, n: usize) -> Dist {
         match self {
             SyntheticKind::Normal => Dist::Normal {
                 mean: 4000.0,
@@ -112,7 +112,7 @@ impl SyntheticKind {
     /// The cores distribution for a task at position `index` of `n` — the
     /// memory shape rescaled into the fractional-core range (§V-B: "cores
     /// have a slightly different distribution").
-    pub fn cores_dist(self, index: usize, n: usize) -> Dist {
+    fn cores_dist(self, index: usize, n: usize) -> Dist {
         match self {
             SyntheticKind::Normal => Dist::Normal {
                 mean: 2.0,

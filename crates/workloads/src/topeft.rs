@@ -31,14 +31,14 @@ pub const PROCESSING_TASKS: usize = 3994;
 pub const ACCUMULATING_TASKS: usize = 212;
 
 /// Category id of `preprocessing`.
-pub const CAT_PREPROCESSING: u32 = 0;
+const CAT_PREPROCESSING: u32 = 0;
 /// Category id of `processing`.
 pub const CAT_PROCESSING: u32 = 1;
 /// Category id of `accumulating`.
-pub const CAT_ACCUMULATING: u32 = 2;
+const CAT_ACCUMULATING: u32 = 2;
 
 /// Every TopEFT task consumes exactly this much disk (MB).
-pub const DISK_MB: f64 = 306.0;
+const DISK_MB: f64 = 306.0;
 
 /// The dedicated TopEFT-generation RNG stream for a seed.
 pub(crate) fn stream_rng(seed: u64) -> StdRng {

@@ -3,8 +3,7 @@
 //! The trace synthesizers claim to match the distributions documented in
 //! §III-B and §V-B; this module makes the claim testable with a
 //! Kolmogorov–Smirnov statistic against the intended CDF, plus moment
-//! helpers. Used by the generator test suites and available to downstream
-//! users validating their own trace synthesizers.
+//! helpers. Compiled for the crate's test suites only.
 
 use crate::dist::Dist;
 

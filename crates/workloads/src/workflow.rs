@@ -156,6 +156,7 @@ impl Workflow {
     }
 
     /// Tasks of one category, in submission order.
+    #[cfg(test)]
     pub fn tasks_of(&self, category: CategoryId) -> impl Iterator<Item = &TaskSpec> {
         self.tasks.iter().filter(move |t| t.category == category)
     }

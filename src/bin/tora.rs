@@ -18,7 +18,7 @@
 //! in `--seed`.
 
 use std::process::ExitCode;
-use tora::cli::{parse_algorithm, parse_sim_config, parse_workflow, Args};
+use tora::cli::{parse_sim_config, parse_workflow, Args};
 use tora::metrics::{attempts_histogram, pct, rolling_awe, steady_state_onset, Table};
 use tora::prelude::*;
 use tora::workloads::{io as trace_io, PaperWorkflow};
@@ -249,21 +249,11 @@ fn cmd_run(args: &Args<'_>, mode: Mode) -> Result<(), String> {
         .first()
         .ok_or("requires a workflow name or trace file")?;
     let wf = parse_workflow(name, args)?;
-    let algorithm = match args.value_of("algorithm")? {
-        None => AlgorithmKind::ExhaustiveBucketing,
-        Some(name) => parse_algorithm(name)?,
-    };
+    let algorithm = args.algorithm()?;
     let seed = args.seed()?;
 
     let (metrics, sim_extra) = match mode {
-        Mode::Replay => {
-            let enforcement = match args.value_of("enforcement")? {
-                None | Some("ramp") => EnforcementModel::LinearRamp,
-                Some("instant") => EnforcementModel::InstantPeak,
-                Some(other) => return Err(format!("unknown --enforcement `{other}`")),
-            };
-            (replay(&wf, algorithm, enforcement, seed), None)
-        }
+        Mode::Replay => (replay(&wf, algorithm, args.enforcement()?, seed), None),
         Mode::Simulate => {
             let sim = Simulation::new(&wf, algorithm, parse_sim_config(args)?);
             let result = match args.value_of("log")? {
@@ -358,10 +348,7 @@ fn cmd_trace(args: &Args<'_>) -> Result<(), String> {
         .first()
         .ok_or("trace requires a workflow name or trace file")?;
     let wf = parse_workflow(name, args)?;
-    let algorithm = match args.value_of("algorithm")? {
-        None => AlgorithmKind::ExhaustiveBucketing,
-        Some(name) => parse_algorithm(name)?,
-    };
+    let algorithm = args.algorithm()?;
     let seed = args.seed()?;
     let config = parse_sim_config(args)?;
 
@@ -484,10 +471,7 @@ fn cmd_chaos(args: &Args<'_>) -> Result<(), String> {
             FaultPlan::PRESETS.join(", ")
         )
     })?;
-    let algorithm = match args.value_of("algorithm")? {
-        None => AlgorithmKind::ExhaustiveBucketing,
-        Some(name) => parse_algorithm(name)?,
-    };
+    let algorithm = args.algorithm()?;
     let fault_policy = args.has("feedback").then(FaultPolicy::default);
     let salvage = args.salvage()?;
 

@@ -83,6 +83,23 @@ impl<'a> Args<'a> {
         }
     }
 
+    /// `--algorithm <name>`, defaulting to Exhaustive Bucketing.
+    pub fn algorithm(&self) -> Result<AlgorithmKind, String> {
+        match self.value_of("algorithm")? {
+            None => Ok(AlgorithmKind::ExhaustiveBucketing),
+            Some(name) => parse_algorithm(name),
+        }
+    }
+
+    /// `--enforcement ramp | instant`, defaulting to the linear ramp.
+    pub fn enforcement(&self) -> Result<EnforcementModel, String> {
+        match self.value_of("enforcement")? {
+            None | Some("ramp") => Ok(EnforcementModel::LinearRamp),
+            Some("instant") => Ok(EnforcementModel::InstantPeak),
+            Some(other) => Err(format!("unknown --enforcement `{other}` (ramp | instant)")),
+        }
+    }
+
     /// Whether the flag appeared (with or without a value).
     pub fn has(&self, name: &str) -> bool {
         self.flag(name).is_some()
@@ -222,11 +239,7 @@ pub fn parse_sim_config(args: &Args<'_>) -> Result<SimConfig, String> {
                 .ok_or_else(|| format!("unknown --policy `{name}`"))?;
         }
     }
-    match args.value_of("enforcement")? {
-        None | Some("ramp") => {}
-        Some("instant") => config.enforcement = EnforcementModel::InstantPeak,
-        Some(other) => return Err(format!("unknown --enforcement `{other}` (ramp | instant)")),
-    }
+    config.enforcement = args.enforcement()?;
     if let Some(spec) = args.value_of("mix")? {
         let (frac, scale) = spec
             .split_once(':')

@@ -15,49 +15,13 @@
 //! per-tenant capacity sums are recomputed from the order-preserved running
 //! list rather than carried as accumulated floats.
 
-use crate::prelude::*;
 use serde::{Deserialize, Serialize};
 use tora_alloc::oplog::AllocLog;
-
-use std::collections::VecDeque;
 
 use super::tenant::{algorithm_or_default, Registry, TaskBooking, Tenant};
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
-
-/// One tracked task in snapshot form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct BookingSnapshot {
-    task: u64,
-    category: u32,
-    /// Pre-feature snapshots omit this; defaulting reproduces their zeros.
-    #[serde(default)]
-    features: TaskFeatures,
-    alloc: ResourceVector,
-}
-
-impl From<&TaskBooking> for BookingSnapshot {
-    fn from(b: &TaskBooking) -> Self {
-        BookingSnapshot {
-            task: b.task,
-            category: b.category,
-            features: b.features,
-            alloc: b.alloc,
-        }
-    }
-}
-
-impl From<&BookingSnapshot> for TaskBooking {
-    fn from(s: &BookingSnapshot) -> Self {
-        TaskBooking {
-            task: s.task,
-            category: s.category,
-            features: s.features,
-            alloc: s.alloc,
-        }
-    }
-}
+const SNAPSHOT_VERSION: u32 = 1;
 
 /// One tenant in snapshot form: builder inputs + journal + books.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -66,8 +30,8 @@ struct TenantSnapshot {
     algorithm: String,
     seed: u64,
     log: AllocLog,
-    running: Vec<BookingSnapshot>,
-    queued: Vec<BookingSnapshot>,
+    running: Vec<TaskBooking>,
+    queued: Vec<TaskBooking>,
     submitted: Vec<u64>,
     completed: u64,
     faults: u64,
@@ -95,8 +59,8 @@ impl ServeSnapshot {
                     algorithm: t.algorithm.label().to_string(),
                     seed: t.seed,
                     log: t.log.clone(),
-                    running: t.running.iter().map(Into::into).collect(),
-                    queued: t.queue.iter().map(Into::into).collect(),
+                    running: t.running.clone(),
+                    queued: t.queue.iter().copied().collect(),
                     submitted: t.submitted.iter().copied().collect(),
                     completed: t.completed,
                     faults: t.faults,
@@ -121,8 +85,8 @@ impl ServeSnapshot {
             let mut tenant = Tenant::new(snap.name.clone(), algorithm, snap.seed);
             snap.log.replay(&mut tenant.allocator);
             tenant.log = snap.log.clone();
-            tenant.running = snap.running.iter().map(Into::into).collect();
-            tenant.queue = snap.queued.iter().map(Into::into).collect::<VecDeque<_>>();
+            tenant.running = snap.running.clone();
+            tenant.queue = snap.queued.iter().copied().collect();
             tenant.submitted = snap.submitted.iter().copied().collect();
             tenant.completed = snap.completed;
             tenant.faults = snap.faults;

@@ -28,6 +28,7 @@
 
 use crate::cli::parse_algorithm;
 use crate::prelude::*;
+use serde::{Deserialize, Serialize};
 use tora_alloc::oplog::{AllocLog, AllocOp, Applied};
 
 use std::collections::{BTreeSet, VecDeque};
@@ -36,7 +37,8 @@ use super::protocol::Grant;
 
 /// A task the daemon is tracking: its id, category, feature vector, and the
 /// allocation it is running under (or will run under once admitted).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Snapshots store it as is.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub(super) struct TaskBooking {
     /// Task id, unique within the tenant.
     pub task: u64,
@@ -44,6 +46,8 @@ pub(super) struct TaskBooking {
     pub category: u32,
     /// Pre-run features the task was submitted with (zero when the client
     /// sent none); retries and completion records re-present the same ones.
+    /// Pre-feature snapshots omit it; defaulting reproduces their zeros.
+    #[serde(default)]
     pub features: TaskFeatures,
     /// The predicted allocation.
     pub alloc: ResourceVector,
@@ -106,7 +110,7 @@ impl Tenant {
     /// restored daemon must reproduce the live daemon's numbers exactly —
     /// summing the (order-preserved) running list is reproducible where an
     /// add/sub running total would drift.
-    pub fn booked(&self) -> ResourceVector {
+    fn booked(&self) -> ResourceVector {
         self.running
             .iter()
             .fold(ResourceVector::ZERO, |acc, b| acc.add(&b.alloc))

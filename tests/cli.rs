@@ -352,3 +352,19 @@ fn bad_input_fails_cleanly() {
     assert!(!ok);
     assert!(err.contains("n ≥ 1"), "{err}");
 }
+
+#[test]
+fn replay_and_simulate_name_the_enforcement_choices() {
+    for command in ["replay", "simulate"] {
+        let (ok, _, err) = tora(&[command, "uniform", "--enforcement", "bogus"]);
+        assert!(!ok, "{command}");
+        assert!(
+            err.contains("unknown --enforcement `bogus`"),
+            "{command}: {err}"
+        );
+        assert!(
+            err.contains("ramp") && err.contains("instant"),
+            "{command} must name both choices: {err}"
+        );
+    }
+}

@@ -647,3 +647,48 @@ fn an_oversized_line_mid_script_changes_nothing() {
     assert_eq!(got, want);
     assert_eq!(got_state, want_state);
 }
+
+/// The on-disk snapshot format is wire surface: a fixed two-tenant
+/// conversation on a one-worker pool, one tenant feature-conditioned with an
+/// exhaustion retry, writes a snapshot file whose FNV-1a digest is pinned
+/// here. Running and queued books carry their features.
+#[test]
+fn snapshot_file_bytes_are_pinned() {
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    let dir = std::env::temp_dir().join(format!("tora-snap-digest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("daemon.json");
+
+    let mut session = Session::new(&ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    drive(&mut session, &featured_script("ml", 21));
+    // Open and a 16-task workload on a 16-core pool the first tenant
+    // already books into: the tail of the workload queues.
+    drive(&mut session, &tenant_script("wf", 7)[..2]);
+    let request = format!(r#"{{"Snapshot":{{"path":"{}"}}}}"#, path.display());
+    let (response, _) = session.handle_line(&request);
+    assert!(
+        matches!(response, Response::Snapshotted { tenants: 2, .. }),
+        "{response:?}"
+    );
+    let bytes = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let text = String::from_utf8_lossy(&bytes);
+    assert!(text.contains(r#""queued":[{"#), "no queued books:\n{text}");
+    assert!(
+        text.contains(r#""input_signal":0.9"#),
+        "no featured books:\n{text}"
+    );
+    assert_eq!(
+        fnv1a(&bytes),
+        10_518_103_804_684_497_898,
+        "snapshot bytes changed:\n{text}"
+    );
+}
