@@ -61,17 +61,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release && cargo test --workspace -q =="
 # --workspace: a bare `cargo test` at the root runs only the `tora` package,
-# not the allocator, engine, fault or experiment unit tests in crates/.
+# not the allocator, engine, fault or experiment unit tests in crates/. This
+# one run covers every integration test too (serve_protocol, differential,
+# golden_chaos, cli), and the experiments pool's 1- and 4-worker identity
+# tests run in-process.
 cargo build --release
 cargo test --workspace -q
-
-echo "== experiments-pool tests again with TORA_THREADS=4 (same results) =="
-# The experiments job pool is the workspace's only in-process parallelism
-# (DESIGN.md §5c, §5h) and its worker count a pure wall-clock knob: the
-# targets that reach `pool::thread_count` must pass identically when the
-# detection is overridden.
-TORA_THREADS=4 cargo test -q -p tora-bench
-TORA_THREADS=4 cargo test -q --test cli
 
 echo "== benchmark package builds and passes its own tests =="
 # benchmark/ compiles against the engine's public surface (EventSink,
@@ -199,23 +194,6 @@ sed -n 2p "$deep" | grep -q '^{"StatsReport"' || {
 }
 echo "serve smoke OK: 200,000-deep line refused, daemon kept serving"
 
-echo "== serve protocol suite (golden transcripts, isolation, restore) =="
-cargo test -q --test serve_protocol
-
-echo "== tora chaos --quick (fault-injection smoke) =="
-cargo run --release --bin tora -- chaos --quick
-
-echo "== tora chaos --quick --salvage 0.5 (checkpoint/restart smoke) =="
-cargo run --release --bin tora -- chaos --quick --salvage 0.5 > target/chaos-salvage.txt
-grep -q "salvaged work" target/chaos-salvage.txt
-
-echo "== chaos smoke for the feature-conditioned comparators =="
-# The new algorithms must survive heavy faults with the feedback channel
-# (per-category windows + rack crash scores) armed, reproducibly — the
-# --quick mode runs everything twice and fails on any byte difference.
-cargo run --release --bin tora -- chaos --quick --algorithm feature-binned --feedback
-cargo run --release --bin tora -- chaos --quick --algorithm semi-bandit --feedback
-
 echo "== chaos DAG smoke (depth-dominated pipeline, critical-path rows) =="
 # A generated 40-deep pipeline is pure critical path: the report must carry
 # the submit-time and realized critical-path rows with non-zero figures.
@@ -237,12 +215,6 @@ assert cp["inflation"] >= 1.0, cp
 print(f"chaos DAG ok: 40-task path, submit {cp['longest_path_s']:.0f}s, "
       f"realized {cp['realized_s']:.0f}s ({cp['inflation']:.2f}x)")
 EOF
-
-echo "== differential: engine vs analytic replay (byte parity) =="
-cargo test -q --test differential
-
-echo "== golden chaos reports (byte-stable across runs) =="
-cargo test -q --test golden_chaos
 
 echo "== proptest regression seeds are checked in =="
 # A failing property test writes its seed to *.proptest-regressions; that

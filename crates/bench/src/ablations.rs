@@ -16,15 +16,17 @@
 //!    outliers, jitter);
 //! 8. queue policy and arrival model through the engine.
 
-use tora_alloc::allocator::{AlgorithmKind, AllocatorConfig, EstimatorFactory, ExploratoryPolicy};
+use tora_alloc::allocator::{
+    AlgorithmKind, Allocator, AllocatorConfig, EstimatorFactory, ExploratoryPolicy,
+};
 use tora_alloc::baselines::QuantizedBucketing;
 use tora_alloc::exhaustive::ExhaustiveBucketing;
 use tora_alloc::policy::BucketingEstimator;
 use tora_alloc::resources::ResourceKind;
 use tora_metrics::{pct, Table, WorkflowMetrics};
-use tora_sim::replay::replay_with_config;
 use tora_sim::{
-    replay, simulate, ArrivalModel, ChurnConfig, EnforcementModel, QueuePolicy, SimConfig,
+    replay, replay_on, simulate, ArrivalModel, ChurnConfig, EnforcementModel, QueuePolicy,
+    SimConfig,
 };
 use tora_workloads::SyntheticKind;
 use tora_workloads::{perturb, Workflow};
@@ -80,62 +82,24 @@ fn eb_replay(wf: &Workflow, adjust: impl Fn(&mut AllocatorConfig), seed: u64) ->
         ..AllocatorConfig::default()
     };
     adjust(&mut config);
-    let algorithm = AlgorithmKind::ExhaustiveBucketing;
-    let enforcement = EnforcementModel::LinearRamp;
-    awe(&replay_with_config(
-        wf,
-        algorithm,
-        config,
-        enforcement,
-        seed,
-    ))
+    let mut allocator = Allocator::with_config(AlgorithmKind::ExhaustiveBucketing, config, seed);
+    awe(&replay_on(&mut allocator, wf, EnforcementModel::LinearRamp))
 }
 
-fn labels<T: std::fmt::Display>(items: &[T]) -> Vec<String> {
-    items.iter().map(T::to_string).collect()
-}
-
-fn replay_with_factory(
-    wf: &Workflow,
-    label: String,
-    factory: EstimatorFactory,
-    seed: u64,
-) -> WorkflowMetrics {
-    use tora_alloc::allocator::Allocator;
-    use tora_alloc::task::ResourceRecord;
-    use tora_metrics::{AttemptOutcome, TaskOutcome};
+/// A custom estimator `factory` replayed under the paper's conservative
+/// exploratory probe.
+fn factory_replay(wf: &Workflow, label: String, factory: EstimatorFactory, seed: u64) -> String {
     let config = AllocatorConfig {
         machine: wf.worker,
         exploratory: Some(ExploratoryPolicy::paper_conservative()),
         ..AllocatorConfig::default()
     };
     let mut allocator = Allocator::with_factory(label, factory, config, seed);
-    let enforcement = EnforcementModel::LinearRamp;
-    let mut metrics = WorkflowMetrics::new();
-    for task in &wf.tasks {
-        let mut attempts = Vec::new();
-        let mut alloc = allocator.predict_first(task.category).into_alloc();
-        loop {
-            let verdict = enforcement.judge(task, &alloc);
-            if verdict.success {
-                attempts.push(AttemptOutcome::success(alloc, verdict.charged_time_s));
-                break;
-            }
-            attempts.push(AttemptOutcome::failure(alloc, verdict.charged_time_s));
-            alloc = allocator
-                .predict_retry(task.category, &alloc, &verdict.exhausted)
-                .into_alloc();
-        }
-        metrics.push(TaskOutcome {
-            task: task.id,
-            category: task.category,
-            peak: task.peak,
-            duration_s: task.duration_s,
-            attempts,
-        });
-        allocator.observe(&ResourceRecord::from_task(task));
-    }
-    metrics
+    awe(&replay_on(&mut allocator, wf, EnforcementModel::LinearRamp))
+}
+
+fn labels<T: std::fmt::Display>(items: &[T]) -> Vec<String> {
+    items.iter().map(T::to_string).collect()
 }
 
 fn system_ablation(out: &mut Artifact, seed: u64) {
@@ -230,12 +194,7 @@ pub fn ablations(config: &ExperimentConfig) -> Artifact {
                     ExhaustiveBucketing::with_max_buckets(cap),
                 ))
             });
-            awe(&replay_with_factory(
-                wf,
-                format!("eb-k{cap}"),
-                factory,
-                seed,
-            ))
+            factory_replay(wf, format!("eb-k{cap}"), factory, seed)
         },
     );
 
@@ -253,12 +212,7 @@ pub fn ablations(config: &ExperimentConfig) -> Artifact {
             let quantile = quantiles[q];
             let factory: EstimatorFactory =
                 Box::new(move |_, _| Box::new(QuantizedBucketing::with_quantile(quantile)));
-            awe(&replay_with_factory(
-                wf,
-                format!("qb-{quantile}"),
-                factory,
-                seed,
-            ))
+            factory_replay(wf, format!("qb-{quantile}"), factory, seed)
         },
     );
 

@@ -110,40 +110,24 @@ pub fn run_cell(
     }
 }
 
-/// Run an arbitrary sub-matrix on the detected thread count.
+/// Run an arbitrary sub-matrix on the job pool; cells come back in
+/// (workflow, algorithm) order.
 pub fn run_matrix_for(
     workflows: &[PaperWorkflow],
     algorithms: &[AlgorithmKind],
     config: &MatrixConfig,
 ) -> Vec<MatrixCell> {
-    let jobs = workflows.len() * algorithms.len();
-    run_matrix_on(
-        workflows,
-        algorithms,
-        config,
-        crate::pool::thread_count(jobs),
-    )
-}
-
-/// Run an arbitrary sub-matrix on an explicit worker-thread count
-/// (`threads = 1` is the sequential reference; output is identical at any
-/// value).
-fn run_matrix_on(
-    workflows: &[PaperWorkflow],
-    algorithms: &[AlgorithmKind],
-    config: &MatrixConfig,
-    threads: usize,
-) -> Vec<MatrixCell> {
     let pairs: Vec<(PaperWorkflow, AlgorithmKind)> = workflows
         .iter()
         .flat_map(|&w| algorithms.iter().map(move |&a| (w, a)))
         .collect();
-    crate::pool::run_parallel_on(&pairs, threads, |&(w, a)| run_cell(w, a, config))
+    crate::pool::run_parallel(&pairs, |&(w, a)| run_cell(w, a, config))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::run_parallel_on;
 
     #[test]
     fn single_cell_runs_and_reports_three_dims() {
@@ -185,7 +169,7 @@ mod tests {
         assert_eq!(keys.len(), 4);
     }
 
-    /// Thread count is a wall-clock knob only: the same sub-matrix run
+    /// Thread count changes wall-clock time only: the same sub-matrix run
     /// sequentially and on four workers serializes to identical JSON.
     #[test]
     fn sequential_and_parallel_matrix_runs_are_identical() {
@@ -199,8 +183,13 @@ mod tests {
             seed: 7,
             ..MatrixConfig::default()
         };
-        let sequential = run_matrix_on(&workflows, &algorithms, &config, 1);
-        let parallel = run_matrix_on(&workflows, &algorithms, &config, 4);
+        let pairs: Vec<(PaperWorkflow, AlgorithmKind)> = workflows
+            .iter()
+            .flat_map(|&w| algorithms.iter().map(move |&a| (w, a)))
+            .collect();
+        let run_on = |threads| run_parallel_on(&pairs, threads, |&(w, a)| run_cell(w, a, &config));
+        let sequential = run_on(1);
+        let parallel = run_on(4);
         assert_eq!(sequential.len(), 6);
         assert_eq!(
             serde_json::to_string(&sequential).unwrap(),

@@ -18,9 +18,8 @@
 //!
 //! An artifact returns its rendered text and the raw cells it can dump as
 //! JSON/CSV ([`Artifact`]); `tora experiments --out <dir>` writes both.
-//! Independent cells fan across cores via [`pool::run_parallel`];
-//! `TORA_THREADS` caps the worker count (`TORA_THREADS=1` forces a
-//! sequential run with identical output). Table I is the one timing
+//! Independent cells fan across cores via [`pool::run_parallel`], with
+//! identical output at any worker count. Table I is the one timing
 //! artifact; end-to-end and per-layer performance is measured by the
 //! separate `tora-benchmark` package in `benchmark/`.
 

@@ -12,97 +12,26 @@
 //! and writes results into the slot matching the item's index, so the
 //! output order is deterministic and independent of scheduling.
 //!
-//! The worker count is detected with one precedence:
-//!
-//! 1. **`TORA_THREADS`** — explicit operator override (≥ 1);
-//! 2. **cgroup CPU quota** — inside a container the kernel caps runnable
-//!    CPUs at `quota / period`, regardless of how many cores the host
-//!    advertises. Both cgroup v2 (`cpu.max`) and v1
-//!    (`cpu.cfs_quota_us` / `cpu.cfs_period_us`) are parsed;
-//! 3. **[`std::thread::available_parallelism`]** — the hardware answer.
-//!
-//! The detected count is *capped* by the quota, never raised: claiming 32
-//! threads on a half-core container is how a benchmark reports a parallel
-//! "speedup" of 0.97×. Callers that must not depend on detection (tests
-//! comparing worker counts) pass an explicit count to [`run_parallel_on`]
-//! instead of mutating the environment mid-process.
+//! The worker count is [`std::thread::available_parallelism`], which on
+//! Linux already honours the affinity mask and the cgroup CPU quota, capped
+//! at the job count. Results are index-ordered, so the count changes only
+//! wall-clock time.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Parse a cgroup v2 `cpu.max` line (`"<quota> <period>"` or `"max ..."`)
-/// into a usable thread cap. `None` means unlimited or unparseable.
-fn parse_cpu_max(line: &str) -> Option<usize> {
-    let mut parts = line.split_whitespace();
-    let quota: f64 = parts.next()?.parse().ok()?; // "max" fails the parse ⇒ unlimited
-    let period: f64 = parts.next().and_then(|p| p.parse().ok()).unwrap_or(1e5);
-    quota_threads(quota, period)
-}
-
-/// Parse cgroup v1 `cpu.cfs_quota_us` / `cpu.cfs_period_us` contents.
-/// A quota of `-1` means unlimited.
-fn parse_cfs(quota: &str, period: &str) -> Option<usize> {
-    let quota: f64 = quota.trim().parse().ok()?;
-    if quota < 0.0 {
-        return None;
-    }
-    let period: f64 = period.trim().parse().ok().filter(|p| *p > 0.0)?;
-    quota_threads(quota, period)
-}
-
-/// `ceil(quota / period)`, floored at one thread.
-fn quota_threads(quota: f64, period: f64) -> Option<usize> {
-    if !(quota > 0.0 && period > 0.0) {
-        return None;
-    }
-    Some(((quota / period).ceil() as usize).max(1))
-}
-
-/// The container CPU quota as a thread count, if one is imposed.
-///
-/// Reads cgroup v2 first (`/sys/fs/cgroup/cpu.max`), then v1
-/// (`/sys/fs/cgroup/cpu/cpu.cfs_{quota,period}_us`). `None` outside a
-/// quota-limited cgroup (or on non-Linux systems).
-fn cgroup_quota() -> Option<usize> {
-    if let Ok(line) = std::fs::read_to_string("/sys/fs/cgroup/cpu.max") {
-        if let Some(n) = parse_cpu_max(&line) {
-            return Some(n);
-        }
-    }
-    let quota = std::fs::read_to_string("/sys/fs/cgroup/cpu/cpu.cfs_quota_us").ok()?;
-    let period = std::fs::read_to_string("/sys/fs/cgroup/cpu/cpu.cfs_period_us").ok()?;
-    parse_cfs(&quota, &period)
-}
-
-/// The `TORA_THREADS` override when set (≥ 1), otherwise the available
-/// parallelism capped by the cgroup CPU quota.
-fn detected_threads() -> usize {
-    if let Some(n) = std::env::var("TORA_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-    {
-        return n;
-    }
-    let hardware = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    match cgroup_quota() {
-        Some(quota) => hardware.min(quota),
-        None => hardware,
-    }
-}
-
-/// Number of workers to use for `jobs` items: the detected thread count,
+/// Number of workers to use for `jobs` items: the available parallelism,
 /// never more than the job count, never less than one.
-pub fn thread_count(jobs: usize) -> usize {
-    detected_threads().min(jobs.max(1))
+pub(crate) fn thread_count(jobs: usize) -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(jobs.max(1))
 }
 
-/// Map `f` over `items` on a scoped thread pool sized by
-/// [`thread_count`], returning results in item order regardless of which
-/// worker computed what.
+/// Map `f` over `items` on a scoped thread pool sized by `thread_count`,
+/// returning results in item order regardless of which worker computed
+/// what.
 pub fn run_parallel<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -112,14 +41,13 @@ where
     run_parallel_on(items, thread_count(items.len()), f)
 }
 
-/// [`run_parallel`] with an explicit worker count — the harness-facing
-/// entry point for sequential-vs-parallel comparisons (`threads = 1` is
-/// the reference run; no environment mutation involved).
+/// [`run_parallel`] with an explicit worker count (`threads = 1` is the
+/// sequential reference run the identity tests compare against).
 ///
 /// The chunk size grows with the queue so workers touch the shared counter
 /// O(threads) times, not O(items); with one worker (or one item) the loop
 /// degenerates to a plain sequential map over the same code path.
-pub fn run_parallel_on<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+pub(crate) fn run_parallel_on<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -199,30 +127,7 @@ mod tests {
     }
 
     #[test]
-    fn cpu_max_parsing() {
-        // v2 syntax: "<quota> <period>" with "max" meaning unlimited.
-        assert_eq!(parse_cpu_max("max 100000"), None);
-        assert_eq!(parse_cpu_max("100000 100000"), Some(1));
-        assert_eq!(parse_cpu_max("150000 100000"), Some(2)); // 1.5 CPUs → 2
-        assert_eq!(parse_cpu_max("400000 100000"), Some(4));
-        assert_eq!(parse_cpu_max("50000 100000"), Some(1)); // half a CPU → 1
-        assert_eq!(parse_cpu_max(""), None);
-        assert_eq!(parse_cpu_max("garbage"), None);
-    }
-
-    #[test]
-    fn cfs_parsing() {
-        // v1 syntax: quota -1 means unlimited.
-        assert_eq!(parse_cfs("-1", "100000"), None);
-        assert_eq!(parse_cfs("200000", "100000"), Some(2));
-        assert_eq!(parse_cfs("100000\n", "100000\n"), Some(1));
-        assert_eq!(parse_cfs("100000", "0"), None);
-        assert_eq!(parse_cfs("x", "100000"), None);
-    }
-
-    #[test]
     fn thread_count_never_exceeds_jobs() {
-        assert!(detected_threads() >= 1);
         assert_eq!(thread_count(1), 1);
         assert!(thread_count(2) <= 2);
         assert!(thread_count(0) >= 1);

@@ -35,7 +35,7 @@ pub use engine::{
 };
 pub use faults::{FaultPlan, FaultReport};
 pub use log::{EventLog, LogEntry, SimEvent};
-pub use replay::{replay, replay_with_config};
+pub use replay::{replay, replay_on};
 pub use scheduler::QueuePolicy;
 pub use stats::{AllocCallCounts, FaultCounts, SimStats, UtilizationSample, UtilizationSeries};
 pub use time::SimTime;

@@ -29,18 +29,24 @@ pub fn replay(
         machine: workflow.worker,
         ..AllocatorConfig::default()
     };
-    replay_with_config(workflow, algorithm, config, enforcement, seed)
+    let mut allocator = Allocator::with_config(algorithm, config, seed);
+    replay_on(&mut allocator, workflow, enforcement)
 }
 
-/// Serial replay with an explicit allocator configuration (ablations).
-pub fn replay_with_config(
+/// Serially replay `workflow` through an allocator the caller built — a
+/// non-default [`AllocatorConfig`] or a custom estimator factory. Each task
+/// is predicted, judged, retried until it fits and then observed, in
+/// submission order.
+///
+/// # Panics
+///
+/// When a task fails [`MAX_ATTEMPTS`] times: the allocator never grows a
+/// retry to fit it.
+pub fn replay_on(
+    allocator: &mut Allocator,
     workflow: &Workflow,
-    algorithm: AlgorithmKind,
-    config: AllocatorConfig,
     enforcement: EnforcementModel,
-    seed: u64,
 ) -> WorkflowMetrics {
-    let mut allocator = Allocator::with_config(algorithm, config, seed);
     let mut metrics = WorkflowMetrics::new();
     for task in &workflow.tasks {
         let mut attempts = Vec::new();
@@ -213,6 +219,81 @@ mod tests {
             EnforcementModel::LinearRamp,
             1,
         );
+    }
+
+    #[test]
+    fn replay_on_a_factory_allocator_matches_replay() {
+        // The factory ablation rows rely on this: wrapping an algorithm's
+        // own estimators in a factory, under the probe that algorithm
+        // defaults to, replays identically to `replay`.
+        use tora_alloc::allocator::{EstimatorFactory, ExploratoryPolicy};
+        let wf = SyntheticKind::Bimodal
+            .catalog_workflow()
+            .spec(4)
+            .tasks(300)
+            .materialize()
+            .unwrap();
+        let algorithm = AlgorithmKind::ExhaustiveBucketing;
+        let factory: EstimatorFactory =
+            Box::new(move |kind, machine| algorithm.build_estimator(kind, machine));
+        let config = AllocatorConfig {
+            machine: wf.worker,
+            exploratory: Some(ExploratoryPolicy::paper_conservative()),
+            ..AllocatorConfig::default()
+        };
+        let mut allocator = Allocator::with_factory("eb-factory", factory, config, 9);
+        let via_factory = replay_on(&mut allocator, &wf, EnforcementModel::LinearRamp);
+        let reference = replay(&wf, algorithm, EnforcementModel::LinearRamp, 9);
+        assert_eq!(
+            serde_json::to_string(&via_factory).unwrap(),
+            serde_json::to_string(&reference).unwrap()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "allocation never converged")]
+    fn a_retry_that_never_grows_panics_instead_of_looping() {
+        // An estimator that breaks the "retry strictly bigger" contract: it
+        // answers every retry with the allocation that just died.
+        use tora_alloc::allocator::{EstimatorFactory, ExploratoryPolicy};
+        use tora_alloc::task::TaskContext;
+        use tora_alloc::{Prediction, ValueEstimator};
+        struct Stuck;
+        impl ValueEstimator for Stuck {
+            fn name(&self) -> &'static str {
+                "stuck"
+            }
+            fn observe(&mut self, _value: f64, _sig: f64) {}
+            fn len(&self) -> usize {
+                0
+            }
+            fn predict_first(&mut self, _ctx: &TaskContext, _u: f64) -> Option<Prediction> {
+                Some(Prediction::point(1.0))
+            }
+            fn predict_retry(
+                &mut self,
+                _ctx: &TaskContext,
+                prev: f64,
+                _u: f64,
+            ) -> Option<Prediction> {
+                Some(Prediction::point(prev))
+            }
+        }
+        let wf = SyntheticKind::Normal
+            .catalog_workflow()
+            .spec(3)
+            .tasks(20)
+            .materialize()
+            .unwrap();
+        let factory: EstimatorFactory = Box::new(|_, _| Box::new(Stuck));
+        let config = AllocatorConfig {
+            machine: wf.worker,
+            exploratory: Some(ExploratoryPolicy::paper_conservative()),
+            exploratory_records: 0,
+            ..AllocatorConfig::default()
+        };
+        let mut allocator = Allocator::with_factory("stuck", factory, config, 1);
+        let _ = replay_on(&mut allocator, &wf, EnforcementModel::LinearRamp);
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! such changes from a base trace, so the ablation harness can measure how
 //! gracefully each algorithm degrades:
 //!
-//! * [`scale`] — multiply one resource dimension (a new input dataset or a
-//!   fatter software stack);
 //! * [`jitter`] — multiplicative log-normal noise per task (noisy shared
 //!   nodes);
 //! * [`shuffle`] — permute submission order (arbitrary execution order);
@@ -37,23 +35,6 @@ fn rebuild(base: &Workflow, suffix: &str, tasks: Vec<TaskSpec>) -> Workflow {
         renumber(tasks),
         base.worker,
     )
-}
-
-/// Multiply one dimension of every task's peak by `factor` (clamped to the
-/// worker capacity).
-pub fn scale(base: &Workflow, kind: ResourceKind, factor: f64) -> Workflow {
-    assert!(factor > 0.0 && factor.is_finite());
-    let cap = base.worker.capacity;
-    let tasks = base
-        .tasks
-        .iter()
-        .map(|t| {
-            let mut peak = t.peak;
-            peak[kind] = (peak[kind] * factor).min(cap[kind]);
-            TaskSpec { peak, ..*t }
-        })
-        .collect();
-    rebuild(base, "scaled", tasks)
 }
 
 /// Apply multiplicative log-normal noise (`sigma` in log space) to every
@@ -137,19 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_multiplies_one_dimension_only() {
-        let wf = base();
-        let scaled = scale(&wf, ResourceKind::MemoryMb, 2.0);
-        scaled.validate().unwrap();
-        for (a, b) in wf.tasks.iter().zip(&scaled.tasks) {
-            assert!((b.peak.memory_mb() - (a.peak.memory_mb() * 2.0).min(65536.0)).abs() < 1e-9);
-            assert_eq!(a.peak.cores(), b.peak.cores());
-            assert_eq!(a.peak.disk_mb(), b.peak.disk_mb());
-            assert_eq!(a.duration_s, b.duration_s);
-        }
-    }
-
-    #[test]
     fn jitter_preserves_validity_and_changes_values() {
         let wf = base();
         let jittered = jitter(&wf, 0.2, 1);
@@ -226,11 +194,5 @@ mod tests {
         for (a, b) in wf.tasks.iter().zip(&spiked.tasks) {
             assert!(b.peak.dominates(&a.peak.min(&b.peak)));
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn scale_rejects_nonpositive_factor() {
-        scale(&base(), ResourceKind::Cores, 0.0);
     }
 }

@@ -13,6 +13,7 @@ use tora::alloc::allocator::EstimatorFactory;
 use tora::alloc::{Prediction, RecordList, ValueEstimator};
 use tora::metrics::{pct, Table};
 use tora::prelude::*;
+use tora::sim::replay_on;
 
 /// Allocate the 95th percentile of observed values plus 20% headroom;
 /// double on failure.
@@ -74,33 +75,10 @@ fn main() {
     };
     let mut custom = Allocator::with_factory("p95-headroom", factory, config, 5);
 
-    // Drive the custom allocator through a serial replay by hand (the same
-    // loop `tora_sim::replay` runs internally).
+    // The same serial replay `tora_sim::replay` runs, over the custom
+    // allocator.
     let enforcement = EnforcementModel::LinearRamp;
-    let mut metrics = WorkflowMetrics::new();
-    for task in &workflow.tasks {
-        let mut attempts = Vec::new();
-        let mut alloc = custom.predict_first(task.category).into_alloc();
-        loop {
-            let verdict = enforcement.judge(task, &alloc);
-            if verdict.success {
-                attempts.push(AttemptOutcome::success(alloc, verdict.charged_time_s));
-                break;
-            }
-            attempts.push(AttemptOutcome::failure(alloc, verdict.charged_time_s));
-            alloc = custom
-                .predict_retry(task.category, &alloc, &verdict.exhausted)
-                .into_alloc();
-        }
-        metrics.push(TaskOutcome {
-            task: task.id,
-            category: task.category,
-            peak: task.peak,
-            duration_s: task.duration_s,
-            attempts,
-        });
-        custom.observe(&ResourceRecord::from_task(task));
-    }
+    let metrics = replay_on(&mut custom, &workflow, enforcement);
 
     let reference = replay(
         &workflow,

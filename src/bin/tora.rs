@@ -18,56 +18,25 @@
 //! in `--seed`.
 
 use std::process::ExitCode;
-use tora::cli::{parse_sim_config, parse_workflow, Args};
+use tora::cli::{command_flags, parse_sim_config, parse_workflow, Args};
 use tora::metrics::{attempts_histogram, pct, rolling_awe, steady_state_onset, Table};
 use tora::prelude::*;
 use tora::workloads::{io as trace_io, PaperWorkflow};
 
-/// Flags read by [`parse_workflow`].
-const WORKFLOW_FLAGS: &[&str] = &[
-    "seed", "tasks", "dag", "shape", "width", "depth", "loopback",
-];
-
-/// Flags read by [`parse_sim_config`].
-const SIM_FLAGS: &[&str] = &["seed", "workers", "arrival", "policy", "enforcement", "mix"];
-
 type Command = fn(&Args<'_>) -> Result<(), String>;
 
-/// Every command, with the lists of flags it reads.
-const COMMANDS: [(&str, &[&[&str]], Command); 9] = [
-    ("algorithms", &[], |_| cmd_algorithms()),
-    ("workflows", &[], |_| cmd_workflows()),
-    ("generate", &[WORKFLOW_FLAGS, &["out"]], cmd_generate),
-    (
-        "simulate",
-        &[
-            WORKFLOW_FLAGS,
-            SIM_FLAGS,
-            &["algorithm", "log", "convergence"],
-        ],
-        |args| cmd_run(args, Mode::Simulate),
-    ),
-    (
-        "replay",
-        &[WORKFLOW_FLAGS, &["algorithm", "enforcement", "convergence"]],
-        |args| cmd_run(args, Mode::Replay),
-    ),
-    (
-        "trace",
-        &[WORKFLOW_FLAGS, SIM_FLAGS, &["algorithm", "out"]],
-        cmd_trace,
-    ),
-    (
-        "chaos",
-        &[
-            WORKFLOW_FLAGS,
-            SIM_FLAGS,
-            &["algorithm", "plan", "feedback", "salvage", "quick", "out"],
-        ],
-        cmd_chaos,
-    ),
-    ("experiments", &[&["seed", "seeds", "out"]], cmd_experiments),
-    ("serve", &[&["workers", "restore", "socket"]], cmd_serve),
+/// The driver of every command; the flags each reads are
+/// [`tora::cli::COMMAND_FLAGS`].
+const COMMANDS: [(&str, Command); 9] = [
+    ("algorithms", |_| cmd_algorithms()),
+    ("workflows", |_| cmd_workflows()),
+    ("generate", cmd_generate),
+    ("simulate", |args| cmd_run(args, Mode::Simulate)),
+    ("replay", |args| cmd_run(args, Mode::Replay)),
+    ("trace", cmd_trace),
+    ("chaos", cmd_chaos),
+    ("experiments", cmd_experiments),
+    ("serve", cmd_serve),
 ];
 
 fn main() -> ExitCode {
@@ -96,10 +65,11 @@ fn run(command: &str, rest: &[String]) -> Result<(), String> {
         print_usage();
         return Ok(());
     }
-    let (_, accepted, cmd) = COMMANDS
+    let (_, cmd) = COMMANDS
         .iter()
-        .find(|(name, ..)| *name == command)
+        .find(|(name, _)| *name == command)
         .ok_or_else(|| format!("unknown command `{command}` (try --help)"))?;
+    let accepted = command_flags(command).expect("every command lists its flags");
     if rest.iter().any(|arg| is_help(arg)) {
         print_usage();
         return Ok(());
@@ -134,8 +104,7 @@ fn print_usage() {
                                            rack-outages; --feedback arms the allocator's\n\
                                            fault-feedback policy; --salvage <fraction>\n\
                                            banks that fraction of a crashed attempt's\n\
-                                           finished work via checkpointing; --quick runs\n\
-                                           the determinism smoke test)\n\
+                                           finished work via checkpointing)\n\
            experiments <artifact>|all      regenerate the paper's evaluation: fig2 | fig4 |\n\
                                            fig5 | fig6 | table1 | ablations | chaos-sweep |\n\
                                            fig-dag | fig-learned\n\
@@ -460,9 +429,7 @@ fn cmd_trace(args: &Args<'_>) -> Result<(), String> {
 /// fault-feedback policy so predictions pad/escalate with the observed
 /// fault rate. `--salvage <fraction>` enables checkpoint/restart: a crashed
 /// attempt banks that fraction of its finished work and the retry runs only
-/// the remainder, with the salvage totals shown in the report. `--quick` is
-/// the CI smoke mode: a small fixed workload is run twice under the same
-/// seed and the two reports must be byte-identical.
+/// the remainder, with the salvage totals shown in the report.
 fn cmd_chaos(args: &Args<'_>) -> Result<(), String> {
     let plan_name = args.value_of("plan")?.unwrap_or("light");
     let plan = FaultPlan::named(plan_name).ok_or_else(|| {
@@ -475,51 +442,10 @@ fn cmd_chaos(args: &Args<'_>) -> Result<(), String> {
     let fault_policy = args.has("feedback").then(FaultPolicy::default);
     let salvage = args.salvage()?;
 
-    if args.has("quick") {
-        // Fixed seed, fixed workload: the report must be reproducible down
-        // to the byte, and the books must balance.
-        let wf = PaperWorkflow::Bimodal
-            .spec(7)
-            .tasks(120)
-            .materialize()
-            .unwrap();
-        let mut config = SimConfig::paper_like(7);
-        config.fault_policy = fault_policy;
-        config.faults = if args.has("plan") {
-            plan
-        } else {
-            FaultPlan::named("heavy").expect("preset")
-        };
-        if let Some(fraction) = salvage {
-            config.faults.checkpointed_fraction = fraction;
-        }
-        let run = || {
-            let result = simulate(&wf, algorithm, config);
-            FaultReport::from_result(&result, &config, algorithm.label())
-        };
-        let a = run();
-        let b = run();
-        if a.to_json() != b.to_json() {
-            return Err("chaos smoke: same-seed reports differ".into());
-        }
-        if !a.conservation_ok {
-            return Err(format!(
-                "chaos smoke: conservation violated ({} submitted, {} completed, {} dead-lettered)",
-                a.submitted, a.completed, a.dead_lettered
-            ));
-        }
-        print!("{}", a.render());
-        println!(
-            "chaos smoke OK: byte-identical report across two runs, {} submitted = {} completed + {} dead-lettered",
-            a.submitted, a.completed, a.dead_lettered
-        );
-        return Ok(());
-    }
-
     let name = args
         .positional
         .first()
-        .ok_or("chaos requires a workflow name or trace file (or --quick)")?;
+        .ok_or("chaos requires a workflow name or trace file")?;
     let wf = parse_workflow(name, args)?;
     let mut config = parse_sim_config(args)?;
     config.faults = plan;

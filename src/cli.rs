@@ -119,6 +119,53 @@ impl<'a> Args<'a> {
     }
 }
 
+/// Flags read by [`parse_workflow`].
+pub const WORKFLOW_FLAGS: &[&str] = &[
+    "seed", "tasks", "dag", "shape", "width", "depth", "loopback",
+];
+
+/// Flags read by [`parse_sim_config`].
+pub const SIM_FLAGS: &[&str] = &["seed", "workers", "arrival", "policy", "enforcement", "mix"];
+
+/// Every `tora` command, with the lists of flags it reads.
+pub const COMMAND_FLAGS: [(&str, &[&[&str]]); 9] = [
+    ("algorithms", &[]),
+    ("workflows", &[]),
+    ("generate", &[WORKFLOW_FLAGS, &["out"]]),
+    (
+        "simulate",
+        &[
+            WORKFLOW_FLAGS,
+            SIM_FLAGS,
+            &["algorithm", "log", "convergence"],
+        ],
+    ),
+    (
+        "replay",
+        &[WORKFLOW_FLAGS, &["algorithm", "enforcement", "convergence"]],
+    ),
+    ("trace", &[WORKFLOW_FLAGS, SIM_FLAGS, &["algorithm", "out"]]),
+    (
+        "chaos",
+        &[
+            WORKFLOW_FLAGS,
+            SIM_FLAGS,
+            &["algorithm", "plan", "feedback", "salvage", "out"],
+        ],
+    ),
+    ("experiments", &[&["seed", "seeds", "out"]]),
+    ("serve", &[&["workers", "restore", "socket"]]),
+];
+
+/// The flag lists `command` accepts, for [`Args::check_flags`]; `None` for
+/// an unknown command.
+pub fn command_flags(command: &str) -> Option<&'static [&'static [&'static str]]> {
+    COMMAND_FLAGS
+        .iter()
+        .find(|(name, _)| *name == command)
+        .map(|(_, flags)| *flags)
+}
+
 /// Resolve an algorithm label (see `tora algorithms`) to its [`AlgorithmKind`].
 pub fn parse_algorithm(name: &str) -> Result<AlgorithmKind, String> {
     AlgorithmKind::ALL
@@ -265,29 +312,31 @@ mod tests {
 
     #[test]
     fn flags_and_positionals_scan() {
-        let raw = raw(&["bimodal", "--seed", "7", "--quick", "--tasks", "120"]);
+        let raw = raw(&["bimodal", "--seed", "7", "--feedback", "--tasks", "120"]);
         let args = Args::parse(&raw).unwrap();
         assert_eq!(args.positional, vec!["bimodal"]);
         assert_eq!(args.seed().unwrap(), 7);
-        assert!(args.has("quick"));
+        assert!(args.has("feedback"));
         assert_eq!(args.value_of("tasks").unwrap(), Some("120"));
         assert!(!args.has("salvage"));
     }
 
     #[test]
     fn unknown_flags_are_rejected() {
-        let raw = raw(&["bimodal", "--seed", "7", "--quick"]);
+        let raw = raw(&["bimodal", "--seed", "7", "--feedback"]);
         let args = Args::parse(&raw).unwrap();
-        assert!(args.check_flags(&[&["seed", "tasks"], &["quick"]]).is_ok());
+        assert!(args
+            .check_flags(&[&["seed", "tasks"], &["feedback"]])
+            .is_ok());
         let err = args.check_flags(&[&["seed", "tasks"]]).unwrap_err();
-        assert!(err.contains("unknown flag `--quick`"), "{err}");
+        assert!(err.contains("unknown flag `--feedback`"), "{err}");
     }
 
     #[test]
     fn salvage_parses_and_validates() {
         let ok = raw(&["--salvage", "0.5"]);
         assert_eq!(Args::parse(&ok).unwrap().salvage().unwrap(), Some(0.5));
-        let absent = raw(&["--quick"]);
+        let absent = raw(&["--feedback"]);
         assert_eq!(Args::parse(&absent).unwrap().salvage().unwrap(), None);
         for bad in [
             &["--salvage", "1.5"][..],

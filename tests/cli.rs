@@ -113,7 +113,6 @@ fn log_is_refused_by_commands_that_write_no_event_log() {
     std::fs::remove_file(&path).ok();
     for command in [
         &["chaos", "uniform", "--tasks", "60", "--plan", "light"][..],
-        &["chaos", "--quick"][..],
         &["trace", "uniform", "--tasks", "60"][..],
         &["replay", "uniform", "--tasks", "60"][..],
     ] {
@@ -203,23 +202,25 @@ fn trace_emits_jsonl_and_reconciles() {
 
 #[test]
 fn chaos_smoke_is_deterministic_and_conserves() {
-    let (ok, out, err) = tora(&["chaos", "--quick"]);
-    assert!(ok, "{err}");
-    assert!(out.contains("chaos smoke OK"), "{out}");
-    assert!(out.contains("dead-lettered"), "{out}");
-
-    // A full run with an explicit preset and JSON dump round-trips.
+    // The JSON dump is byte-identical across same-seed runs and its books
+    // balance. (`tests/golden_chaos.rs` pins the rendered reports.)
     let dir = std::env::temp_dir().join("tora-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("chaos.json");
-    let path_str = path.to_str().unwrap();
-    let (ok, out, err) = tora(&[
-        "chaos", "bimodal", "--tasks", "100", "--seed", "4", "--plan", "heavy", "--out", path_str,
-    ]);
-    assert!(ok, "{err}");
-    assert!(out.contains("fault report"), "{out}");
-    let text = std::fs::read_to_string(&path).unwrap();
-    let report: serde_json::Value = serde_json::from_str(&text).unwrap();
+    let mut dumps = Vec::new();
+    for name in ["chaos-a.json", "chaos-b.json"] {
+        let path = dir.join(name);
+        let path_str = path.to_str().unwrap();
+        let (ok, out, err) = tora(&[
+            "chaos", "bimodal", "--tasks", "100", "--seed", "4", "--plan", "heavy", "--out",
+            path_str,
+        ]);
+        assert!(ok, "{err}");
+        assert!(out.contains("fault report"), "{out}");
+        dumps.push(std::fs::read_to_string(&path).unwrap());
+        std::fs::remove_file(&path).ok();
+    }
+    assert_eq!(dumps[0], dumps[1], "same-seed chaos JSON dumps differ");
+    let report: serde_json::Value = serde_json::from_str(&dumps[0]).unwrap();
     let count = |key: &str| report.get(key).and_then(|v| v.as_u64()).unwrap();
     assert_eq!(
         report.get("conservation_ok").and_then(|v| v.as_bool()),
@@ -229,7 +230,11 @@ fn chaos_smoke_is_deterministic_and_conserves() {
         count("submitted"),
         count("completed") + count("dead_lettered")
     );
-    std::fs::remove_file(&path).ok();
+
+    // The old built-in smoke mode is gone; the golden tests replaced it.
+    let (ok, _, err) = tora(&["chaos", "--quick"]);
+    assert!(!ok);
+    assert!(err.contains("unknown flag `--quick`"), "{err}");
 
     let (ok, _, err) = tora(&["chaos", "bimodal", "--plan", "nope"]);
     assert!(!ok);
@@ -366,5 +371,52 @@ fn replay_and_simulate_name_the_enforcement_choices() {
             err.contains("ramp") && err.contains("instant"),
             "{command} must name both choices: {err}"
         );
+    }
+}
+
+/// Every flag the README shows on a `tora <command>` line is one that
+/// command reads: each `cargo run --release --bin tora -- <command> …` line
+/// and each backticked `tora <command> … --flag`.
+#[test]
+fn readme_flags_resolve() {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("README.md");
+    // Fence lines hold three backticks and would flip the span parity.
+    let text: String = readme
+        .lines()
+        .filter(|line| !line.starts_with("```"))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    let mut invocations: Vec<&str> = text
+        .lines()
+        .filter_map(|line| line.split_once("cargo run --release --bin tora -- "))
+        .map(|(_, rest)| rest.split('#').next().unwrap())
+        .collect();
+    invocations.extend(
+        text.split('`')
+            .skip(1)
+            .step_by(2)
+            .filter_map(|span| span.strip_prefix("tora ")),
+    );
+    let mut checked = 0;
+    for invocation in invocations {
+        let mut words = invocation.split_whitespace();
+        let command = words.next().expect("a command after `tora`");
+        let accepted = tora::cli::command_flags(command)
+            .unwrap_or_else(|| panic!("README runs unknown command `tora {command}`"));
+        for flag in words.filter_map(|w| w.strip_prefix("--")) {
+            assert!(
+                accepted.iter().any(|list| list.contains(&flag)),
+                "README passes `--{flag}` to `tora {command}`, which does not read it"
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked >= 20, "only {checked} README flags found");
+
+    // Every command that lists its flags has a driver in the binary.
+    for (command, _) in tora::cli::COMMAND_FLAGS {
+        let (ok, _, err) = tora(&[command, "--help"]);
+        assert!(ok, "tora {command}: {err}");
     }
 }

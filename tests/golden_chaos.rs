@@ -19,23 +19,28 @@ fn tora_stdout(args: &[&str]) -> String {
     String::from_utf8_lossy(&output.stdout).into_owned()
 }
 
-/// Run the same chaos invocation twice and return the (identical) report.
-fn golden_report(plan: &str) -> String {
-    let args = [
-        "chaos", "bimodal", "--tasks", "120", "--seed", "7", "--plan", plan,
-    ];
+/// Run `tora chaos bimodal --tasks 120 --seed 7 <extra>` twice and return
+/// the (identical) report. The command exits non-zero when conservation
+/// fails, so a returned report has balanced books; the row says so too.
+fn golden_report(extra: &[&str]) -> String {
+    let mut args = vec!["chaos", "bimodal", "--tasks", "120", "--seed", "7"];
+    args.extend(extra);
     let first = tora_stdout(&args);
     let second = tora_stdout(&args);
     assert_eq!(
         first, second,
-        "chaos --plan {plan}: report differs between identical runs"
+        "tora {args:?}: report differs between identical runs"
+    );
+    assert!(
+        first.contains("ok (submitted = completed + dead-lettered)"),
+        "tora {args:?}: {first}"
     );
     first
 }
 
 #[test]
 fn heavy_preset_report_is_byte_stable() {
-    let report = golden_report("heavy");
+    let report = golden_report(&["--plan", "heavy"]);
     assert!(report.contains("fault report"), "{report}");
     // The report must carry the full terminal-state ledger.
     for row in ["submitted", "completed", "dead-lettered", "conservation"] {
@@ -45,7 +50,7 @@ fn heavy_preset_report_is_byte_stable() {
 
 #[test]
 fn rack_outages_preset_report_is_byte_stable() {
-    let report = golden_report("rack-outages");
+    let report = golden_report(&["--plan", "rack-outages"]);
     // Correlated crashes must surface both granularities: the rack-level
     // event count and the per-worker casualties.
     assert!(report.contains("rack crashes"), "{report}");
@@ -83,19 +88,25 @@ fn feedback_flag_keeps_the_report_deterministic() {
     // The fault-feedback policy adjusts allocations from observed outcomes
     // but consumes no randomness of its own: with --feedback the report
     // must still be byte-stable at a fixed seed.
-    let args = [
-        "chaos",
-        "bimodal",
-        "--tasks",
-        "120",
-        "--seed",
-        "7",
-        "--plan",
-        "rack-outages",
-        "--feedback",
-    ];
-    let first = tora_stdout(&args);
-    let second = tora_stdout(&args);
-    assert_eq!(first, second, "--feedback broke report determinism");
-    assert!(first.contains("fault report"), "{first}");
+    let report = golden_report(&["--plan", "rack-outages", "--feedback"]);
+    assert!(report.contains("fault report"), "{report}");
+}
+
+#[test]
+fn salvage_report_is_byte_stable_and_banks_work() {
+    // Checkpoint/restart: crashed attempts bank half their finished work,
+    // and the report carries the salvage rows.
+    let report = golden_report(&["--plan", "heavy", "--salvage", "0.5"]);
+    assert!(report.contains("checkpointed attempts"), "{report}");
+    assert!(report.contains("salvaged work"), "{report}");
+}
+
+#[test]
+fn feature_conditioned_comparators_survive_heavy_faults_with_feedback() {
+    // The per-category fault windows and rack crash scores feed the
+    // feature-conditioned estimators too; their reports stay byte-stable.
+    for algorithm in ["feature-binned", "semi-bandit"] {
+        let report = golden_report(&["--plan", "heavy", "--algorithm", algorithm, "--feedback"]);
+        assert!(report.contains(algorithm), "{report}");
+    }
 }

@@ -4,7 +4,7 @@
 
 use tora::alloc::allocator::AllocatorConfig;
 use tora::prelude::*;
-use tora::sim::replay_with_config;
+use tora::sim::replay_on;
 
 fn time_managed_config(workflow: &Workflow) -> AllocatorConfig {
     // The paper's probe plus a 1-hour default wall-time limit (what batch
@@ -32,13 +32,8 @@ fn time_axis_is_learned_and_enforced() {
         .materialize()
         .unwrap();
     let config = time_managed_config(&wf);
-    let metrics = replay_with_config(
-        &wf,
-        AlgorithmKind::ExhaustiveBucketing,
-        config,
-        EnforcementModel::LinearRamp,
-        11,
-    );
+    let mut allocator = Allocator::with_config(AlgorithmKind::ExhaustiveBucketing, config, 11);
+    let metrics = replay_on(&mut allocator, &wf, EnforcementModel::LinearRamp);
     assert_eq!(metrics.len(), wf.len());
     // The time dimension now has meaningful efficiency: allocated wall time
     // tracks actual durations instead of the 10^7-second machine cap.
@@ -96,13 +91,12 @@ fn time_managed_beats_unmanaged_on_time_efficiency() {
         .tasks(400)
         .materialize()
         .unwrap();
-    let managed = replay_with_config(
-        &wf,
+    let mut allocator = Allocator::with_config(
         AlgorithmKind::ExhaustiveBucketing,
         time_managed_config(&wf),
-        EnforcementModel::LinearRamp,
         13,
     );
+    let managed = replay_on(&mut allocator, &wf, EnforcementModel::LinearRamp);
     let unmanaged = replay(
         &wf,
         AlgorithmKind::ExhaustiveBucketing,
