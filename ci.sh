@@ -59,6 +59,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (workspace, -D warnings: every intra-doc link resolves) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo build --release && cargo test --workspace -q =="
 # --workspace: a bare `cargo test` at the root runs only the `tora` package,
 # not the allocator, engine, fault or experiment unit tests in crates/. This

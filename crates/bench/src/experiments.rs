@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use tora_alloc::allocator::AlgorithmKind;
 use tora_alloc::resources::ResourceKind;
 use tora_metrics::WasteBreakdown;
-use tora_sim::{simulate, ChurnConfig, SimConfig};
+use tora_sim::{simulate, SimConfig};
 use tora_workloads::PaperWorkflow;
 
 /// Per-dimension numbers of one cell.
@@ -60,36 +60,11 @@ impl MatrixCell {
     }
 }
 
-/// Matrix configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct MatrixConfig {
-    /// Seed for workload generation, allocation sampling and churn.
-    pub seed: u64,
-    /// Worker-pool behaviour (paper-like churn by default).
-    pub churn: ChurnConfig,
-}
-
-impl Default for MatrixConfig {
-    fn default() -> Self {
-        MatrixConfig {
-            seed: 42,
-            churn: ChurnConfig::paper_like(),
-        }
-    }
-}
-
-/// Run one cell.
-pub fn run_cell(
-    workflow: PaperWorkflow,
-    algorithm: AlgorithmKind,
-    config: &MatrixConfig,
-) -> MatrixCell {
-    let wf = workflow.build(config.seed);
-    let sim_config = SimConfig {
-        churn: config.churn,
-        ..SimConfig::paper_like(config.seed)
-    };
-    let result = simulate(&wf, algorithm, sim_config);
+/// Run one cell at `seed` (workload generation, allocation sampling and
+/// churn) on the paper-like opportunistic pool.
+pub fn run_cell(workflow: PaperWorkflow, algorithm: AlgorithmKind, seed: u64) -> MatrixCell {
+    let wf = workflow.build(seed);
+    let result = simulate(&wf, algorithm, SimConfig::paper_like(seed));
     let dims = ResourceKind::STANDARD
         .iter()
         .map(|&kind| DimensionStats {
@@ -115,13 +90,13 @@ pub fn run_cell(
 pub fn run_matrix_for(
     workflows: &[PaperWorkflow],
     algorithms: &[AlgorithmKind],
-    config: &MatrixConfig,
+    seed: u64,
 ) -> Vec<MatrixCell> {
     let pairs: Vec<(PaperWorkflow, AlgorithmKind)> = workflows
         .iter()
         .flat_map(|&w| algorithms.iter().map(move |&a| (w, a)))
         .collect();
-    crate::pool::run_parallel(&pairs, |&(w, a)| run_cell(w, a, config))
+    crate::pool::run_parallel(&pairs, |&(w, a)| run_cell(w, a, seed))
 }
 
 #[cfg(test)]
@@ -131,15 +106,7 @@ mod tests {
 
     #[test]
     fn single_cell_runs_and_reports_three_dims() {
-        let config = MatrixConfig {
-            seed: 1,
-            churn: ChurnConfig::fixed(10),
-        };
-        let cell = run_cell(
-            PaperWorkflow::Normal,
-            AlgorithmKind::ExhaustiveBucketing,
-            &config,
-        );
+        let cell = run_cell(PaperWorkflow::Normal, AlgorithmKind::ExhaustiveBucketing, 1);
         assert_eq!(cell.dims.len(), 3);
         for kind in ResourceKind::STANDARD {
             let d = cell.dim(kind);
@@ -152,14 +119,10 @@ mod tests {
 
     #[test]
     fn sub_matrix_covers_all_pairs() {
-        let config = MatrixConfig {
-            seed: 2,
-            churn: ChurnConfig::fixed(10),
-        };
         let cells = run_matrix_for(
             &[PaperWorkflow::Uniform, PaperWorkflow::Bimodal],
             &[AlgorithmKind::WholeMachine, AlgorithmKind::MaxSeen],
-            &config,
+            2,
         );
         assert_eq!(cells.len(), 4);
         let keys: std::collections::HashSet<_> = cells
@@ -179,15 +142,11 @@ mod tests {
             AlgorithmKind::GreedyBucketing,
             AlgorithmKind::ExhaustiveBucketing,
         ];
-        let config = MatrixConfig {
-            seed: 7,
-            ..MatrixConfig::default()
-        };
         let pairs: Vec<(PaperWorkflow, AlgorithmKind)> = workflows
             .iter()
             .flat_map(|&w| algorithms.iter().map(move |&a| (w, a)))
             .collect();
-        let run_on = |threads| run_parallel_on(&pairs, threads, |&(w, a)| run_cell(w, a, &config));
+        let run_on = |threads| run_parallel_on(&pairs, threads, |&(w, a)| run_cell(w, a, 7));
         let sequential = run_on(1);
         let parallel = run_on(4);
         assert_eq!(sequential.len(), 6);

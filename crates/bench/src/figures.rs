@@ -14,7 +14,7 @@ use tora_metrics::{pct, Table};
 use tora_workloads::{PaperWorkflow, SyntheticKind, Workflow};
 
 use crate::artifact::{Artifact, ExperimentConfig};
-use crate::experiments::{run_cell, run_matrix_for, MatrixCell, MatrixConfig};
+use crate::experiments::{run_cell, run_matrix_for, MatrixCell};
 use crate::pool::run_parallel;
 
 /// Figure 2: per-category summary statistics of every resource dimension
@@ -181,10 +181,6 @@ fn find_cell(cells: &[MatrixCell], wf: PaperWorkflow, alg: AlgorithmKind) -> &Ma
 /// `config.seeds > 1`), the best algorithm per cell, and the first seed's
 /// raw cells as `fig5_awe.json`.
 pub fn fig5(config: &ExperimentConfig) -> Artifact {
-    let base = MatrixConfig {
-        seed: config.seed,
-        ..MatrixConfig::default()
-    };
     let seeds = config.seeds;
     // One flat (seed × workflow × algorithm) job list: the whole sweep fans
     // across cores in a single pool pass instead of seed-by-seed barriers.
@@ -193,14 +189,12 @@ pub fn fig5(config: &ExperimentConfig) -> Artifact {
             PaperWorkflow::ALL.iter().flat_map(move |&w| {
                 AlgorithmKind::PAPER_SET
                     .iter()
-                    .map(move |&a| (base.seed + i, w, a))
+                    .map(move |&a| (config.seed + i, w, a))
             })
         })
         .collect();
     let per_seed = PaperWorkflow::ALL.len() * AlgorithmKind::PAPER_SET.len();
-    let flat = run_parallel(&jobs, |&(s, w, a)| {
-        run_cell(w, a, &MatrixConfig { seed: s, ..base })
-    });
+    let flat = run_parallel(&jobs, |&(s, w, a)| run_cell(w, a, s));
     let sweeps: Vec<&[MatrixCell]> = flat.chunks(per_seed).collect();
     let cells = sweeps[0];
 
@@ -284,11 +278,7 @@ const FIG6_SET: [AlgorithmKind; 6] = [
 /// share), the failed allocations per cell, and the raw cells as
 /// `fig6_waste.json`.
 pub fn fig6(config: &ExperimentConfig) -> Artifact {
-    let matrix = MatrixConfig {
-        seed: config.seed,
-        ..MatrixConfig::default()
-    };
-    let cells = run_matrix_for(&PaperWorkflow::ALL, &FIG6_SET, &matrix);
+    let cells = run_matrix_for(&PaperWorkflow::ALL, &FIG6_SET, config.seed);
 
     let mut artifact = Artifact::default();
     for kind in ResourceKind::STANDARD {

@@ -38,6 +38,6 @@ pub mod timing;
 
 pub use artifact::{experiment, Artifact, Experiment, ExperimentConfig, EXPERIMENTS};
 pub use chaos::{run_chaos_cell, run_chaos_sweep, ChaosCell};
-pub use experiments::{run_cell, run_matrix_for, MatrixCell, MatrixConfig};
+pub use experiments::{run_cell, run_matrix_for, MatrixCell};
 pub use pool::run_parallel;
 pub use timing::{loaded_estimator, sample_values, state_compute_time, TABLE1_SIZES};

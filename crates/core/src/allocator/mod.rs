@@ -117,8 +117,8 @@ impl AllocatorBuilder {
 /// Generic over an [`EventSink`]; the default [`NoopSink`] disables decision
 /// tracing at compile time.
 ///
-/// State is sharded by category ([`shard::CategoryShard`]): each category
-/// owns its estimator bank *and its own RNG stream* (seeded
+/// State is sharded by category (one private `CategoryShard` each): each
+/// category owns its estimator bank *and its own RNG stream* (seeded
 /// `seed ^ category`), so the answers one category gets never depend on
 /// how calls to other categories interleave with its own.
 pub struct Allocator<S: EventSink = NoopSink> {
@@ -172,7 +172,7 @@ impl Allocator {
             seed,
             rejected: 0,
             fault_policy: None,
-            feedback: FeedbackState::new(None),
+            feedback: FeedbackState::new(),
             sink: NoopSink,
         }
     }
@@ -200,7 +200,7 @@ impl Allocator {
             seed,
             rejected: 0,
             fault_policy: None,
-            feedback: FeedbackState::new(None),
+            feedback: FeedbackState::new(),
             sink: NoopSink,
         }
     }
@@ -248,19 +248,10 @@ impl<S: EventSink> Allocator<S> {
         self.categories.get(&category).map_or(0, |s| s.records())
     }
 
-    /// The active fault-feedback policy, if one is set.
-    pub fn fault_policy(&self) -> Option<FaultPolicy> {
-        self.fault_policy
-    }
-
-    /// Install (or remove, with `None`) the fault-feedback policy. Resets
-    /// the outcome windows to the policy's capacity and decay, so call
-    /// before the run starts.
+    /// Install (or remove, with `None`) the fault-feedback policy. Call
+    /// before the run starts: the switch only decides whether the outcome
+    /// history already being kept moves predictions.
     pub fn set_fault_policy(&mut self, policy: Option<FaultPolicy>) {
-        if let Some(p) = &policy {
-            debug_assert!(p.validate().is_ok(), "invalid fault policy");
-            self.feedback = FeedbackState::new(Some(p));
-        }
         self.fault_policy = policy;
     }
 
@@ -270,7 +261,7 @@ impl<S: EventSink> Allocator<S> {
     /// telemetry when no [`FaultPolicy`] is installed; with one, the
     /// decayed crash/timeout rate of the task's *own category* starts
     /// padding first predictions and biasing retry escalations, and racks
-    /// crossing [`FaultPolicy::rack_crash_threshold`] surface through
+    /// crossing the crash threshold surface through
     /// [`avoided_racks`](Self::avoided_racks). Consumes no randomness
     /// either way.
     pub fn observe_outcome(
@@ -282,50 +273,24 @@ impl<S: EventSink> Allocator<S> {
         self.feedback.observe(category, outcome, rack);
         if S::ENABLED {
             let rate = self.windowed_fault_rate();
-            let padding = self
-                .fault_policy
-                .map_or(1.0, |p| p.padding(self.effective_rate(category)));
+            let padding = self.feedback_padding(category);
             self.sink
                 .emit(AllocEvent::feedback(category, outcome, rate, padding));
         }
     }
 
-    /// The decayed global fault rate feeding telemetry (`0.0` while fewer
-    /// than `min_samples` outcomes are recorded).
-    pub fn windowed_fault_rate(&self) -> f64 {
-        let min = self
-            .fault_policy
-            .map_or(FaultPolicy::default().min_samples, |p| p.min_samples);
-        self.feedback.global_rate(min)
+    /// The decayed global fault rate feeding telemetry (`0.0` while too
+    /// few outcomes are recorded).
+    pub(crate) fn windowed_fault_rate(&self) -> f64 {
+        self.feedback.global_rate()
     }
 
-    /// The decayed fault history shared by the padding layer, the learned
-    /// estimators and placement avoidance.
-    pub fn feedback(&self) -> &FeedbackState {
-        &self.feedback
-    }
-
-    /// Racks whose decayed crash rate crossed the policy threshold, in
+    /// Racks whose decayed crash rate crossed the feedback threshold, in
     /// ascending order; always empty without a policy or observed faults.
     pub fn avoided_racks(&self) -> Vec<u32> {
-        match &self.fault_policy {
-            Some(p) => self.feedback.avoided_racks(p),
+        match self.fault_policy {
+            Some(_) => self.feedback.avoided_racks(),
             None => Vec::new(),
-        }
-    }
-
-    /// The fault rate driving policy factors for `category`: the category's
-    /// own decayed window once it holds `min_samples` outcomes, the pooled
-    /// global window before that (a sparse category should not read as
-    /// fault-free while the pool burns).
-    fn effective_rate(&self, category: CategoryId) -> f64 {
-        let min = self
-            .fault_policy
-            .map_or(FaultPolicy::default().min_samples, |p| p.min_samples);
-        if self.feedback.category_len(category) >= min.max(1) {
-            self.feedback.category_rate(category, min)
-        } else {
-            self.feedback.global_rate(min)
         }
     }
 
@@ -333,14 +298,15 @@ impl<S: EventSink> Allocator<S> {
     /// without a policy or without observed faults.
     fn feedback_padding(&self, category: CategoryId) -> f64 {
         self.fault_policy
-            .map_or(1.0, |p| p.padding(self.effective_rate(category)))
+            .map_or(1.0, |p| p.padding(self.feedback.effective_rate(category)))
     }
 
     /// Escalation factor on retry predictions for `category`; exactly
     /// `1.0` without a policy or without observed faults.
     fn feedback_escalation(&self, category: CategoryId) -> f64 {
-        self.fault_policy
-            .map_or(1.0, |p| p.escalation(self.effective_rate(category)))
+        self.fault_policy.map_or(1.0, |p| {
+            p.escalation(self.feedback.effective_rate(category))
+        })
     }
 
     /// The attached event sink.

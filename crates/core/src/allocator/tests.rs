@@ -339,7 +339,7 @@ fn fault_feedback_without_observed_faults_changes_nothing() {
         .seed(9)
         .fault_policy(FaultPolicy::default())
         .build();
-    assert!(fed.fault_policy().is_some());
+    assert!(fed.fault_policy.is_some());
     for i in 0..20 {
         let r = record(i, 0, ResourceVector::new(1.0, 100.0 + i as f64, 10.0));
         plain.observe(&r);

@@ -102,20 +102,43 @@ pub fn greedy_cost(records: &[ScalarRecord], lo: usize, brk: usize, hi: usize) -
 /// `Σ_ij p_i p_j T[i][j]`.
 pub fn exhaustive_cost(set: &BucketSet) -> f64 {
     let buckets = set.buckets();
-    let n = buckets.len();
-    debug_assert!(n > 0, "cost of an empty bucket set is undefined");
+    debug_assert!(
+        !buckets.is_empty(),
+        "cost of an empty bucket set is undefined"
+    );
+    expected_waste(
+        buckets.len(),
+        |j| buckets[j].prob,
+        |j| buckets[j].rep,
+        |i| buckets[i].wmean,
+        &mut Vec::new(),
+    )
+}
+
+/// The `Σ_ij p_i p_j T[i][j]` table walk shared by [`exhaustive_cost`] and
+/// [`exhaustive_cost_with`], over `n` buckets described by their
+/// probability, representative and weighted mean. `suffix_p` is scratch
+/// space for the suffix probability sums.
+fn expected_waste(
+    n: usize,
+    prob: impl Fn(usize) -> f64,
+    rep: impl Fn(usize) -> f64,
+    wmean: impl Fn(usize) -> f64,
+    suffix_p: &mut Vec<f64>,
+) -> f64 {
     // Suffix probability sums: suffix_p[j] = Σ_{k ≥ j} p_k.
-    let mut suffix_p = vec![0.0; n + 1];
+    suffix_p.clear();
+    suffix_p.resize(n + 1, 0.0);
     for j in (0..n).rev() {
-        suffix_p[j] = suffix_p[j + 1] + buckets[j].prob;
+        suffix_p[j] = suffix_p[j + 1] + prob(j);
     }
     let mut total = 0.0;
     for i in 0..n {
-        let v_i = buckets[i].wmean;
+        let v_i = wmean(i);
         // s_pt = Σ_{k > j} p_k · T[i][k], maintained as j walks left.
         let mut s_pt = 0.0;
         for j in (0..n).rev() {
-            let rep_j = buckets[j].rep;
+            let rep_j = rep(j);
             let t = if i <= j {
                 rep_j - v_i
             } else {
@@ -128,8 +151,8 @@ pub fn exhaustive_cost(set: &BucketSet) -> f64 {
                     rep_j
                 }
             };
-            s_pt += buckets[j].prob * t;
-            total += buckets[i].prob * buckets[j].prob * t;
+            s_pt += prob(j) * t;
+            total += prob(i) * prob(j) * t;
         }
     }
     total
@@ -245,8 +268,8 @@ impl ExhaustiveScratch {
 
 /// [`exhaustive_cost`] computed directly from break indices and a
 /// [`PrefixStats`] cache — no [`BucketSet`] is materialized. Per-bucket
-/// statistics are O(1) prefix-sum queries; the N×N table walk is identical to
-/// the canonical version.
+/// statistics are O(1) prefix-sum queries; the N×N table walk is the
+/// canonical version's own.
 ///
 /// `breaks` are the inclusive end indices of all buckets but the last, as
 /// produced by a [`crate::partition::Partitioner`].
@@ -280,33 +303,13 @@ pub fn exhaustive_cost_with(
         start = end + 1;
     }
 
-    scratch.suffix_p.clear();
-    scratch.suffix_p.resize(n + 1, 0.0);
-    for j in (0..n).rev() {
-        scratch.suffix_p[j] = scratch.suffix_p[j + 1] + scratch.probs[j];
-    }
-
-    let mut total = 0.0;
-    for i in 0..n {
-        let v_i = scratch.wmeans[i];
-        let mut s_pt = 0.0;
-        for j in (0..n).rev() {
-            let rep_j = scratch.reps[j];
-            let t = if i <= j {
-                rep_j - v_i
-            } else {
-                let denom = scratch.suffix_p[j + 1];
-                if denom > 0.0 {
-                    rep_j + s_pt / denom
-                } else {
-                    rep_j
-                }
-            };
-            s_pt += scratch.probs[j] * t;
-            total += scratch.probs[i] * scratch.probs[j] * t;
-        }
-    }
-    total
+    expected_waste(
+        n,
+        |j| scratch.probs[j],
+        |j| scratch.reps[j],
+        |i| scratch.wmeans[i],
+        &mut scratch.suffix_p,
+    )
 }
 
 #[cfg(test)]

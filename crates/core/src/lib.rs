@@ -77,7 +77,7 @@ pub use bucket::{Bucket, BucketSet};
 pub use estimator::{AllocSource, Prediction, RebucketInfo, ValueEstimator};
 pub use exhaustive::ExhaustiveBucketing;
 pub use featurebin::FeatureBinned;
-pub use feedback::{AttemptFeedback, FaultPolicy, FeedbackState, FeedbackWindow};
+pub use feedback::{AttemptFeedback, FaultPolicy};
 pub use greedy::GreedyBucketing;
 pub use kmeans::KMeansBucketing;
 pub use oplog::{AllocLog, AllocOp};

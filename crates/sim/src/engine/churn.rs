@@ -5,7 +5,6 @@
 //! they are resubmitted with the same pinned allocation, because preemption
 //! is an infrastructure artifact, not an allocation failure.
 
-use super::lifecycle::TaskPhase;
 use super::queue::Event;
 use super::{SimConfig, Simulation};
 use crate::log::SimEvent;
@@ -84,23 +83,15 @@ impl<S: EventSink> Simulation<S> {
             self.maybe_replay_dead_letters();
         } else if let Some(id) = self.pool.random_worker(&mut self.churn_rng) {
             // Preempt everything running on the departing worker, in
-            // dispatch order (the index is unordered after swap-removals).
-            let mut victims = self.running_by_worker.remove(&id).unwrap_or_default();
-            victims.sort_unstable_by_key(|&(dispatch, _)| dispatch);
-            for (_, victim) in victims {
+            // dispatch order.
+            for (_, victim) in self.drain_victims(id) {
                 let run = self.running.remove(victim).expect("victim listed");
                 let elapsed = self.now - run.start;
                 self.preempted_alloc_time =
                     self.preempted_alloc_time.add(&run.alloc.scale(elapsed));
                 // Resubmit with the same (pinned) allocation: preemption
                 // teaches the allocator nothing about the task's needs.
-                let state = &mut self.tasks[run.task_idx];
-                state.next_alloc = Some(run.alloc);
-                state.pinned = true;
-                state
-                    .advance(TaskPhase::Ready)
-                    .expect("preempted attempt was running");
-                self.push_ready(run.task_idx);
+                self.requeue_pinned(run.task_idx, run.alloc);
                 self.record(SimEvent::TaskPreempted {
                     task: self.specs[run.task_idx].id,
                     worker: id,

@@ -159,10 +159,7 @@ impl<S: EventSink> Simulation<S> {
             self.tasks[task_idx].dispatch_failures = 0;
             let alloc = self.tasks[task_idx].next_alloc.expect("alloc just ensured");
             let avoid = self.rack_avoid_list();
-            let worker = self
-                .pool
-                .place_avoiding(&alloc, &avoid)
-                .expect("can_place verified");
+            let worker = self.pool.place(&alloc, &avoid).expect("can_place verified");
             let task = self.specs[task_idx];
             // Checkpoint/restart: judge the attempt on the work still owed.
             // With no banked salvage this is the spec itself, bit for bit.
@@ -317,17 +314,10 @@ impl<S: EventSink> Simulation<S> {
                     AttemptCause::StragglerTimeout,
                 ),
             );
-            let cap = self.config.faults.max_attempts;
-            if cap > 0 && self.tasks[run.task_idx].attempts.len() >= cap {
+            if self.attempts_spent(run.task_idx) {
                 self.dead_letter(run.task_idx, DeadLetterCause::AttemptsExhausted);
             } else {
-                let state = &mut self.tasks[run.task_idx];
-                state.next_alloc = Some(run.alloc);
-                state.pinned = true;
-                state
-                    .advance(TaskPhase::Ready)
-                    .expect("timed-out attempt was running");
-                self.push_ready(run.task_idx);
+                self.requeue_pinned(run.task_idx, run.alloc);
             }
         } else {
             self.record(SimEvent::TaskKilled {
@@ -340,8 +330,7 @@ impl<S: EventSink> Simulation<S> {
                 AttemptOutcome::failure(run.alloc, run.verdict.charged_time_s),
             );
             self.report_outcome(task.category, AttemptFeedback::Exhaustion, rack);
-            let cap = self.config.faults.max_attempts;
-            if cap > 0 && self.tasks[run.task_idx].attempts.len() >= cap {
+            if self.attempts_spent(run.task_idx) {
                 // Attempt budget spent: dead-letter without asking the
                 // allocator for a retry (`capped_retries` balances the
                 // `failures = retry predictions` reconciliation identity).
@@ -370,16 +359,9 @@ impl<S: EventSink> Simulation<S> {
                 self.dead_letter(run.task_idx, DeadLetterCause::Infeasible);
                 return;
             }
-            let next = decision.into_alloc();
-            let state = &mut self.tasks[run.task_idx];
-            state.next_alloc = Some(next);
             // Escalations are pinned: a later, smaller prediction must not
             // undo the doubling chosen at kill time.
-            state.pinned = true;
-            state
-                .advance(TaskPhase::Ready)
-                .expect("killed attempt was running");
-            self.push_ready(run.task_idx);
+            self.requeue_pinned(run.task_idx, decision.into_alloc());
         }
     }
 

@@ -8,7 +8,6 @@
 //! attempt first banks that fraction of the work it actually finished, so
 //! the retry resumes from the checkpoint instead of from zero.
 
-use super::lifecycle::TaskPhase;
 use super::queue::Event;
 use super::Simulation;
 use crate::enforcement::AttemptVerdict;
@@ -100,9 +99,7 @@ impl<S: EventSink> Simulation<S> {
         // The rack must be read before the worker leaves the pool: it is
         // the crash attribution rack avoidance learns from.
         let rack = self.pool.get(id).map(|w| w.spec.rack);
-        let mut victims = self.running_by_worker.remove(&id).unwrap_or_default();
-        victims.sort_unstable_by_key(|&(dispatch, _)| dispatch);
-        for (_, victim) in victims {
+        for (_, victim) in self.drain_victims(id) {
             let run = self.running.remove(victim).expect("victim listed");
             let elapsed = self.now - run.start;
             self.record(SimEvent::TaskCrashed {
@@ -131,19 +128,12 @@ impl<S: EventSink> Simulation<S> {
             }
             let state = &mut self.tasks[run.task_idx];
             self.attempt_arena.push(&mut state.attempts, attempt);
-            let cap = self.config.faults.max_attempts;
-            if cap > 0 && self.tasks[run.task_idx].attempts.len() >= cap {
+            if self.attempts_spent(run.task_idx) {
                 self.dead_letter(run.task_idx, DeadLetterCause::AttemptsExhausted);
             } else {
                 // The crash says nothing about the allocation: resubmit
                 // with the same (pinned) one.
-                let state = &mut self.tasks[run.task_idx];
-                state.next_alloc = Some(run.alloc);
-                state.pinned = true;
-                state
-                    .advance(TaskPhase::Ready)
-                    .expect("crashed attempt was running");
-                self.push_ready(run.task_idx);
+                self.requeue_pinned(run.task_idx, run.alloc);
             }
         }
         self.pool.leave(id);

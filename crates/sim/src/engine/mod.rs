@@ -396,9 +396,6 @@ impl Simulation {
         if let Some(mix) = config.worker_mix {
             mix.validate().expect("invalid worker mix");
         }
-        if let Some(policy) = config.fault_policy {
-            policy.validate().expect("invalid fault policy");
-        }
         let mut allocator = Allocator::with_config(algorithm, alloc_config, config.seed);
         allocator.set_fault_policy(config.fault_policy);
         let mut churn_rng = StdRng::seed_from_u64(config.seed ^ 0xC4_0A17);
@@ -522,6 +519,34 @@ impl<S: EventSink> Simulation<S> {
     fn push_ready(&mut self, task_idx: usize) {
         self.ready
             .push_back((task_idx, self.tasks[task_idx].queue_token));
+    }
+
+    /// Whether the task's attempt budget (`max_attempts`; `0` is
+    /// unbounded) is spent.
+    fn attempts_spent(&self, task_idx: usize) -> bool {
+        let cap = self.config.faults.max_attempts;
+        cap > 0 && self.tasks[task_idx].attempts.len() >= cap
+    }
+
+    /// Send the task of an ended attempt back to the ready queue with
+    /// `alloc` pinned as its next allocation, so a later, smaller
+    /// prediction cannot undo it. Records no event.
+    fn requeue_pinned(&mut self, task_idx: usize, alloc: ResourceVector) {
+        let state = &mut self.tasks[task_idx];
+        state.next_alloc = Some(alloc);
+        state.pinned = true;
+        state
+            .advance(TaskPhase::Ready)
+            .expect("ended attempt was running");
+        self.push_ready(task_idx);
+    }
+
+    /// Take every attempt running on `worker` out of the victim index, in
+    /// dispatch order (the index is unordered after swap-removals).
+    fn drain_victims(&mut self, worker: WorkerId) -> Vec<(u64, RunId)> {
+        let mut victims = self.running_by_worker.remove(&worker).unwrap_or_default();
+        victims.sort_unstable_by_key(|&(dispatch, _)| dispatch);
+        victims
     }
 
     /// Whether a ready-queue entry still refers to a live enqueueing.

@@ -40,8 +40,8 @@ pub fn replay(
 ///
 /// # Panics
 ///
-/// When a task fails [`MAX_ATTEMPTS`] times: the allocator never grows a
-/// retry to fit it.
+/// When a task fails `MAX_ATTEMPTS` (64) times: the allocator never grows
+/// a retry to fit it.
 pub fn replay_on(
     allocator: &mut Allocator,
     workflow: &Workflow,

@@ -136,47 +136,27 @@ impl WorkerPool {
         self.workers.iter().map(|(&id, w)| (id, w))
     }
 
-    /// First-fit placement: reserve `alloc` on the lowest-id worker with
-    /// room. Deterministic given the pool state.
-    pub fn place(&mut self, alloc: &ResourceVector) -> Option<WorkerId> {
-        for (&id, w) in self.workers.iter_mut() {
-            if w.fits(alloc) {
-                w.reserve(alloc);
-                return Some(id);
-            }
-        }
-        None
-    }
-
-    /// First-fit placement that deprioritizes the `avoid` racks: the
-    /// lowest-id fitting worker *outside* them wins; only when no other
-    /// worker has room does an avoided rack take the task (capacity is
-    /// never forfeited to suspicion). With an empty avoid list this is
-    /// byte-identical to [`place`](Self::place) — the fault-free path pays
-    /// nothing.
-    pub fn place_avoiding(&mut self, alloc: &ResourceVector, avoid: &[u32]) -> Option<WorkerId> {
-        if avoid.is_empty() {
-            return self.place(alloc);
-        }
+    /// First-fit placement that deprioritizes the `avoid` racks: reserve
+    /// `alloc` on the lowest-id fitting worker *outside* them; only when no
+    /// other worker has room does an avoided rack take the task (capacity
+    /// is never forfeited to suspicion). With an empty avoid list this is
+    /// plain first fit. Deterministic given the pool state.
+    pub fn place(&mut self, alloc: &ResourceVector, avoid: &[u32]) -> Option<WorkerId> {
         let mut fallback = None;
-        let mut chosen = None;
-        for (&id, w) in self.workers.iter() {
+        for (&id, w) in self.workers.iter_mut() {
             if !w.fits(alloc) {
                 continue;
             }
-            if avoid.contains(&w.spec.rack) {
-                if fallback.is_none() {
-                    fallback = Some(id);
-                }
-            } else {
-                chosen = Some(id);
-                break;
+            if !avoid.contains(&w.spec.rack) {
+                w.reserve(alloc);
+                return Some(id);
             }
+            fallback.get_or_insert(id);
         }
-        let id = chosen.or(fallback)?;
+        let id = fallback?;
         self.workers
             .get_mut(&id)
-            .expect("chosen worker exists")
+            .expect("fallback worker exists")
             .reserve(alloc);
         Some(id)
     }
@@ -308,13 +288,13 @@ mod tests {
         assert_eq!(pool.len(), 2);
         let alloc = ResourceVector::new(8.0, 1024.0, 1024.0);
         // First fit is the lowest id.
-        let placed = pool.place(&alloc).unwrap();
+        let placed = pool.place(&alloc, &[]).unwrap();
         assert_eq!(placed, a);
         assert_eq!(pool.get(a).unwrap().running, 1);
         // Second placement of 8 cores still fits worker a (16 cores).
-        assert_eq!(pool.place(&alloc).unwrap(), a);
+        assert_eq!(pool.place(&alloc, &[]).unwrap(), a);
         // Third goes to b.
-        assert_eq!(pool.place(&alloc).unwrap(), b);
+        assert_eq!(pool.place(&alloc, &[]).unwrap(), b);
         pool.release(a, &alloc);
         pool.release(a, &alloc);
         assert_eq!(pool.get(a).unwrap().running, 0);
@@ -339,25 +319,25 @@ mod tests {
     }
 
     #[test]
-    fn place_avoiding_prefers_healthy_racks_but_never_strands_work() {
+    fn place_prefers_healthy_racks_but_never_strands_work() {
         let mut pool = WorkerPool::new();
         let a = pool.join(spec().with_rack(0));
         let b = pool.join(spec().with_rack(1));
         let alloc = ResourceVector::new(8.0, 1024.0, 1024.0);
         // An empty avoid list is plain first fit: lowest id.
-        assert_eq!(pool.place_avoiding(&alloc, &[]), Some(a));
+        assert_eq!(pool.place(&alloc, &[]), Some(a));
         pool.release(a, &alloc);
         // Rack 0 flagged: the higher-id worker on rack 1 wins.
-        assert_eq!(pool.place_avoiding(&alloc, &[0]), Some(b));
+        assert_eq!(pool.place(&alloc, &[0]), Some(b));
         // Both racks flagged: first fit again rather than refusing.
-        assert_eq!(pool.place_avoiding(&alloc, &[0, 1]), Some(a));
+        assert_eq!(pool.place(&alloc, &[0, 1]), Some(a));
         // Fill rack 1 completely; an avoided rack still takes the task.
         let whole = spec().capacity;
         pool.release(a, &alloc);
         pool.release(b, &alloc);
-        assert_eq!(pool.place_avoiding(&whole, &[0]), Some(b));
-        assert_eq!(pool.place_avoiding(&whole, &[0]), Some(a));
-        assert_eq!(pool.place_avoiding(&whole, &[0]), None);
+        assert_eq!(pool.place(&whole, &[0]), Some(b));
+        assert_eq!(pool.place(&whole, &[0]), Some(a));
+        assert_eq!(pool.place(&whole, &[0]), None);
     }
 
     #[test]
@@ -365,8 +345,8 @@ mod tests {
         let mut pool = WorkerPool::new();
         pool.join(spec());
         let whole = spec().capacity;
-        assert!(pool.place(&whole).is_some());
-        assert_eq!(pool.place(&ResourceVector::new(1.0, 1.0, 1.0)), None);
+        assert!(pool.place(&whole, &[]).is_some());
+        assert_eq!(pool.place(&ResourceVector::new(1.0, 1.0, 1.0), &[]), None);
     }
 
     #[test]
@@ -396,7 +376,7 @@ mod tests {
         };
         let before = total_available(&pool);
         let alloc = ResourceVector::new(4.0, 2048.0, 512.0);
-        pool.place(&alloc).unwrap();
+        pool.place(&alloc, &[]).unwrap();
         let after = total_available(&pool);
         assert_eq!(before.sub(&after), alloc);
     }
@@ -410,19 +390,19 @@ mod tests {
         let b = pool.join(spec());
         let c = pool.join(spec());
         let whole = spec().capacity;
-        assert_eq!(pool.place(&whole), Some(a));
+        assert_eq!(pool.place(&whole, &[]), Some(a));
         // a is full → next lowest id wins.
-        assert_eq!(pool.place(&whole), Some(b));
+        assert_eq!(pool.place(&whole, &[]), Some(b));
         // b departs mid-run; c is now the only worker with room.
         pool.leave(b);
-        assert_eq!(pool.place(&whole), Some(c));
+        assert_eq!(pool.place(&whole, &[]), Some(c));
         // A re-join gets a fresh id above every previous one.
         let d = pool.join(spec());
         assert!(d > c);
-        assert_eq!(pool.place(&whole), Some(d));
+        assert_eq!(pool.place(&whole, &[]), Some(d));
         pool.release(a, &whole);
         // Freed capacity on the lowest id is preferred again.
-        assert_eq!(pool.place(&whole), Some(a));
+        assert_eq!(pool.place(&whole, &[]), Some(a));
     }
 
     #[test]
@@ -455,7 +435,7 @@ mod tests {
         assert!(!pool.could_ever_place(&ResourceVector::new(1.0, 1.0, 1.0)));
         pool.join(spec());
         let whole = spec().capacity;
-        pool.place(&whole).unwrap();
+        pool.place(&whole, &[]).unwrap();
         // Nothing fits *now*, but an idle worker of this shape could take it.
         assert!(!pool.can_place(&whole));
         assert!(pool.could_ever_place(&whole));

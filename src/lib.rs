@@ -50,7 +50,7 @@ pub mod prelude {
         AlgorithmKind, AllocationDecision, Allocator, AllocatorBuilder, AllocatorConfig,
         ExploratoryPolicy,
     };
-    pub use tora_alloc::feedback::{AttemptFeedback, FaultPolicy, FeedbackWindow};
+    pub use tora_alloc::feedback::{AttemptFeedback, FaultPolicy};
     pub use tora_alloc::resources::{ResourceKind, ResourceMask, ResourceVector, WorkerSpec};
     pub use tora_alloc::task::{
         CategoryId, ResourceRecord, TaskContext, TaskFeatures, TaskId, TaskSpec,

@@ -13,7 +13,7 @@
 //!
 //! * [`protocol`] — the wire types. Externally-tagged request/response
 //!   enums; resource vectors cross the wire as named axes.
-//! * [`tenant`] (private) — per-tenant allocator state (each tenant owns an
+//! * `tenant` (private) — per-tenant allocator state (each tenant owns an
 //!   [`Allocator`](crate::prelude::Allocator), journal and task books) and
 //!   the dominant-resource-fair admission policy that arbitrates the shared
 //!   pool between tenants.
