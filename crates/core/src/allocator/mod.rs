@@ -287,10 +287,10 @@ impl<S: EventSink> Allocator<S> {
 
     /// Racks whose decayed crash rate crossed the feedback threshold, in
     /// ascending order; always empty without a policy or observed faults.
-    pub fn avoided_racks(&self) -> Vec<u32> {
+    pub fn avoided_racks(&self) -> &[u32] {
         match self.fault_policy {
             Some(_) => self.feedback.avoided_racks(),
-            None => Vec::new(),
+            None => &[],
         }
     }
 

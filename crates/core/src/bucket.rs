@@ -13,6 +13,7 @@
 //! both Greedy and Exhaustive Bucketing use as the estimate of where inside a
 //! bucket the next task's consumption will land (`v_lo`, `v_hi`, `v_i`).
 
+use crate::cost::PrefixStats;
 use crate::record::ScalarRecord;
 use serde::{Deserialize, Serialize};
 
@@ -69,34 +70,78 @@ impl BucketSet {
     /// increasing. Debug builds also assert the records are sorted.
     pub fn from_breaks(records: &[ScalarRecord], breaks: &[usize]) -> Self {
         assert!(!records.is_empty(), "cannot bucket an empty record list");
+        let total_sig: f64 = records.iter().map(|r| r.sig).sum();
+        let mut set = BucketSet::default();
+        set.fill(records, total_sig, breaks, 0);
+        set
+    }
+
+    /// Re-partition in place after a rebucket in which only the records from
+    /// index `first` on changed; `stats` is the prefix cache over the new
+    /// `records`. A bucket lying wholly below `first` whose range is
+    /// unchanged keeps its sums and only has its probability recomputed;
+    /// every other bucket is re-summed. The result is bit-identical to
+    /// [`from_breaks`](Self::from_breaks), whose summation it shares, and
+    /// `first = 0` re-sums every bucket.
+    ///
+    /// # Panics
+    /// As [`from_breaks`](Self::from_breaks).
+    pub fn rebuild(
+        &mut self,
+        records: &[ScalarRecord],
+        stats: &PrefixStats,
+        breaks: &[usize],
+        first: usize,
+    ) {
+        assert!(!records.is_empty(), "cannot bucket an empty record list");
+        debug_assert_eq!(stats.len(), records.len(), "stale PrefixStats");
+        // The cache's last entry is the same sequential sum `from_breaks`
+        // takes over the whole list.
+        let total_sig = stats.sig(0, records.len() - 1);
+        self.fill(records, total_sig, breaks, first);
+    }
+
+    /// The summation shared by [`from_breaks`](Self::from_breaks) and
+    /// [`rebuild`](Self::rebuild): bucket `i` of the new partition reuses
+    /// the sums of the bucket at position `i` before the call when both
+    /// cover the same records below `first`, and re-sums its members
+    /// otherwise.
+    fn fill(&mut self, records: &[ScalarRecord], total_sig: f64, breaks: &[usize], first: usize) {
         debug_assert!(
             records.windows(2).all(|w| w[0].value <= w[1].value),
             "records must be sorted by value"
         );
         let n = records.len();
-        let mut buckets = Vec::with_capacity(breaks.len() + 1);
-        let total_sig: f64 = records.iter().map(|r| r.sig).sum();
         let mut start = 0usize;
+        // First record of the old bucket at the current position.
+        let mut old_start = 0usize;
         let mut prev_break: Option<usize> = None;
-        for &b in breaks.iter().chain(std::iter::once(&(n - 1))) {
+        for (i, &b) in breaks.iter().chain(std::iter::once(&(n - 1))).enumerate() {
             if let Some(p) = prev_break {
                 assert!(b > p, "break indices must be strictly increasing");
             }
             assert!(b < n, "break index {b} out of range for {n} records");
             prev_break = Some(b);
-            let members = &records[start..=b];
-            let sig_sum: f64 = members.iter().map(|r| r.sig).sum();
-            let wmean = members.iter().map(|r| r.value * r.sig).sum::<f64>() / sig_sum;
-            buckets.push(Bucket {
-                rep: members.last().expect("non-empty bucket").value,
-                prob: sig_sum / total_sig,
-                wmean,
-                count: members.len(),
-                sig_sum,
-            });
+            let old = self.buckets.get(i).copied();
+            let bucket = match old {
+                Some(kept) if b < first && old_start == start && kept.count == b + 1 - start => {
+                    Bucket {
+                        prob: kept.sig_sum / total_sig,
+                        ..kept
+                    }
+                }
+                _ => sum_bucket(&records[start..=b], total_sig),
+            };
+            match old {
+                Some(old) => {
+                    old_start += old.count;
+                    self.buckets[i] = bucket;
+                }
+                None => self.buckets.push(bucket),
+            }
             start = b + 1;
         }
-        BucketSet { buckets }
+        self.buckets.truncate(breaks.len() + 1);
     }
 
     /// A single bucket containing every record.
@@ -208,6 +253,24 @@ impl BucketSet {
     }
 }
 
+/// A bucket over `members` (non-empty), its significance and weighted
+/// sums accumulated in one loop, each in its own sequential order.
+fn sum_bucket(members: &[ScalarRecord], total_sig: f64) -> Bucket {
+    let mut sig_sum = 0.0;
+    let mut wsum = 0.0;
+    for r in members {
+        sig_sum += r.sig;
+        wsum += r.value * r.sig;
+    }
+    Bucket {
+        rep: members.last().expect("non-empty bucket").value,
+        prob: sig_sum / total_sig,
+        wmean: wsum / sig_sum,
+        count: members.len(),
+        sig_sum,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,6 +357,24 @@ mod tests {
             let set = BucketSet::from_breaks(l.sorted(), &breaks);
             assert_eq!(set.len(), breaks.len() + 1);
             set.check_invariants(l.sorted()).unwrap();
+        }
+    }
+
+    #[test]
+    fn rebuild_re_sums_every_bucket_not_wholly_below_the_change() {
+        let before = records(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        let mut set = BucketSet::from_breaks(before.sorted(), &[1, 2]);
+        // 2.5 lands at index 2: bucket [0..=1] is untouched, while bucket
+        // [2..=2] keeps its range but now holds the new record.
+        let mut after = before.clone();
+        after.observe(2.5, 6.0);
+        let first = after.commit().unwrap();
+        assert_eq!(first, 2);
+        let records = after.sorted();
+        let stats = PrefixStats::from_records(records);
+        for breaks in [vec![1, 2], vec![0, 1, 2, 3], vec![3]] {
+            set.rebuild(records, &stats, &breaks, first);
+            assert_eq!(set, BucketSet::from_breaks(records, &breaks), "{breaks:?}");
         }
     }
 

@@ -9,10 +9,11 @@
 //! * [`exhaustive_cost`] — the N×N expected-waste table of
 //!   `compute_exhaust_cost` in Algorithm 2, and
 //! * [`PrefixStats`] / [`exhaustive_cost_with`] — the prefix-sum fast path:
-//!   cumulative `sig` and `value·sig` arrays built once per rebucket make any
-//!   interval's statistics an O(1) query, so the fast partitioner modes score
-//!   candidates without re-walking the record list or materializing a
-//!   [`BucketSet`] per configuration.
+//!   cumulative `sig` and `value·sig` arrays, which the estimator keeps for
+//!   its whole life and rewrites from the first changed record at each
+//!   rebucket, make any interval's statistics an O(1) query, so the fast
+//!   partitioner modes score candidates without re-walking the record list
+//!   or materializing a [`BucketSet`] per configuration.
 
 use crate::bucket::BucketSet;
 use crate::record::ScalarRecord;
@@ -162,9 +163,11 @@ fn expected_waste(
 /// `value·sig` arrays that answer any contiguous interval's significance sum
 /// and weighted sum in O(1).
 ///
-/// Built once per rebucket by the fast partitioner modes; every candidate
-/// break the scan considers then costs O(1) instead of an O(interval)
-/// re-walk.
+/// [`crate::policy::BucketingEstimator`] owns one for its whole life and
+/// rewrites it only from the first record a rebucket's merge touched
+/// ([`update_from`](Self::update_from)); the fast partitioner modes read it,
+/// so every candidate break a scan considers costs O(1) instead of an
+/// O(interval) re-walk.
 ///
 /// # Examples
 ///
@@ -190,7 +193,8 @@ pub struct PrefixStats {
 }
 
 impl PrefixStats {
-    /// An empty cache; call [`rebuild`](Self::rebuild) before querying.
+    /// An empty cache; call [`update_from`](Self::update_from) before
+    /// querying.
     pub fn new() -> Self {
         Self::default()
     }
@@ -198,22 +202,27 @@ impl PrefixStats {
     /// Build a cache for `records`.
     pub fn from_records(records: &[ScalarRecord]) -> Self {
         let mut stats = Self::new();
-        stats.rebuild(records);
+        stats.update_from(records, 0);
         stats
     }
 
-    /// Recompute the cumulative arrays for `records`, reusing the
-    /// allocations.
-    pub fn rebuild(&mut self, records: &[ScalarRecord]) {
-        self.cum_sig.clear();
-        self.cum_wsum.clear();
-        self.cum_sig.reserve(records.len() + 1);
-        self.cum_wsum.reserve(records.len() + 1);
-        let mut sig = 0.0;
-        let mut wsum = 0.0;
-        self.cum_sig.push(0.0);
-        self.cum_wsum.push(0.0);
-        for r in records {
+    /// Bring the cache up to date with `records`, of which only those from
+    /// index `first` on differ from the records it last covered. The sums
+    /// below `first` are kept; the rest are rewritten in place, continuing
+    /// the same sequential additions, so the result is bit-identical to
+    /// [`from_records`](Self::from_records). `first = 0` recomputes
+    /// everything.
+    pub fn update_from(&mut self, records: &[ScalarRecord], first: usize) {
+        debug_assert!(first <= self.len() && first <= records.len());
+        self.cum_sig.truncate(first + 1);
+        self.cum_wsum.truncate(first + 1);
+        if self.cum_sig.is_empty() {
+            self.cum_sig.push(0.0);
+            self.cum_wsum.push(0.0);
+        }
+        let mut sig = self.cum_sig[first];
+        let mut wsum = self.cum_wsum[first];
+        for r in &records[first..] {
             sig += r.sig;
             wsum += r.value * r.sig;
             self.cum_sig.push(sig);

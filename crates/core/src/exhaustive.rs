@@ -24,6 +24,7 @@ const PAPER_MAX_BUCKETS: usize = 10;
 /// # Examples
 ///
 /// ```
+/// use tora_alloc::cost::PrefixStats;
 /// use tora_alloc::exhaustive::ExhaustiveBucketing;
 /// use tora_alloc::partition::Partitioner;
 /// use tora_alloc::record::RecordList;
@@ -31,7 +32,8 @@ const PAPER_MAX_BUCKETS: usize = 10;
 /// let records: RecordList = (0..20)
 ///     .map(|i| (if i % 2 == 0 { 200.0 } else { 2000.0 }, 1.0 + i as f64))
 ///     .collect();
-/// let breaks = ExhaustiveBucketing::new().partition(records.sorted());
+/// let stats = PrefixStats::from_records(records.sorted());
+/// let breaks = ExhaustiveBucketing::new().partition(records.sorted(), &stats);
 /// // The two well-separated memory clusters get their own buckets.
 /// assert_eq!(breaks, vec![9]);
 /// ```
@@ -136,23 +138,22 @@ impl ExhaustiveBucketing {
     }
 
     /// The fast costing loop: per-configuration bucket statistics are O(1)
-    /// prefix-sum queries and the scoring table reuses one scratch space —
-    /// no `BucketSet` is materialized until the winning configuration is
-    /// rebuilt by the caller.
-    fn partition_fast(&self, records: &[ScalarRecord]) -> Vec<usize> {
+    /// queries on the caller's prefix cache and the scoring table reuses one
+    /// scratch space — no `BucketSet` is materialized until the winning
+    /// configuration is rebuilt by the caller.
+    fn partition_fast(&self, records: &[ScalarRecord], stats: &PrefixStats) -> Vec<usize> {
         let n = records.len();
-        let stats = PrefixStats::from_records(records);
         let mut scratch = ExhaustiveScratch::new();
         let mut candidate = Vec::new();
         // b = 1: the single-bucket configuration.
         let mut best_breaks = Vec::new();
-        let mut best_cost = exhaustive_cost_with(records, &stats, &[], &mut scratch);
+        let mut best_cost = exhaustive_cost_with(records, stats, &[], &mut scratch);
         for b in 2..=self.max_buckets.min(n) {
             Self::grid_breaks_into(records, b, &mut candidate);
             if candidate.is_empty() {
                 continue; // grid collapsed (e.g. all values equal)
             }
-            let cost = exhaustive_cost_with(records, &stats, &candidate, &mut scratch);
+            let cost = exhaustive_cost_with(records, stats, &candidate, &mut scratch);
             if cost < best_cost {
                 best_cost = cost;
                 best_breaks.clear();
@@ -172,14 +173,14 @@ impl Partitioner for ExhaustiveBucketing {
         }
     }
 
-    fn partition(&self, records: &[ScalarRecord]) -> Vec<usize> {
+    fn partition(&self, records: &[ScalarRecord], stats: &PrefixStats) -> Vec<usize> {
         if records.len() <= 1 {
             return Vec::new();
         }
         if self.faithful {
             self.partition_faithful(records)
         } else {
-            self.partition_fast(records)
+            self.partition_fast(records, stats)
         }
     }
 }
@@ -187,6 +188,7 @@ impl Partitioner for ExhaustiveBucketing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::breaks_of;
     use crate::record::RecordList;
 
     fn list(values: &[f64]) -> RecordList {
@@ -200,16 +202,16 @@ mod tests {
     #[test]
     fn trivial_lists() {
         let eb = ExhaustiveBucketing::new();
-        assert!(eb.partition(&[]).is_empty());
+        assert!(breaks_of(&eb, &[]).is_empty());
         let l = list(&[4.0]);
-        assert!(eb.partition(l.sorted()).is_empty());
+        assert!(breaks_of(&eb, l.sorted()).is_empty());
     }
 
     #[test]
     fn identical_values_collapse_to_one_bucket() {
         let eb = ExhaustiveBucketing::new();
         let l: RecordList = (0..30).map(|i| (9.0, (i + 1) as f64)).collect();
-        assert!(eb.partition(l.sorted()).is_empty());
+        assert!(breaks_of(&eb, l.sorted()).is_empty());
     }
 
     #[test]
@@ -243,7 +245,7 @@ mod tests {
         values.extend((0..10).map(|i| 900.0 + i as f64));
         let l = list(&values);
         let eb = ExhaustiveBucketing::new();
-        let breaks = eb.partition(l.sorted());
+        let breaks = breaks_of(&eb, l.sorted());
         assert!(!breaks.is_empty(), "clusters should be split");
         let set = BucketSet::from_breaks(l.sorted(), &breaks);
         set.check_invariants(l.sorted()).unwrap();
@@ -262,7 +264,7 @@ mod tests {
         let values: Vec<f64> = (0..40).map(|i| (i as f64 + 1.0) * 1000.0).collect();
         let l = list(&values);
         let eb = ExhaustiveBucketing::with_max_buckets(3);
-        let breaks = eb.partition(l.sorted());
+        let breaks = breaks_of(&eb, l.sorted());
         assert!(breaks.len() < 3, "breaks {breaks:?}");
     }
 
@@ -277,7 +279,7 @@ mod tests {
             let values: Vec<f64> = (0..n).map(|_| next()).collect();
             let l = list(&values);
             let eb = ExhaustiveBucketing::new();
-            let breaks = eb.partition(l.sorted());
+            let breaks = breaks_of(&eb, l.sorted());
             let chosen = exhaustive_cost(&BucketSet::from_breaks(l.sorted(), &breaks));
             let single = exhaustive_cost(&BucketSet::single(l.sorted()));
             assert!(chosen <= single + 1e-9, "n={n}: {chosen} vs {single}");
@@ -297,8 +299,8 @@ mod tests {
             let values: Vec<f64> = (0..n).map(|_| next()).collect();
             let l = list(&values);
             assert_eq!(
-                eb.partition(l.sorted()),
-                eb_f.partition(l.sorted()),
+                breaks_of(&eb, l.sorted()),
+                breaks_of(&eb_f, l.sorted()),
                 "n={n}"
             );
         }
@@ -320,6 +322,6 @@ mod tests {
     fn zero_valued_records_stay_single_bucket() {
         let l: RecordList = (0..5).map(|i| (0.0, (i + 1) as f64)).collect();
         let eb = ExhaustiveBucketing::new();
-        assert!(eb.partition(l.sorted()).is_empty());
+        assert!(breaks_of(&eb, l.sorted()).is_empty());
     }
 }

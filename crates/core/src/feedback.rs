@@ -166,6 +166,10 @@ pub(crate) struct FeedbackState {
     global: DecayWindow,
     categories: BTreeMap<CategoryId, DecayWindow>,
     racks: BTreeMap<u32, DecayWindow>,
+    /// Racks whose window's rate meets `RACK_CRASH_THRESHOLD`, ascending.
+    /// A rack's rate moves only when its own window is pushed, so `observe`
+    /// keeps this current and dispatch reads it without walking `racks`.
+    avoided: Vec<u32>,
 }
 
 impl FeedbackState {
@@ -175,6 +179,7 @@ impl FeedbackState {
             global: DecayWindow::new(WINDOW, DECAY),
             categories: BTreeMap::new(),
             racks: BTreeMap::new(),
+            avoided: Vec::new(),
         }
     }
 
@@ -192,10 +197,19 @@ impl FeedbackState {
             .or_insert_with(|| DecayWindow::new(WINDOW, DECAY))
             .push(outcome);
         if let Some(rack) = rack {
-            self.racks
+            let window = self
+                .racks
                 .entry(rack)
-                .or_insert_with(|| DecayWindow::new(WINDOW, DECAY))
-                .push(outcome);
+                .or_insert_with(|| DecayWindow::new(WINDOW, DECAY));
+            window.push(outcome);
+            let hot = window.fault_rate(MIN_SAMPLES) >= RACK_CRASH_THRESHOLD;
+            match (self.avoided.binary_search(&rack), hot) {
+                (Err(at), true) => self.avoided.insert(at, rack),
+                (Ok(at), false) => {
+                    self.avoided.remove(at);
+                }
+                _ => {}
+            }
         }
     }
 
@@ -228,12 +242,8 @@ impl FeedbackState {
     /// Racks whose decayed crash rate meets `RACK_CRASH_THRESHOLD` at
     /// sufficient support, in ascending rack order. Empty at zero observed
     /// faults, so placement avoidance is exactly inert on a healthy pool.
-    pub(crate) fn avoided_racks(&self) -> Vec<u32> {
-        self.racks
-            .iter()
-            .filter(|(_, w)| w.fault_rate(MIN_SAMPLES) >= RACK_CRASH_THRESHOLD)
-            .map(|(rack, _)| *rack)
-            .collect()
+    pub(crate) fn avoided_racks(&self) -> &[u32] {
+        &self.avoided
     }
 }
 
@@ -321,7 +331,7 @@ mod tests {
         assert_eq!(state.category_rate(CategoryId(9)), 0.0);
         assert_eq!(state.racks[&1].fault_rate(MIN_SAMPLES), 0.0);
         assert!(state.racks[&2].fault_rate(MIN_SAMPLES) > 0.99);
-        assert_eq!(state.avoided_racks(), vec![2]);
+        assert_eq!(state.avoided_racks(), [2]);
         // The pooled global rate sits between the two.
         let g = state.global_rate();
         assert!(g > 0.2 && g < 0.8, "global rate {g}");

@@ -9,10 +9,10 @@
 //!
 //! Two scan strategies are provided, with identical output:
 //!
-//! * **Prefix** (default): a [`PrefixStats`] cache built once per
-//!   `partition` call answers every interval's statistics in O(1), so each
-//!   scan is O(len) with no per-interval re-accumulation. This is the
-//!   production mode.
+//! * **Prefix** (default): the caller's [`PrefixStats`] cache, which the
+//!   estimator keeps up to date across rebucketings, answers every
+//!   interval's statistics in O(1), so each scan is O(len) with no
+//!   per-interval re-accumulation. This is the production mode.
 //! * **Faithful** ([`GreedyBucketing::faithful`]): each candidate's cost
 //!   re-walks the interval, exactly like the paper's `compute_greedy_cost` —
 //!   O(len²) per scan. This reproduces Table I's measured growth
@@ -76,8 +76,8 @@ fn best_break_faithful(records: &[ScalarRecord], lo: usize, hi: usize) -> (usize
     (break_idx, min_cost)
 }
 
-/// Prefix-cache scan: the partition-wide [`PrefixStats`] answers every
-/// interval query in O(1), so no per-interval accumulation pass is needed.
+/// Prefix-cache scan: the caller's [`PrefixStats`] answers every interval
+/// query in O(1), so no per-interval accumulation pass is needed.
 fn best_break_prefix(
     records: &[ScalarRecord],
     stats: &PrefixStats,
@@ -139,18 +139,11 @@ impl Partitioner for GreedyBucketing {
 
     /// Algorithm 1, iteratively (an explicit work stack replaces the paper's
     /// recursion so adversarial inputs cannot overflow the call stack).
-    fn partition(&self, records: &[ScalarRecord]) -> Vec<usize> {
+    fn partition(&self, records: &[ScalarRecord], stats: &PrefixStats) -> Vec<usize> {
         let n = records.len();
         if n <= 1 {
             return Vec::new();
         }
-        // The prefix cache is built once per partition call and shared by
-        // every interval scan; the faithful scan never touches it.
-        let stats = if self.faithful {
-            PrefixStats::new()
-        } else {
-            PrefixStats::from_records(records)
-        };
         let mut ends: Vec<usize> = Vec::new();
         let mut stack = vec![(0usize, n - 1)];
         while let Some((lo, hi)) = stack.pop() {
@@ -158,7 +151,7 @@ impl Partitioner for GreedyBucketing {
                 ends.push(hi);
                 continue;
             }
-            let (brk, _cost) = self.best_break(records, &stats, lo, hi);
+            let (brk, _cost) = self.best_break(records, stats, lo, hi);
             if brk == hi {
                 ends.push(hi);
             } else {
@@ -177,6 +170,7 @@ impl Partitioner for GreedyBucketing {
 mod tests {
     use super::*;
     use crate::bucket::BucketSet;
+    use crate::partition::breaks_of;
     use crate::record::RecordList;
 
     fn list(values: &[f64]) -> RecordList {
@@ -190,16 +184,16 @@ mod tests {
     #[test]
     fn empty_and_singleton_lists_produce_no_breaks() {
         let gb = GreedyBucketing::new();
-        assert!(gb.partition(&[]).is_empty());
+        assert!(breaks_of(&gb, &[]).is_empty());
         let l = list(&[5.0]);
-        assert!(gb.partition(l.sorted()).is_empty());
+        assert!(breaks_of(&gb, l.sorted()).is_empty());
     }
 
     #[test]
     fn identical_values_stay_in_one_bucket() {
         let gb = GreedyBucketing::new();
         let l: RecordList = (0..20).map(|i| (7.0, (i + 1) as f64)).collect();
-        assert!(gb.partition(l.sorted()).is_empty());
+        assert!(breaks_of(&gb, l.sorted()).is_empty());
     }
 
     #[test]
@@ -208,7 +202,7 @@ mod tests {
         let mut values: Vec<f64> = (0..10).map(|i| 10.0 + i as f64 * 0.1).collect();
         values.extend((0..10).map(|i| 1000.0 + i as f64 * 0.1));
         let l = list(&values);
-        let breaks = gb.partition(l.sorted());
+        let breaks = breaks_of(&gb, l.sorted());
         // The gap is between sorted indices 9 and 10.
         assert!(breaks.contains(&9), "breaks {breaks:?} should include 9");
         let set = BucketSet::from_breaks(l.sorted(), &breaks);
@@ -225,7 +219,7 @@ mod tests {
             }
         }
         let l = list(&values);
-        let breaks = gb.partition(l.sorted());
+        let breaks = breaks_of(&gb, l.sorted());
         assert!(breaks.contains(&7), "missing first gap: {breaks:?}");
         assert!(breaks.contains(&15), "missing second gap: {breaks:?}");
     }
@@ -245,8 +239,8 @@ mod tests {
         for n in [2usize, 3, 7, 20, 64, 133] {
             let values: Vec<f64> = (0..n).map(|_| next()).collect();
             let l = list(&values);
-            let faithful = gb_f.partition(l.sorted());
-            assert_eq!(gb_p.partition(l.sorted()), faithful, "prefix, n = {n}");
+            let faithful = breaks_of(&gb_f, l.sorted());
+            assert_eq!(breaks_of(&gb_p, l.sorted()), faithful, "prefix, n = {n}");
         }
     }
 
@@ -255,7 +249,7 @@ mod tests {
         let gb = GreedyBucketing::new();
         let values: Vec<f64> = (0..50).map(|i| ((i * 37) % 100) as f64 + 1.0).collect();
         let l = list(&values);
-        let breaks = gb.partition(l.sorted());
+        let breaks = breaks_of(&gb, l.sorted());
         let set = BucketSet::from_breaks(l.sorted(), &breaks);
         set.check_invariants(l.sorted()).unwrap();
     }

@@ -14,7 +14,7 @@
 //! experimental variable is the clustering rule itself.
 
 use crate::bucket::BucketSet;
-use crate::cost::exhaustive_cost;
+use crate::cost::{exhaustive_cost, PrefixStats};
 use crate::partition::Partitioner;
 use crate::record::ScalarRecord;
 
@@ -109,7 +109,7 @@ impl Partitioner for KMeansBucketing {
         "kmeans-bucketing"
     }
 
-    fn partition(&self, records: &[ScalarRecord]) -> Vec<usize> {
+    fn partition(&self, records: &[ScalarRecord], _stats: &PrefixStats) -> Vec<usize> {
         let n = records.len();
         if n <= 1 {
             return Vec::new();
@@ -136,6 +136,7 @@ impl Partitioner for KMeansBucketing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::breaks_of;
     use crate::record::RecordList;
 
     fn list(values: &[f64]) -> RecordList {
@@ -149,11 +150,11 @@ mod tests {
     #[test]
     fn trivial_inputs() {
         let km = KMeansBucketing::new();
-        assert!(km.partition(&[]).is_empty());
+        assert!(breaks_of(&km, &[]).is_empty());
         let one = list(&[5.0]);
-        assert!(km.partition(one.sorted()).is_empty());
+        assert!(breaks_of(&km, one.sorted()).is_empty());
         let same = list(&[7.0; 20]);
-        assert!(km.partition(same.sorted()).is_empty());
+        assert!(breaks_of(&km, same.sorted()).is_empty());
     }
 
     #[test]
@@ -162,7 +163,7 @@ mod tests {
         values.extend((0..15).map(|i| 5000.0 + i as f64));
         let l = list(&values);
         let km = KMeansBucketing::new();
-        let breaks = km.partition(l.sorted());
+        let breaks = breaks_of(&km, l.sorted());
         assert!(breaks.contains(&14), "breaks {breaks:?}");
         let set = BucketSet::from_breaks(l.sorted(), &breaks);
         set.check_invariants(l.sorted()).unwrap();
@@ -198,7 +199,7 @@ mod tests {
             .flat_map(|g| (0..5).map(move |i| 1000.0 * 2f64.powi(g) + i as f64))
             .collect();
         let l = list(&values);
-        let breaks = KMeansBucketing::new().partition(l.sorted());
+        let breaks = breaks_of(&KMeansBucketing::new(), l.sorted());
         assert!(!breaks.is_empty() && breaks.len() < 10, "{breaks:?}");
     }
 
@@ -213,7 +214,7 @@ mod tests {
             let values: Vec<f64> = (0..n).map(|_| next()).collect();
             let l = list(&values);
             let km = KMeansBucketing::new();
-            let breaks = km.partition(l.sorted());
+            let breaks = breaks_of(&km, l.sorted());
             let chosen = exhaustive_cost(&BucketSet::from_breaks(l.sorted(), &breaks));
             let single = exhaustive_cost(&BucketSet::single(l.sorted()));
             assert!(chosen <= single + 1e-9, "n={n}");

@@ -13,10 +13,16 @@
 //! paper-worst-case mode (`recompute_always`) forces a rebuild per
 //! prediction, which is what Table I times.
 //!
+//! A rebuild redoes only what the new records changed. The pending batch is
+//! merged into the sorted list, which reports the first index it touched;
+//! the estimator's [`PrefixStats`] are rewritten from that index on, and
+//! buckets lying wholly below it keep their sums. The partitioner still
+//! scans the whole list, reading the kept cache.
+//!
 //! At paper scale the rebuild cadence is exact: every observation makes the
 //! next prediction rebucket. Past [`EXACT_REBUCKET_LIMIT`] records the
 //! per-observation rebuild would turn the whole run O(n²) (each rebuild
-//! re-merges and re-partitions the full record list), so rebuilds switch to
+//! still re-partitions the full record list), so rebuilds switch to
 //! *geometric batching*: a rebuild is deferred until the pending batch
 //! reaches `1/`[`REBUCKET_BATCH_DIVISOR`] of the list, bounding total
 //! rebuild work at O(n log n) while predictions between rebuilds serve the
@@ -33,6 +39,7 @@
 //! materialized when somebody asks.
 
 use crate::bucket::BucketSet;
+use crate::cost::PrefixStats;
 use crate::estimator::{double_allocation, Prediction, RebucketInfo, ValueEstimator};
 use crate::partition::Partitioner;
 use crate::record::RecordList;
@@ -73,6 +80,8 @@ pub const REBUCKET_BATCH_DIVISOR: usize = 64;
 pub struct BucketingEstimator<P> {
     partitioner: P,
     records: RecordList,
+    /// Prefix sums over `records.sorted()` as of the last rebuild.
+    stats: PrefixStats,
     cached: BucketSet,
     dirty: bool,
     recompute_always: bool,
@@ -88,6 +97,7 @@ impl<P: Partitioner> BucketingEstimator<P> {
         BucketingEstimator {
             partitioner,
             records: RecordList::new(),
+            stats: PrefixStats::new(),
             cached: BucketSet::default(),
             dirty: false,
             recompute_always: false,
@@ -96,8 +106,8 @@ impl<P: Partitioner> BucketingEstimator<P> {
         }
     }
 
-    /// Force a full bucketing-state recomputation on every prediction — the
-    /// worst case Table I measures.
+    /// Force a full bucketing-state recomputation on every prediction, from
+    /// the first record on — the worst case Table I measures.
     pub fn recompute_always(mut self) -> Self {
         self.recompute_always = true;
         self
@@ -134,11 +144,18 @@ impl<P: Partitioner> BucketingEstimator<P> {
             || (self.dirty && (force || self.rebuild_due()));
         if rebuild {
             // Fold the pending observation batch into the sorted list in one
-            // merge pass — the amortization that replaces per-observe sorted
-            // inserts.
-            self.records.commit();
-            let breaks = self.partitioner.partition(self.records.sorted());
-            self.cached = BucketSet::from_breaks(self.records.sorted(), &breaks);
+            // merge — the amortization that replaces per-observe sorted
+            // inserts. Nothing below the first index it touched changed.
+            let changed = self.records.commit();
+            let first = if self.recompute_always {
+                0
+            } else {
+                changed.unwrap_or(self.stats.len())
+            };
+            let records = self.records.sorted();
+            self.stats.update_from(records, first);
+            let breaks = self.partitioner.partition(records, &self.stats);
+            self.cached.rebuild(records, &self.stats, &breaks, first);
             self.dirty = false;
             self.version += 1;
             self.rebucket_pending = true;

@@ -38,7 +38,8 @@ impl ScalarRecord {
 /// ([`sorted`](Self::sorted), [`quantile`](Self::quantile),
 /// [`closest_below`](Self::closest_below)) require the batch to be folded in
 /// first via [`commit`](Self::commit). The lazy-rebucket estimators call
-/// `commit` once per rebucket, turning N sorted inserts into one merge pass.
+/// `commit` once per rebucket, turning N sorted inserts into one merge, and
+/// recompute their prefix sums and buckets only from the index it returns.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RecordList {
     sorted: Vec<ScalarRecord>,
@@ -92,46 +93,42 @@ impl RecordList {
         self.push(ScalarRecord::new(value, sig));
     }
 
-    /// Fold the pending batch into the sorted list in one pass: sort the
-    /// batch, then merge the two sorted runs back-to-front in place. Returns
-    /// `true` when anything was merged. Ties keep insertion order (pending
-    /// records were observed later, so they land after equal-valued sorted
-    /// ones).
-    pub fn commit(&mut self) -> bool {
+    /// Fold the pending batch into the sorted list: sort the batch, then
+    /// place it back-to-front, each record found by a galloping binary
+    /// search after the committed records of equal value and the committed
+    /// records above it moved up in one block. Every committed record moves
+    /// at most once.
+    ///
+    /// Returns the first index at which the sorted list changed — every
+    /// record below it is where it was — or `None` when nothing was
+    /// pending. Ties keep insertion order (pending records were observed
+    /// later, so they land after equal-valued sorted ones).
+    pub fn commit(&mut self) -> Option<usize> {
         if self.pending.is_empty() {
-            return false;
+            return None;
         }
         // Stable sort keeps insertion order among equal pending values.
         self.pending
             .sort_by(|a, b| a.value.partial_cmp(&b.value).expect("finite record values"));
         let old_len = self.sorted.len();
-        let add = self.pending.len();
         self.sorted.resize(
-            old_len + add,
+            old_len + self.pending.len(),
             ScalarRecord {
                 value: 0.0,
                 sig: 0.0,
             },
         );
-        // Back-to-front merge: each slot is written before it is read.
-        let mut i = old_len; // one past the last unmerged sorted element
-        let mut j = add; // one past the last unmerged pending element
-        for k in (0..old_len + add).rev() {
-            let take_pending =
-                i == 0 || (j > 0 && self.pending[j - 1].value >= self.sorted[i - 1].value);
-            if take_pending {
-                j -= 1;
-                self.sorted[k] = self.pending[j];
-            } else {
-                i -= 1;
-                self.sorted[k] = self.sorted[i];
-            }
-            if j == 0 {
-                break; // remaining sorted prefix is already in place
-            }
+        // `end` is one past the last committed record not yet moved.
+        let mut end = old_len;
+        for (j, rec) in self.pending.iter().enumerate().rev() {
+            let pos = upper_bound_before(&self.sorted[..end], rec.value);
+            // Pending records 0..=j all land below sorted[pos..end].
+            self.sorted.copy_within(pos..end, pos + j + 1);
+            self.sorted[pos + j] = *rec;
+            end = pos;
         }
         self.pending.clear();
-        true
+        Some(end)
     }
 
     /// The records, sorted ascending by value.
@@ -206,6 +203,26 @@ impl RecordList {
     }
 }
 
+/// The number of leading records in `sorted` with `value <= target` — the
+/// index after every equal value — found by galloping back from the end and
+/// then binary searching the bracket. A batch inserted back-to-front lands a
+/// short way below the previous insertion, so the probes stay near records
+/// just touched instead of striding across the whole list.
+fn upper_bound_before(sorted: &[ScalarRecord], target: f64) -> usize {
+    // Every record in sorted[hi..] is above `target`.
+    let mut hi = sorted.len();
+    let mut step = 1;
+    while hi > 0 {
+        let probe = hi.saturating_sub(step);
+        if sorted[probe].value <= target {
+            return probe + 1 + sorted[probe + 1..hi].partition_point(|r| r.value <= target);
+        }
+        hi = probe;
+        step *= 2;
+    }
+    0
+}
+
 impl FromIterator<(f64, f64)> for RecordList {
     fn from_iter<I: IntoIterator<Item = (f64, f64)>>(iter: I) -> Self {
         let mut list = RecordList::new();
@@ -249,9 +266,9 @@ mod tests {
         assert_eq!(l.len(), 2);
         assert_eq!(l.min_value(), Some(2.0));
         assert_eq!(l.max_value(), Some(10.0));
-        assert!(l.commit());
+        assert_eq!(l.commit(), Some(0));
         assert_eq!(l.pending_len(), 0);
-        assert!(!l.commit(), "second commit is a no-op");
+        assert_eq!(l.commit(), None, "second commit is a no-op");
         assert_eq!(l.sorted().len(), 2);
     }
 
@@ -283,6 +300,51 @@ mod tests {
         l.commit();
         let sigs: Vec<f64> = l.sorted().iter().map(|r| r.sig).collect();
         assert_eq!(sigs, vec![1.0, 2.0, 3.0, 4.0]);
+    }
+
+    /// Commit `batch` into `l`, returning the index `commit` reports.
+    fn commit_batch(l: &mut RecordList, batch: &[f64]) -> Option<usize> {
+        for &v in batch {
+            l.observe(v, 1.0);
+        }
+        l.commit()
+    }
+
+    #[test]
+    fn commit_into_an_empty_list_changes_from_zero() {
+        let mut l = RecordList::new();
+        assert_eq!(commit_batch(&mut l, &[3.0, 1.0]), Some(0));
+    }
+
+    #[test]
+    fn commit_below_every_record_changes_from_zero() {
+        let mut l = list(&[5.0, 6.0, 7.0]);
+        assert_eq!(commit_batch(&mut l, &[2.0, 1.0]), Some(0));
+        let values: Vec<f64> = l.sorted().iter().map(|r| r.value).collect();
+        assert_eq!(values, vec![1.0, 2.0, 5.0, 6.0, 7.0]);
+    }
+
+    #[test]
+    fn commit_above_every_record_changes_from_the_old_end() {
+        let mut l = list(&[5.0, 6.0, 7.0]);
+        assert_eq!(commit_batch(&mut l, &[9.0, 8.0]), Some(3));
+        let values: Vec<f64> = l.sorted().iter().map(|r| r.value).collect();
+        assert_eq!(values, vec![5.0, 6.0, 7.0, 8.0, 9.0]);
+    }
+
+    #[test]
+    fn commit_of_equal_values_changes_after_the_committed_ones() {
+        let mut l = list(&[5.0, 6.0, 6.0, 7.0]);
+        assert_eq!(commit_batch(&mut l, &[6.0]), Some(3));
+        let sigs: Vec<f64> = l.sorted().iter().map(|r| r.sig).collect();
+        assert_eq!(sigs, vec![1.0, 2.0, 3.0, 1.0, 4.0]);
+    }
+
+    #[test]
+    fn a_second_commit_reports_no_change() {
+        let mut l = RecordList::new();
+        assert_eq!(commit_batch(&mut l, &[4.0]), Some(0));
+        assert_eq!(l.commit(), None);
     }
 
     #[test]

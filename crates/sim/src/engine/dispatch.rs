@@ -158,8 +158,16 @@ impl<S: EventSink> Simulation<S> {
             }
             self.tasks[task_idx].dispatch_failures = 0;
             let alloc = self.tasks[task_idx].next_alloc.expect("alloc just ensured");
-            let avoid = self.rack_avoid_list();
-            let worker = self.pool.place(&alloc, &avoid).expect("can_place verified");
+            // Racks placement deprioritizes: none — and placement then
+            // byte-identical to plain first fit — unless the fault plan is
+            // active *and* a fault policy has flagged racks whose decayed
+            // crash rate crossed its threshold.
+            let avoid = if self.config.faults.is_active() {
+                self.allocator.avoided_racks()
+            } else {
+                &[]
+            };
+            let worker = self.pool.place(&alloc, avoid).expect("can_place verified");
             let task = self.specs[task_idx];
             // Checkpoint/restart: judge the attempt on the work still owed.
             // With no banked salvage this is the spec itself, bit for bit.

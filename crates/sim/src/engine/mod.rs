@@ -572,17 +572,6 @@ impl<S: EventSink> Simulation<S> {
         self.stats.record_feedback(category.0);
     }
 
-    /// Racks placement should deprioritize right now. Empty — and the
-    /// placement path then byte-identical to plain first fit — unless the
-    /// fault plan is active *and* a fault policy has flagged racks whose
-    /// decayed crash rate crossed its threshold.
-    fn rack_avoid_list(&self) -> Vec<u32> {
-        if !self.config.faults.is_active() {
-            return Vec::new();
-        }
-        self.allocator.avoided_racks()
-    }
-
     /// Total number of tasks this run must account for: everything
     /// materialized so far, or the streaming source's declared total.
     fn total_target(&self) -> usize {

@@ -10,8 +10,11 @@
 # run:
 #
 #   crates/sim, crates/workloads          -> sim-flat-1m, sim-dag-faults
-#   src/serve                             -> serve-closed-loop, serve-predict-burst
+#   src/serve, src/cli.rs, src/lib.rs     -> serve-closed-loop, serve-predict-burst
 #   crates/core, crates/metrics, compat   -> all four
+#
+# src/cli.rs and src/lib.rs are compiled into the serve path: the tenant
+# layer parses its algorithm names with `cli::parse_algorithm`.
 #
 # Each runs 5 interleaved parent/change pairs at `--seconds 0` (3
 # repetitions a side), and `tora-benchmark compare` judges them by the
@@ -38,7 +41,7 @@ for f in $(git diff --name-only "$base" --); do
     case "$f" in
     crates/core/* | crates/metrics/* | compat/*) sim=1 serve=1 ;;
     crates/sim/* | crates/workloads/*) sim=1 ;;
-    src/serve/*) serve=1 ;;
+    src/serve/* | src/cli.rs | src/lib.rs) serve=1 ;;
     esac
 done
 workloads=""

@@ -3,16 +3,96 @@
 
 use proptest::prelude::*;
 use tora::alloc::bucket::BucketSet;
-use tora::alloc::cost::{exhaustive_cost, greedy_cost};
+use tora::alloc::cost::{exhaustive_cost, greedy_cost, PrefixStats};
 use tora::alloc::exhaustive::ExhaustiveBucketing;
 use tora::alloc::greedy::GreedyBucketing;
 use tora::alloc::partition::Partitioner;
-use tora::alloc::record::RecordList;
+use tora::alloc::record::{RecordList, ScalarRecord};
+use tora::alloc::{BucketingEstimator, ValueEstimator};
 use tora::prelude::*;
 
 fn record_list() -> impl Strategy<Value = RecordList> {
     prop::collection::vec((1.0f64..10_000.0, 0.1f64..100.0), 1..120)
         .prop_map(|pairs| pairs.into_iter().collect())
+}
+
+/// One observe batch: 1 to 300 `(value, sig)` pairs, half of the values
+/// drawn from 19 round numbers so that ties with earlier batches occur.
+fn observe_batch() -> impl Strategy<Value = Vec<(f64, f64)>> {
+    let value = prop_oneof![
+        (1u32..20).prop_map(|k| f64::from(k) * 50.0),
+        1.0f64..10_000.0,
+    ];
+    prop::collection::vec((value, 0.1f64..100.0), 1..301)
+}
+
+/// `partitioner`'s breaks for `records` over a freshly built prefix cache.
+fn breaks_of(partitioner: &impl Partitioner, records: &[ScalarRecord]) -> Vec<usize> {
+    partitioner.partition(records, &PrefixStats::from_records(records))
+}
+
+/// Every field of every bucket, floats as their bit patterns.
+fn bucket_bits(set: &BucketSet) -> Vec<[u64; 5]> {
+    set.buckets()
+        .iter()
+        .map(|b| {
+            let count = b.count as u64;
+            [
+                b.rep.to_bits(),
+                b.prob.to_bits(),
+                b.wmean.to_bits(),
+                count,
+                b.sig_sum.to_bits(),
+            ]
+        })
+        .collect()
+}
+
+/// Feed `batches` through the estimator's rebuild steps — commit, prefix
+/// update from the index commit reports, partition, in-place bucket
+/// rebuild — and check each step against a build from scratch, bit for
+/// bit. A `BucketingEstimator` fed the same batches must agree too.
+fn check_incremental_rebuilds<P: Partitioner + Copy>(
+    partitioner: P,
+    batches: &[Vec<(f64, f64)>],
+) -> Result<(), TestCaseError> {
+    let mut list = RecordList::new();
+    let mut stats = PrefixStats::new();
+    let mut set = BucketSet::default();
+    let mut estimator = BucketingEstimator::new(partitioner);
+    for batch in batches {
+        let old = list.sorted().to_vec();
+        for &(value, sig) in batch {
+            list.observe(value, sig);
+            estimator.observe(value, sig);
+        }
+        let first = list.commit().expect("a non-empty batch changes the list");
+        let records = list.sorted();
+        let differs_at = old
+            .iter()
+            .zip(records)
+            .position(|(a, b)| a != b)
+            .unwrap_or(old.len());
+        prop_assert_eq!(first, differs_at);
+
+        stats.update_from(records, first);
+        let fresh_stats = PrefixStats::from_records(records);
+        prop_assert_eq!(stats.len(), records.len());
+        for i in 0..records.len() {
+            prop_assert_eq!(stats.sig(0, i).to_bits(), fresh_stats.sig(0, i).to_bits());
+            prop_assert_eq!(stats.wsum(0, i).to_bits(), fresh_stats.wsum(0, i).to_bits());
+        }
+
+        let breaks = partitioner.partition(records, &stats);
+        set.rebuild(records, &stats, &breaks, first);
+        let fresh = BucketSet::from_breaks(records, &breaks);
+        prop_assert_eq!(bucket_bits(&set), bucket_bits(&fresh));
+
+        estimator.rebucket().expect("records exist");
+        let snapshot = estimator.snapshot().expect("rebuilt state");
+        prop_assert_eq!(bucket_bits(&snapshot), bucket_bits(&fresh));
+    }
+    Ok(())
 }
 
 proptest! {
@@ -21,7 +101,7 @@ proptest! {
     #[test]
     fn greedy_partition_satisfies_bucket_invariants(list in record_list()) {
         let gb = GreedyBucketing::new();
-        let breaks = gb.partition(list.sorted());
+        let breaks = breaks_of(&gb, list.sorted());
         let set = BucketSet::from_breaks(list.sorted(), &breaks);
         prop_assert!(set.check_invariants(list.sorted()).is_ok());
     }
@@ -29,7 +109,7 @@ proptest! {
     #[test]
     fn exhaustive_partition_satisfies_bucket_invariants(list in record_list()) {
         let eb = ExhaustiveBucketing::new();
-        let breaks = eb.partition(list.sorted());
+        let breaks = breaks_of(&eb, list.sorted());
         let set = BucketSet::from_breaks(list.sorted(), &breaks);
         prop_assert!(set.check_invariants(list.sorted()).is_ok());
         prop_assert!(set.len() <= 10, "bucket cap exceeded: {}", set.len());
@@ -41,8 +121,8 @@ proptest! {
         // paper-faithful quadratic scan picks, and the chosen configuration
         // must cost bit-for-bit the same when scored through the canonical
         // bucket-set kernel.
-        let faithful = GreedyBucketing::faithful().partition(list.sorted());
-        let prefix = GreedyBucketing::new().partition(list.sorted());
+        let faithful = breaks_of(&GreedyBucketing::faithful(), list.sorted());
+        let prefix = breaks_of(&GreedyBucketing::new(), list.sorted());
         prop_assert_eq!(&faithful, &prefix);
         let cost_of = |breaks: &[usize]| {
             exhaustive_cost(&BucketSet::from_breaks(list.sorted(), breaks))
@@ -55,8 +135,8 @@ proptest! {
         // Same contract for Exhaustive Bucketing: the scratch-buffer fast
         // path must be an observationally identical drop-in for the
         // bucket-set-per-candidate faithful path.
-        let faithful = ExhaustiveBucketing::faithful().partition(list.sorted());
-        let fast = ExhaustiveBucketing::new().partition(list.sorted());
+        let faithful = breaks_of(&ExhaustiveBucketing::faithful(), list.sorted());
+        let fast = breaks_of(&ExhaustiveBucketing::new(), list.sorted());
         prop_assert_eq!(&faithful, &fast);
         let cost_of = |breaks: &[usize]| {
             exhaustive_cost(&BucketSet::from_breaks(list.sorted(), breaks))
@@ -67,7 +147,7 @@ proptest! {
     #[test]
     fn exhaustive_choice_never_worse_than_single_bucket(list in record_list()) {
         let eb = ExhaustiveBucketing::new();
-        let breaks = eb.partition(list.sorted());
+        let breaks = breaks_of(&eb, list.sorted());
         let chosen = exhaustive_cost(&BucketSet::from_breaks(list.sorted(), &breaks));
         let single = exhaustive_cost(&BucketSet::single(list.sorted()));
         prop_assert!(chosen <= single + 1e-9 * single.abs().max(1.0));
@@ -83,14 +163,22 @@ proptest! {
             prop_assert!(c.is_finite() && c >= -1e-9, "greedy cost {c}");
         }
         // Exhaustive cost of the chosen configuration.
-        let breaks = ExhaustiveBucketing::new().partition(records);
+        let breaks = breaks_of(&ExhaustiveBucketing::new(), records);
         let c = exhaustive_cost(&BucketSet::from_breaks(records, &breaks));
         prop_assert!(c.is_finite() && c >= -1e-9, "exhaustive cost {c}");
     }
 
     #[test]
+    fn incremental_rebuilds_match_fresh_ones_bit_for_bit(
+        batches in prop::collection::vec(observe_batch(), 1..8),
+    ) {
+        check_incremental_rebuilds(GreedyBucketing::new(), &batches)?;
+        check_incremental_rebuilds(ExhaustiveBucketing::new(), &batches)?;
+    }
+
+    #[test]
     fn sampling_always_returns_a_valid_bucket(list in record_list(), u in 0.0f64..1.0) {
-        let breaks = ExhaustiveBucketing::new().partition(list.sorted());
+        let breaks = breaks_of(&ExhaustiveBucketing::new(), list.sorted());
         let set = BucketSet::from_breaks(list.sorted(), &breaks);
         let idx = set.sample(u).expect("non-empty set samples");
         prop_assert!(idx < set.len());
