@@ -71,6 +71,13 @@ echo "== cargo build --release && cargo test --workspace -q =="
 cargo build --release
 cargo test --workspace -q
 
+echo "== bit-identity checks on release code =="
+# The greedy break scan's chunked cost loop is vectorized only in optimized
+# builds, so its bit-for-bit comparisons with the scalar scan (greedy.rs unit
+# tests) and the fast-vs-faithful properties run again on release code.
+cargo test --release -q -p tora-alloc
+cargo test --release -q --test property_based
+
 echo "== benchmark package builds and passes its own tests =="
 # benchmark/ compiles against the engine's public surface (EventSink,
 # AllocEvent, Simulation::with_sink, SimStats); a break there shows up here.
@@ -97,7 +104,8 @@ echo "== tora-benchmark: every workload, output checks and two performance floor
 # failed output check: conservation, zero Error responses, snapshot/restore
 # identity and the seed-42 digests pinned in benchmark/baseline.json. The
 # floors sit well below the medians measured on a 2-vCPU container
-# (~138k tasks/s, ~180 us p99), to absorb machine noise.
+# (sim-flat-1m ~175k tasks/s, serve-predict-burst p99 ~95 us), to absorb
+# machine noise.
 cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
     run --seconds 0 > target/benchmark-smoke.txt
 python3 - <<'EOF'

@@ -207,27 +207,35 @@ impl PrefixStats {
     }
 
     /// Bring the cache up to date with `records`, of which only those from
-    /// index `first` on differ from the records it last covered. The sums
-    /// below `first` are kept; the rest are rewritten in place, continuing
-    /// the same sequential additions, so the result is bit-identical to
+    /// index `first` on differ from the records it last covered. A record
+    /// list only grows, so the cache only grows: it is resized to
+    /// `records.len() + 1` entries and written in place, keeping the sums
+    /// below `first` and overwriting the rest by continuing the same
+    /// sequential additions, so the result is bit-identical to
     /// [`from_records`](Self::from_records). `first = 0` recomputes
     /// everything.
     pub fn update_from(&mut self, records: &[ScalarRecord], first: usize) {
-        debug_assert!(first <= self.len() && first <= records.len());
-        self.cum_sig.truncate(first + 1);
-        self.cum_wsum.truncate(first + 1);
-        if self.cum_sig.is_empty() {
-            self.cum_sig.push(0.0);
-            self.cum_wsum.push(0.0);
-        }
+        debug_assert!(records.len() >= self.len(), "a record list only grows");
+        debug_assert!(first <= self.len());
+        let n = records.len();
+        self.cum_sig.resize(n + 1, 0.0);
+        self.cum_wsum.resize(n + 1, 0.0);
         let mut sig = self.cum_sig[first];
         let mut wsum = self.cum_wsum[first];
-        for r in &records[first..] {
+        let sigs = &mut self.cum_sig[first + 1..];
+        let wsums = &mut self.cum_wsum[first + 1..];
+        for ((cum_sig, cum_wsum), r) in sigs.iter_mut().zip(wsums).zip(&records[first..]) {
             sig += r.sig;
             wsum += r.value * r.sig;
-            self.cum_sig.push(sig);
-            self.cum_wsum.push(wsum);
+            *cum_sig = sig;
+            *cum_wsum = wsum;
         }
+    }
+
+    /// The cumulative arrays `(cum_sig, cum_wsum)`, `len() + 1` entries each
+    /// with a leading zero, for scans that read them in bulk.
+    pub(crate) fn cumulative(&self) -> (&[f64], &[f64]) {
+        (&self.cum_sig, &self.cum_wsum)
     }
 
     /// Number of records the cache covers.
@@ -459,6 +467,44 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The cache's cumulative arrays as bits, for exact comparison.
+    fn bits(stats: &PrefixStats) -> Vec<(u64, u64)> {
+        let (sig, wsum) = stats.cumulative();
+        sig.iter()
+            .zip(wsum)
+            .map(|(s, w)| (s.to_bits(), w.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn update_from_in_place_matches_from_records_bit_for_bit() {
+        let mut l = sorted(&[(1.5, 3.0), (2.25, 0.7), (9.0, 11.0), (12.1, 0.3)]);
+        let mut stats = PrefixStats::from_records(l.sorted());
+
+        // Append-only commit: every new value is above the old maximum, so
+        // the first changed index is the old length.
+        for (v, sig) in [(20.0, 1.1), (33.3, 2.9), (40.5, 0.1)] {
+            l.observe(v, sig);
+        }
+        let first = l.commit().unwrap();
+        assert_eq!(first, 4);
+        stats.update_from(l.sorted(), first);
+        assert_eq!(bits(&stats), bits(&PrefixStats::from_records(l.sorted())));
+
+        // Nothing changed: first == len rewrites nothing.
+        let len = stats.len();
+        stats.update_from(l.sorted(), len);
+        assert_eq!(bits(&stats), bits(&PrefixStats::from_records(l.sorted())));
+
+        // A value below every record moves them all: first = 0.
+        l.observe(0.1, 5.0);
+        let first = l.commit().unwrap();
+        assert_eq!(first, 0);
+        stats.update_from(l.sorted(), first);
+        assert_eq!(stats.len(), 8);
+        assert_eq!(bits(&stats), bits(&PrefixStats::from_records(l.sorted())));
     }
 
     #[test]

@@ -192,15 +192,6 @@ impl RecordList {
         let idx = self.sorted().partition_point(|r| r.value < target);
         idx.checked_sub(1)
     }
-
-    /// Drop all records (sorted and pending), keeping capacity, and reset
-    /// every running cache.
-    pub fn clear(&mut self) {
-        self.sorted.clear();
-        self.pending.clear();
-        self.min_value = f64::NAN;
-        self.max_value = f64::NAN;
-    }
 }
 
 /// The number of leading records in `sorted` with `value <= target` — the
@@ -394,31 +385,5 @@ mod tests {
         l.commit();
         assert_eq!(l.len(), 4);
         assert_eq!(l.quantile(0.5), Some(2.0));
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut l = list(&[1.0, 2.0]);
-        l.clear();
-        assert!(l.is_empty());
-        assert_eq!(l.min_value(), None);
-        assert_eq!(l.max_value(), None);
-    }
-
-    #[test]
-    fn clear_then_observe_rebuilds_caches_from_scratch() {
-        // Regression: a stale running cache after clear() would poison every
-        // later min/max.
-        let mut l = list(&[100.0, 200.0]);
-        l.observe(300.0, 50.0); // leave something pending too
-        l.clear();
-        l.observe(4.0, 2.0);
-        l.observe(8.0, 2.0);
-        assert_eq!(l.len(), 2);
-        assert_eq!(l.min_value(), Some(4.0));
-        assert_eq!(l.max_value(), Some(8.0));
-        l.commit();
-        let values: Vec<f64> = l.sorted().iter().map(|r| r.value).collect();
-        assert_eq!(values, vec![4.0, 8.0]);
     }
 }
