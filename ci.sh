@@ -99,13 +99,16 @@ done
     exit 1
 }
 
-echo "== tora-benchmark: every workload, output checks and two performance floors =="
+echo "== tora-benchmark: every workload, output checks, two performance floors, one memory ceiling =="
 # Three repetitions per workload (--seconds 0). The run exits non-zero on any
 # failed output check: conservation, zero Error responses, snapshot/restore
 # identity and the seed-42 digests pinned in benchmark/baseline.json. The
 # floors sit well below the medians measured on a 2-vCPU container
 # (sim-flat-1m ~175k tasks/s, serve-predict-burst p99 ~95 us), to absorb
-# machine noise.
+# machine noise. The sim-flat-1m peak-RSS ceiling sits between the ~301 MB
+# the run peaks at with per-task outcomes folded into running sums and the
+# ~510 MB it peaked at while it kept every outcome; repetitions spread by
+# under 0.5 MB, so crossing it means per-task state grew back.
 cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
     run --seconds 0 > target/benchmark-smoke.txt
 python3 - <<'EOF'
@@ -128,7 +131,14 @@ if p99 >= 1000.0:
         f"serve Predict p99 {p99:.0f} us through the wire path breaks the "
         f"sub-millisecond budget -- the serve hot path regressed"
     )
-print(f"benchmark ok: sim-flat-1m {rate:.0f} tasks/s, "
+rss = metrics["sim-flat-1m/peak_rss_mb"]["value"]
+ceiling = 400.0
+if rss > ceiling:
+    raise SystemExit(
+        f"1M-task streaming peak RSS {rss:.0f} MB is over the {ceiling:.0f} MB "
+        f"ceiling -- per-task state grew back"
+    )
+print(f"benchmark ok: sim-flat-1m {rate:.0f} tasks/s, {rss:.0f} MB peak RSS, "
       f"serve-predict-burst p99 {p99:.0f} us")
 EOF
 

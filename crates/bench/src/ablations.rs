@@ -83,7 +83,12 @@ fn eb_replay(wf: &Workflow, adjust: impl Fn(&mut AllocatorConfig), seed: u64) ->
     };
     adjust(&mut config);
     let mut allocator = Allocator::with_config(AlgorithmKind::ExhaustiveBucketing, config, seed);
-    awe(&replay_on(&mut allocator, wf, EnforcementModel::LinearRamp))
+    awe(&replay_on(
+        &mut allocator,
+        wf,
+        EnforcementModel::LinearRamp,
+        WorkflowMetrics::new(),
+    ))
 }
 
 /// A custom estimator `factory` replayed under the paper's conservative
@@ -95,7 +100,12 @@ fn factory_replay(wf: &Workflow, label: String, factory: EstimatorFactory, seed:
         ..AllocatorConfig::default()
     };
     let mut allocator = Allocator::with_factory(label, factory, config, seed);
-    awe(&replay_on(&mut allocator, wf, EnforcementModel::LinearRamp))
+    awe(&replay_on(
+        &mut allocator,
+        wf,
+        EnforcementModel::LinearRamp,
+        WorkflowMetrics::new(),
+    ))
 }
 
 fn labels<T: std::fmt::Display>(items: &[T]) -> Vec<String> {
@@ -228,7 +238,7 @@ pub fn ablations(config: &ExperimentConfig) -> Artifact {
         "workflow",
         labels(&["value-grid (EB)", "greedy (GB)", "k-means"]),
         &workflows,
-        |wf, r| awe(&replay(wf, rules[r], ramp, seed)),
+        |wf, r| awe(&replay(wf, rules[r], ramp, seed, WorkflowMetrics::new())),
     );
 
     let models = [ramp, EnforcementModel::InstantPeak];
@@ -244,6 +254,7 @@ pub fn ablations(config: &ExperimentConfig) -> Artifact {
                 AlgorithmKind::ExhaustiveBucketing,
                 models[m],
                 seed,
+                WorkflowMetrics::new(),
             ))
         },
     );
@@ -271,7 +282,15 @@ pub fn ablations(config: &ExperimentConfig) -> Artifact {
         "perturbation",
         labels(&algorithms),
         &variants,
-        |wf, a| awe(&replay(wf, algorithms[a], ramp, seed)),
+        |wf, a| {
+            awe(&replay(
+                wf,
+                algorithms[a],
+                ramp,
+                seed,
+                WorkflowMetrics::new(),
+            ))
+        },
     );
 
     system_ablation(&mut out, seed);

@@ -15,7 +15,7 @@
 use serde::Serialize;
 use tora_alloc::allocator::AlgorithmKind;
 use tora_alloc::resources::ResourceKind;
-use tora_metrics::Table;
+use tora_metrics::{Table, WorkflowMetrics};
 use tora_sim::{replay, EnforcementModel};
 use tora_workloads::SyntheticKind;
 
@@ -63,7 +63,13 @@ pub fn fig_learned_rows(seed: u64) -> Vec<FigLearnedRow> {
     let mut rows: Vec<FigLearnedRow> = algorithms
         .into_iter()
         .map(|algorithm| {
-            let m = replay(&wf, algorithm, EnforcementModel::default(), seed);
+            let m = replay(
+                &wf,
+                algorithm,
+                EnforcementModel::default(),
+                seed,
+                WorkflowMetrics::new(),
+            );
             FigLearnedRow {
                 algorithm: algorithm.label().to_string(),
                 feature_conditioned: matches!(

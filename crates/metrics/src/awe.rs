@@ -6,9 +6,13 @@
 //! of how many (opportunistic) workers happened to be available, which is
 //! why the paper uses it as the headline number in Figure 5. Figure 6 splits
 //! the complementary waste into internal fragmentation and failed
-//! allocations; [`WasteBreakdown`] carries that split.
+//! allocations; [`WasteBreakdown`] carries that split. All of these are
+//! sums over tasks, so [`WorkflowMetrics`] keeps running sums, not tasks.
 
-use crate::outcome::{DeadLetter, TaskOutcome};
+use crate::outcome::{
+    DeadLetter, TaskOutcome, Terms, ALLOCATION, ALLOCATION_INDUCED, CONSUMPTION, FAILED_ALLOCATION,
+    FAULT_INDUCED, INTERNAL_FRAGMENTATION,
+};
 use serde::{Deserialize, Serialize};
 use tora_alloc::resources::ResourceKind;
 use tora_alloc::task::{CategoryId, TaskId};
@@ -61,49 +65,119 @@ impl WasteAttribution {
     }
 }
 
-/// Aggregated metrics over a completed workflow run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// No tasks: consumption and allocation start at `-0.0`, as the empty
+/// `Iterator::sum` does; the waste splits at `+0.0`, their `Default`.
+const NO_TASKS: Terms = {
+    let mut sums = [[0.0; ResourceKind::ALL.len()]; 6];
+    sums[CONSUMPTION] = [-0.0; ResourceKind::ALL.len()];
+    sums[ALLOCATION] = [-0.0; ResourceKind::ALL.len()];
+    sums
+};
+
+/// Aggregated metrics over a workflow run: running sums over its completed
+/// tasks, plus the dead letters.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkflowMetrics {
-    outcomes: Vec<TaskOutcome>,
-    #[serde(default)]
+    /// Index `i` counts the tasks that took `i + 1` attempts.
+    attempts: Vec<usize>,
+    /// Running sums of the task terms, `[term][kind]`.
+    sums: Terms,
+    /// The same sums per category, in first-completion order.
+    categories: Vec<(CategoryId, WorkflowMetrics)>,
+    /// Every pushed outcome, kept only by [`WorkflowMetrics::with_rows`].
+    rows: Option<Vec<TaskOutcome>>,
     dead_letters: Vec<DeadLetter>,
 }
 
+impl Default for WorkflowMetrics {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl WorkflowMetrics {
-    /// An empty accumulator.
+    /// An empty accumulator that keeps sums, not tasks.
     pub fn new() -> Self {
-        Self::default()
+        WorkflowMetrics {
+            attempts: Vec::new(),
+            sums: NO_TASKS,
+            categories: Vec::new(),
+            rows: None,
+            dead_letters: Vec::new(),
+        }
     }
 
-    /// Ingest one finished task.
-    pub fn push(&mut self, outcome: TaskOutcome) {
+    /// An empty accumulator that also keeps every pushed outcome, for the
+    /// readers that need per-task rows ([`crate::rolling_awe`], per-task
+    /// checks). The sums are the same either way.
+    pub fn with_rows() -> Self {
+        WorkflowMetrics {
+            rows: Some(Vec::new()),
+            ..Self::new()
+        }
+    }
+
+    /// Ingest one finished task: add its terms to the run's sums and its
+    /// category's, in push order.
+    pub fn push(&mut self, outcome: &TaskOutcome) {
         debug_assert!(outcome.check().is_ok(), "{:?}", outcome.check());
-        self.outcomes.push(outcome);
+        let terms = outcome.terms();
+        let attempts = outcome.attempts.len();
+        self.add(attempts, &terms);
+        let idx = self
+            .categories
+            .iter()
+            .position(|(c, _)| *c == outcome.category)
+            .unwrap_or_else(|| {
+                self.categories.push((outcome.category, Self::new()));
+                self.categories.len() - 1
+            });
+        self.categories[idx].1.add(attempts, &terms);
+        if let Some(rows) = &mut self.rows {
+            rows.push(outcome.clone());
+        }
     }
 
-    /// All recorded outcomes.
-    pub fn outcomes(&self) -> &[TaskOutcome] {
-        &self.outcomes
+    fn add(&mut self, attempts: usize, terms: &Terms) {
+        if self.attempts.len() < attempts {
+            self.attempts.resize(attempts, 0);
+        }
+        self.attempts[attempts - 1] += 1;
+        for (sums, terms) in self.sums.iter_mut().zip(terms) {
+            for (sum, term) in sums.iter_mut().zip(terms) {
+                *sum += term;
+            }
+        }
+    }
+
+    /// Every pushed outcome in push order; `None` unless built by
+    /// [`WorkflowMetrics::with_rows`].
+    pub fn outcomes(&self) -> Option<&[TaskOutcome]> {
+        self.rows.as_deref()
     }
 
     /// Number of completed tasks.
     pub fn len(&self) -> usize {
-        self.outcomes.len()
+        self.attempts.iter().sum()
     }
 
     /// Whether no outcomes were recorded.
     pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
+        self.attempts.is_empty()
+    }
+
+    fn sum(&self, kind: ResourceKind, term: usize) -> f64 {
+        self.sums[term][kind as usize]
     }
 
     /// Total useful consumption `Σ C(Tᵢ)` of one dimension.
     pub fn total_consumption(&self, kind: ResourceKind) -> f64 {
-        self.outcomes.iter().map(|o| o.consumption(kind)).sum()
+        self.sum(kind, CONSUMPTION)
     }
 
     /// Total allocation `Σ A(Tᵢ)` of one dimension.
     pub fn total_allocation(&self, kind: ResourceKind) -> f64 {
-        self.outcomes.iter().map(|o| o.total_allocation(kind)).sum()
+        self.sum(kind, ALLOCATION)
     }
 
     /// Absolute Workflow Efficiency of one dimension. `None` when the total
@@ -118,17 +192,21 @@ impl WorkflowMetrics {
 
     /// The waste breakdown of one dimension.
     pub fn waste(&self, kind: ResourceKind) -> WasteBreakdown {
-        let mut w = WasteBreakdown::default();
-        for o in &self.outcomes {
-            w.internal_fragmentation += o.internal_fragmentation(kind);
-            w.failed_allocation += o.failed_allocation_waste(kind);
+        WasteBreakdown {
+            internal_fragmentation: self.sum(kind, INTERNAL_FRAGMENTATION),
+            failed_allocation: self.sum(kind, FAILED_ALLOCATION),
         }
-        w
     }
 
     /// Total failed attempts across the workflow.
     pub fn total_retries(&self) -> usize {
-        self.outcomes.iter().map(|o| o.failed_attempts()).sum()
+        self.attempts.iter().enumerate().map(|(i, n)| i * n).sum()
+    }
+
+    /// Histogram of attempts per task: index 0 counts single-attempt
+    /// tasks, index 1 one-retry tasks, and so on.
+    pub fn attempts_histogram(&self) -> &[usize] {
+        &self.attempts
     }
 
     /// Record a task the engine gave up on.
@@ -180,43 +258,29 @@ impl WorkflowMetrics {
     /// §II-C waste of the completed tasks plus their straggler drag;
     /// adding `dead_lettered` covers every charged-but-useless unit.
     pub fn attributed_waste(&self, kind: ResourceKind) -> WasteAttribution {
-        let mut w = WasteAttribution::default();
-        for o in &self.outcomes {
-            let fault_failed = o.fault_failed_waste(kind);
-            w.allocation_induced +=
-                o.internal_fragmentation(kind) + o.failed_allocation_waste(kind) - fault_failed;
-            w.fault_induced += fault_failed + o.straggler_drag(kind);
+        WasteAttribution {
+            allocation_induced: self.sum(kind, ALLOCATION_INDUCED),
+            fault_induced: self.sum(kind, FAULT_INDUCED),
+            dead_lettered: self.dead_letter_allocation(kind),
         }
-        w.dead_lettered = self.dead_letter_allocation(kind);
-        w
     }
 
-    /// Restrict to one category's outcomes (§III-B's per-category analysis).
+    /// Restrict to one category (§III-B's per-category analysis): its sums,
+    /// its rows when kept, and its dead letters.
     pub fn filter_category(&self, category: CategoryId) -> WorkflowMetrics {
+        let sums = self.categories.iter().find(|(c, _)| *c == category);
+        let rows = self.rows.as_ref().map(|rows| rows.iter());
         WorkflowMetrics {
-            outcomes: self
-                .outcomes
-                .iter()
-                .filter(|o| o.category == category)
-                .cloned()
-                .collect(),
+            categories: sums.into_iter().cloned().collect(),
+            rows: rows.map(|r| r.filter(|o| o.category == category).cloned().collect()),
             dead_letters: self
                 .dead_letters
                 .iter()
                 .filter(|d| d.category == category)
                 .cloned()
                 .collect(),
+            ..sums.map_or_else(Self::new, |(_, sums)| sums.clone())
         }
-    }
-}
-
-impl FromIterator<TaskOutcome> for WorkflowMetrics {
-    fn from_iter<I: IntoIterator<Item = TaskOutcome>>(iter: I) -> Self {
-        let mut m = WorkflowMetrics::new();
-        for o in iter {
-            m.push(o);
-        }
-        m
     }
 }
 
@@ -226,6 +290,15 @@ mod tests {
     use crate::outcome::AttemptOutcome;
     use tora_alloc::resources::ResourceVector;
     use tora_alloc::task::TaskId;
+
+    /// A rows-keeping fold of `outcomes`.
+    fn fold(outcomes: impl IntoIterator<Item = TaskOutcome>) -> WorkflowMetrics {
+        let mut m = WorkflowMetrics::with_rows();
+        for o in outcomes {
+            m.push(&o);
+        }
+        m
+    }
 
     fn simple(task: u64, category: u32, peak_mem: f64, alloc_mem: f64) -> TaskOutcome {
         let peak = ResourceVector::new(1.0, peak_mem, 10.0);
@@ -241,7 +314,7 @@ mod tests {
 
     #[test]
     fn awe_is_one_for_oracle_allocations() {
-        let m: WorkflowMetrics = (0..10).map(|i| simple(i, 0, 100.0, 100.0)).collect();
+        let m = fold((0..10).map(|i| simple(i, 0, 100.0, 100.0)));
         for kind in ResourceKind::STANDARD {
             assert_eq!(m.awe(kind), Some(1.0), "{kind}");
             assert_eq!(m.waste(kind).total(), 0.0, "{kind}");
@@ -252,18 +325,14 @@ mod tests {
     fn awe_matches_hand_computation() {
         // Two tasks, memory: (100 used / 200 alloc) and (300 used / 400 alloc)
         // over equal 10 s: AWE = 4000 / 6000 = 2/3.
-        let m: WorkflowMetrics = [simple(0, 0, 100.0, 200.0), simple(1, 0, 300.0, 400.0)]
-            .into_iter()
-            .collect();
+        let m = fold([simple(0, 0, 100.0, 200.0), simple(1, 0, 300.0, 400.0)]);
         let awe = m.awe(ResourceKind::MemoryMb).unwrap();
         assert!((awe - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn awe_in_unit_interval_and_consistent_with_waste() {
-        let m: WorkflowMetrics = (0..20)
-            .map(|i| simple(i, 0, 50.0 + i as f64, 200.0))
-            .collect();
+        let m = fold((0..20).map(|i| simple(i, 0, 50.0 + i as f64, 200.0)));
         let kind = ResourceKind::MemoryMb;
         let awe = m.awe(kind).unwrap();
         assert!(awe > 0.0 && awe <= 1.0);
@@ -277,8 +346,31 @@ mod tests {
     fn empty_metrics_have_no_awe() {
         let m = WorkflowMetrics::new();
         assert!(m.is_empty());
+        assert!(m.outcomes().is_none(), "rows are opt-in");
         assert_eq!(m.awe(ResourceKind::Cores), None);
         assert_eq!(m.total_retries(), 0);
+        assert!(m.attempts_histogram().is_empty());
+        // The empty sums read as the empty row sums did: `Iterator::sum`'s
+        // `-0.0` for the totals, a default struct's `+0.0` for the splits.
+        let k = ResourceKind::MemoryMb;
+        assert_eq!(m.total_consumption(k).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(m.total_allocation(k).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(m.waste(k).internal_fragmentation.to_bits(), 0);
+        assert_eq!(m.attributed_waste(k).fault_induced.to_bits(), 0);
+        assert_eq!(fold([]).outcomes(), Some(&[][..]));
+    }
+
+    #[test]
+    fn attempts_histogram_counts_retries() {
+        let retried = |task, retries| {
+            let mut o = simple(task, 0, 100.0, 200.0);
+            let failed = AttemptOutcome::failure(ResourceVector::new(1.0, 50.0, 10.0), 2.0);
+            o.attempts.splice(0..0, vec![failed; retries]);
+            o
+        };
+        let m = fold([retried(0, 0), retried(1, 0), retried(2, 1), retried(3, 3)]);
+        assert_eq!(m.attempts_histogram(), [2, 1, 0, 1]);
+        assert_eq!(m.total_retries(), 4);
     }
 
     #[test]
@@ -294,7 +386,7 @@ mod tests {
                 AttemptOutcome::success(ResourceVector::new(1.0, 350.0, 1024.0), 10.0),
             ],
         };
-        let m: WorkflowMetrics = [o].into_iter().collect();
+        let m = fold([o]);
         let w = m.waste(ResourceKind::MemoryMb);
         assert_eq!(w.failed_allocation, 500.0);
         assert_eq!(w.internal_fragmentation, 500.0);
@@ -305,26 +397,36 @@ mod tests {
 
     #[test]
     fn category_filter_partitions_outcomes() {
-        let m: WorkflowMetrics = [
+        let m = fold([
             simple(0, 0, 100.0, 200.0),
             simple(1, 1, 300.0, 300.0),
             simple(2, 0, 100.0, 100.0),
-        ]
-        .into_iter()
-        .collect();
+        ]);
         let c0 = m.filter_category(CategoryId(0));
         let c1 = m.filter_category(CategoryId(1));
         assert_eq!(c0.len(), 2);
         assert_eq!(c1.len(), 1);
         assert_eq!(c1.awe(ResourceKind::MemoryMb), Some(1.0));
         assert_eq!(c0.len() + c1.len(), m.len());
+        assert_eq!(c0.outcomes().map(<[_]>::len), Some(2));
+        assert_eq!(c0.filter_category(CategoryId(0)).len(), 2);
+        assert!(m.filter_category(CategoryId(9)).is_empty());
+        // Without rows the per-category sums are still there.
+        let mut sums = WorkflowMetrics::new();
+        for o in m.outcomes().unwrap() {
+            sums.push(o);
+        }
+        let s0 = sums.filter_category(CategoryId(0));
+        assert!(s0.outcomes().is_none());
+        let k = ResourceKind::MemoryMb;
+        assert_eq!(s0.total_allocation(k), c0.total_allocation(k));
     }
 
     #[test]
     fn degraded_awe_charges_dead_lettered_allocation() {
         use crate::outcome::{DeadLetter, DeadLetterCause};
         // One clean completion: 100 used / 100 allocated over 10 s.
-        let mut m: WorkflowMetrics = [simple(0, 0, 100.0, 100.0)].into_iter().collect();
+        let mut m = fold([simple(0, 0, 100.0, 100.0)]);
         let k = ResourceKind::MemoryMb;
         assert_eq!(m.awe(k), Some(1.0));
         assert_eq!(m.degraded_awe(k), Some(1.0));
@@ -389,7 +491,7 @@ mod tests {
             ],
         };
         o.check().unwrap();
-        let mut m: WorkflowMetrics = [o].into_iter().collect();
+        let mut m = fold([o]);
         m.push_dead_letter(DeadLetter {
             task: TaskId(1),
             category: CategoryId(0),

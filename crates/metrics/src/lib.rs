@@ -22,4 +22,4 @@ pub use awe::{WasteAttribution, WasteBreakdown, WorkflowMetrics};
 pub use critical::CriticalPathStats;
 pub use outcome::{AttemptCause, AttemptOutcome, DeadLetter, DeadLetterCause, TaskOutcome};
 pub use report::{grouped, pct, Table};
-pub use summary::{attempts_histogram, rolling_awe, steady_state_onset};
+pub use summary::{rolling_awe, steady_state_onset};

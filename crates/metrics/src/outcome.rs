@@ -16,6 +16,18 @@ use tora_alloc::task::{CategoryId, TaskId};
 
 pub use tora_alloc::trace::DeadLetterCause;
 
+const KINDS: usize = ResourceKind::ALL.len();
+
+/// The per-dimension terms [`crate::WorkflowMetrics`] sums, `[term][kind]`,
+/// with the terms indexed by the constants below.
+pub(crate) type Terms = [[f64; KINDS]; 6];
+pub(crate) const CONSUMPTION: usize = 0;
+pub(crate) const ALLOCATION: usize = 1;
+pub(crate) const INTERNAL_FRAGMENTATION: usize = 2;
+pub(crate) const FAILED_ALLOCATION: usize = 3;
+pub(crate) const ALLOCATION_INDUCED: usize = 4;
+pub(crate) const FAULT_INDUCED: usize = 5;
+
 /// Why an attempt ended the way it did. Separates *allocation-induced*
 /// endings (the §II-B kill for over-consumption) from *fault-induced* ones
 /// (the environment failed the attempt), which is what lets the waste
@@ -220,9 +232,24 @@ impl TaskOutcome {
         self.attempts.last().expect("outcome with no attempts")
     }
 
-    /// Number of failed allocations (`k` in §II-C).
-    pub fn failed_attempts(&self) -> usize {
-        self.attempts.len() - 1
+    /// Every dimension's terms, from the methods below. The blame split
+    /// charges the allocator with `IF + FA` less the fault-failed share,
+    /// and the environment with that share plus the straggler drag.
+    pub(crate) fn terms(&self) -> Terms {
+        let mut t = [[0.0; KINDS]; 6];
+        for kind in ResourceKind::ALL {
+            let k = kind as usize;
+            let internal = self.internal_fragmentation(kind);
+            let failed = self.failed_allocation_waste(kind);
+            let fault_failed = self.fault_failed_waste(kind);
+            t[CONSUMPTION][k] = self.consumption(kind);
+            t[ALLOCATION][k] = self.total_allocation(kind);
+            t[INTERNAL_FRAGMENTATION][k] = internal;
+            t[FAILED_ALLOCATION][k] = failed;
+            t[ALLOCATION_INDUCED][k] = internal + failed - fault_failed;
+            t[FAULT_INDUCED][k] = fault_failed + self.straggler_drag(kind);
+        }
+        t
     }
 
     /// Useful consumption `C(T) = c · t` of one dimension.
@@ -377,7 +404,6 @@ mod tests {
         assert_eq!(o.internal_fragmentation(k), 1000.0); // (400−300) × 10
         assert_eq!(o.waste(k), 1400.0);
         assert_eq!(o.total_allocation(k), 4400.0); // 400 + 4000
-        assert_eq!(o.failed_attempts(), 1);
     }
 
     #[test]

@@ -7,31 +7,23 @@
 //! * [`rolling_awe`] — AWE over a sliding window of completed tasks, the
 //!   trajectory a converging allocator flattens out;
 //! * [`steady_state_onset`] — the first task index after which the rolling
-//!   AWE stays inside a band around its final value;
-//! * [`attempts_histogram`] — how many tasks needed 1, 2, 3… attempts.
+//!   AWE stays inside a band around its final value.
+//!
+//! Both read per-task rows: the outcomes a run kept by building its metrics
+//! with [`crate::WorkflowMetrics::with_rows`].
 
-use crate::awe::WorkflowMetrics;
 use crate::outcome::TaskOutcome;
 use tora_alloc::resources::ResourceKind;
-
-/// Outcomes sorted by task id (completion order differs under concurrency;
-/// convergence is defined over the submission order, which is what the
-/// allocator's significance weighting follows).
-fn by_task_id(metrics: &WorkflowMetrics) -> Vec<&TaskOutcome> {
-    let mut outcomes: Vec<&TaskOutcome> = metrics.outcomes().iter().collect();
-    outcomes.sort_by_key(|o| o.task);
-    outcomes
-}
 
 /// AWE of one dimension over a sliding window of `window` tasks (by task
 /// id). Returns `(last task id in window, awe)` pairs, one per window step
 /// of `window / 4` tasks (overlapping windows smooth the trajectory).
-pub fn rolling_awe(
-    metrics: &WorkflowMetrics,
-    kind: ResourceKind,
-    window: usize,
-) -> Vec<(u64, f64)> {
-    let outcomes = by_task_id(metrics);
+/// Windows follow task ids, not `outcomes`' completion order: convergence
+/// is defined over the submission order, which is what the allocator's
+/// significance weighting follows.
+pub fn rolling_awe(outcomes: &[TaskOutcome], kind: ResourceKind, window: usize) -> Vec<(u64, f64)> {
+    let mut outcomes: Vec<&TaskOutcome> = outcomes.iter().collect();
+    outcomes.sort_by_key(|o| o.task);
     if outcomes.is_empty() || window == 0 {
         return Vec::new();
     }
@@ -59,12 +51,12 @@ pub fn rolling_awe(
 /// of its final value — the steady-state onset. `None` when the trajectory
 /// never settles (or the run is too short to tell).
 pub fn steady_state_onset(
-    metrics: &WorkflowMetrics,
+    outcomes: &[TaskOutcome],
     kind: ResourceKind,
     window: usize,
     band: f64,
 ) -> Option<u64> {
-    let trajectory = rolling_awe(metrics, kind, window);
+    let trajectory = rolling_awe(outcomes, kind, window);
     let &(_, last) = trajectory.last()?;
     let mut onset = None;
     for &(task, awe) in &trajectory {
@@ -75,20 +67,6 @@ pub fn steady_state_onset(
         }
     }
     onset
-}
-
-/// Histogram of attempts-per-task: index 0 counts single-attempt tasks,
-/// index 1 counts one-retry tasks, and so on.
-pub fn attempts_histogram(metrics: &WorkflowMetrics) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for o in metrics.outcomes() {
-        let idx = o.attempts.len() - 1;
-        if hist.len() <= idx {
-            hist.resize(idx + 1, 0);
-        }
-        hist[idx] += 1;
-    }
-    hist
 }
 
 #[cfg(test)]
@@ -115,7 +93,7 @@ mod tests {
     #[test]
     fn rolling_awe_improves_as_allocations_tighten() {
         // Early tasks over-allocated 4×, later tasks perfectly allocated.
-        let m: WorkflowMetrics = (0..100)
+        let m: Vec<TaskOutcome> = (0..100)
             .map(|i| {
                 let alloc = if i < 50 { 400.0 } else { 100.0 };
                 outcome(i, 100.0, alloc, 0)
@@ -133,7 +111,7 @@ mod tests {
 
     #[test]
     fn steady_state_onset_detects_the_transition() {
-        let m: WorkflowMetrics = (0..200)
+        let m: Vec<TaskOutcome> = (0..200)
             .map(|i| {
                 let alloc = if i < 60 { 800.0 } else { 110.0 };
                 outcome(i, 100.0, alloc, 0)
@@ -145,23 +123,8 @@ mod tests {
             "onset {onset} should follow the task-60 transition"
         );
         // A flat run converges immediately.
-        let flat: WorkflowMetrics = (0..100).map(|i| outcome(i, 100.0, 110.0, 0)).collect();
+        let flat: Vec<TaskOutcome> = (0..100).map(|i| outcome(i, 100.0, 110.0, 0)).collect();
         let onset = steady_state_onset(&flat, ResourceKind::MemoryMb, 20, 0.05).unwrap();
         assert!(onset < 30, "flat run onset {onset}");
-    }
-
-    #[test]
-    fn attempts_histogram_counts_retries() {
-        let m: WorkflowMetrics = vec![
-            outcome(0, 100.0, 200.0, 0),
-            outcome(1, 100.0, 200.0, 0),
-            outcome(2, 100.0, 200.0, 1),
-            outcome(3, 100.0, 200.0, 3),
-        ]
-        .into_iter()
-        .collect();
-        let hist = attempts_histogram(&m);
-        assert_eq!(hist, vec![2, 1, 0, 1]);
-        assert!(attempts_histogram(&WorkflowMetrics::new()).is_empty());
     }
 }

@@ -192,11 +192,12 @@ impl AttemptArena {
         Some(&mut self.nodes[chain.head as usize].outcome)
     }
 
-    /// Drain `chain` into a chronological `Vec` (oldest attempt first),
-    /// returning the nodes to the free list. The chain handle is reset to
-    /// empty.
-    pub(crate) fn take(&mut self, chain: &mut AttemptChain) -> Vec<AttemptOutcome> {
-        let mut out = Vec::with_capacity(chain.len as usize);
+    /// Drain `chain` into `out` (cleared first) in chronological order,
+    /// oldest attempt first, returning the nodes to the free list. The
+    /// chain handle is reset to empty. A caller that reuses `out` drains
+    /// without allocating.
+    pub(crate) fn drain_into(&mut self, chain: &mut AttemptChain, out: &mut Vec<AttemptOutcome>) {
+        out.clear();
         let mut cur = chain.head;
         while cur != NONE {
             let node = &mut self.nodes[cur as usize];
@@ -208,7 +209,6 @@ impl AttemptArena {
         out.reverse();
         debug_assert_eq!(out.len(), chain.len as usize);
         *chain = AttemptChain::default();
-        out
     }
 
     /// Rebuild a chain from a chronological attempt list (dead-letter
@@ -231,6 +231,12 @@ mod tests {
     use crate::workers::WorkerId;
     use tora_alloc::resources::{ResourceMask, ResourceVector};
     use tora_metrics::AttemptCause;
+
+    fn take(arena: &mut AttemptArena, chain: &mut AttemptChain) -> Vec<AttemptOutcome> {
+        let mut out = Vec::new();
+        arena.drain_into(chain, &mut out);
+        out
+    }
 
     fn running(task_idx: usize) -> Running {
         Running {
@@ -292,7 +298,7 @@ mod tests {
         arena.push(&mut chain, AttemptOutcome::failure(alloc, 2.0));
         arena.push(&mut chain, AttemptOutcome::success(alloc, 3.0));
         assert_eq!(chain.len(), 3);
-        let drained = arena.take(&mut chain);
+        let drained = take(&mut arena, &mut chain);
         assert_eq!(chain.len(), 0);
         let times: Vec<f64> = drained.iter().map(|a| a.charged_time_s).collect();
         assert_eq!(times, vec![1.0, 2.0, 3.0], "oldest attempt first");
@@ -306,7 +312,7 @@ mod tests {
         let mut a = AttemptChain::default();
         arena.push(&mut a, AttemptOutcome::failure(alloc, 1.0));
         arena.push(&mut a, AttemptOutcome::success(alloc, 2.0));
-        let _ = arena.take(&mut a);
+        let _ = take(&mut arena, &mut a);
         let nodes_before = arena.nodes.len();
         // A second task's chain reuses the freed nodes: the slab stays at
         // its high-water mark.
@@ -315,8 +321,7 @@ mod tests {
         arena.push(&mut b, AttemptOutcome::success(alloc, 4.0));
         assert_eq!(arena.nodes.len(), nodes_before, "no new nodes allocated");
         assert_eq!(
-            arena
-                .take(&mut b)
+            take(&mut arena, &mut b)
                 .iter()
                 .map(|x| x.charged_time_s)
                 .sum::<f64>(),
@@ -331,11 +336,11 @@ mod tests {
         let mut chain = AttemptChain::default();
         arena.push(&mut chain, AttemptOutcome::failure(alloc, 1.0));
         arena.push(&mut chain, AttemptOutcome::failure(alloc, 2.0));
-        let drained = arena.take(&mut chain);
+        let drained = take(&mut arena, &mut chain);
         let mut restored = arena.restore(drained.clone());
         assert_eq!(restored.len(), 2);
         // last_mut sees the most recent attempt.
         assert_eq!(arena.last_mut(restored).unwrap().charged_time_s, 2.0);
-        assert_eq!(arena.take(&mut restored), drained);
+        assert_eq!(take(&mut arena, &mut restored), drained);
     }
 }

@@ -5,14 +5,14 @@
 //! workflow at once and pays O(edges) overall. Predecessor links are
 //! kept so the realized chain can be walked backwards at summary time;
 //! `dependents` can't serve that role because dispatch `mem::take`s it
-//! during dependency resolution.
+//! during dependency resolution. Each completion also records the task's
+//! memory waste, so the on/off-path split needs no per-task outcome rows.
 //!
 //! Ties in the DP break toward the smallest dependency id (strict `>`), the
 //! same rule as `tora_workloads::dag::longest_path`, so the engine and the
 //! workload-side helper agree on which chain is *the* critical path.
 
-use tora_alloc::resources::ResourceKind;
-use tora_metrics::{CriticalPathStats, WorkflowMetrics};
+use tora_metrics::CriticalPathStats;
 
 /// Sentinel predecessor: the task starts a chain.
 const NO_PRED: u64 = u64::MAX;
@@ -26,6 +26,9 @@ pub(super) struct CriticalPath {
     hops: Vec<u32>,
     /// Completion time in sim seconds; `NaN` until the task completes.
     finish: Vec<f64>,
+    /// `(task, memory waste in MB·s)` of each completed task, in
+    /// completion order.
+    waste: Vec<(usize, f64)>,
 }
 
 impl CriticalPath {
@@ -35,6 +38,7 @@ impl CriticalPath {
             pred: Vec::new(),
             hops: Vec::new(),
             finish: Vec::new(),
+            waste: Vec::new(),
         }
     }
 
@@ -57,18 +61,15 @@ impl CriticalPath {
         self.finish.push(f64::NAN);
     }
 
-    /// Record a task's completion time.
-    pub(super) fn record_finish(&mut self, task_idx: usize, now_s: f64) {
+    /// Record a task's completion time and its memory waste.
+    pub(super) fn record_finish(&mut self, task_idx: usize, now_s: f64, waste_mb_s: f64) {
         self.finish[task_idx] = now_s;
+        self.waste.push((task_idx, waste_mb_s));
     }
 
     /// Summarize the run: walk the chain realizing the global longest path
     /// and split completed-task memory waste by membership.
-    pub(super) fn summarize(
-        &self,
-        metrics: &WorkflowMetrics,
-        makespan_s: f64,
-    ) -> CriticalPathStats {
+    pub(super) fn summarize(&self, makespan_s: f64) -> CriticalPathStats {
         if self.dist.is_empty() {
             return CriticalPathStats {
                 longest_path_s: 0.0,
@@ -99,13 +100,8 @@ impl CriticalPath {
         // waste is defined against a successful final run); dead-lettered
         // work is already attributed by the fault report.
         let (mut on, mut off) = (0.0f64, 0.0f64);
-        for outcome in metrics.outcomes() {
-            let waste = outcome.waste(ResourceKind::MemoryMb);
-            if on_path
-                .get(outcome.task.0 as usize)
-                .copied()
-                .unwrap_or(false)
-            {
+        for &(task_idx, waste) in &self.waste {
+            if on_path[task_idx] {
                 on += waste;
             } else {
                 off += waste;
@@ -144,7 +140,7 @@ mod tests {
         cp.push(4.0, &[0, 1]); // 2: 0 -> 2, chain 9
         cp.push(10.0, &[1]); // 3: 1 -> 3, chain 12
         cp.push(1.0, &[2, 3]); // 4: 3 -> 4, chain 13
-        let stats = cp.summarize(&WorkflowMetrics::new(), 20.0);
+        let stats = cp.summarize(20.0);
         assert!((stats.longest_path_s - 13.0).abs() < 1e-12);
         assert_eq!(stats.longest_path_tasks, 3); // 1 -> 3 -> 4
         assert!(
@@ -158,9 +154,9 @@ mod tests {
         let mut cp = CriticalPath::new();
         cp.push(3.0, &[]);
         cp.push(4.0, &[0]);
-        cp.record_finish(0, 6.0);
-        cp.record_finish(1, 14.0);
-        let stats = cp.summarize(&WorkflowMetrics::new(), 99.0);
+        cp.record_finish(0, 6.0, 0.0);
+        cp.record_finish(1, 14.0, 0.0);
+        let stats = cp.summarize(99.0);
         assert!((stats.longest_path_s - 7.0).abs() < 1e-12);
         assert!((stats.realized_s - 14.0).abs() < 1e-12);
         assert!((stats.inflation - 2.0).abs() < 1e-12);

@@ -18,7 +18,7 @@ use crate::time::SimTime;
 use crate::workers::WorkerId;
 use rand::Rng;
 use tora_alloc::feedback::AttemptFeedback;
-use tora_alloc::resources::ResourceVector;
+use tora_alloc::resources::{ResourceKind, ResourceVector};
 use tora_alloc::task::{ResourceRecord, TaskContext, TaskSpec};
 use tora_alloc::trace::EventSink;
 use tora_metrics::{AttemptCause, AttemptOutcome, DeadLetterCause, TaskOutcome};
@@ -246,15 +246,22 @@ impl<S: EventSink> Simulation<S> {
             };
             let state = &mut self.tasks[run.task_idx];
             self.attempt_arena.push(&mut state.attempts, attempt);
-            let outcome = TaskOutcome {
+            let mut outcome = TaskOutcome {
                 task: task.id,
                 category: task.category,
                 peak: task.peak,
                 duration_s: task.duration_s,
-                attempts: self.attempt_arena.take(&mut state.attempts),
+                attempts: std::mem::take(&mut self.attempt_buf),
             };
+            self.attempt_arena
+                .drain_into(&mut state.attempts, &mut outcome.attempts);
             debug_assert!(outcome.check().is_ok(), "{:?}", outcome.check());
-            self.result_metrics.push(outcome);
+            self.result_metrics.push(&outcome);
+            if let Some(cp) = self.cp.as_mut() {
+                let waste = outcome.waste(ResourceKind::MemoryMb);
+                cp.record_finish(run.task_idx, self.now.seconds(), waste);
+            }
+            self.attempt_buf = outcome.attempts;
             let plan = self.config.faults;
             if plan.record_dropout_rate > 0.0
                 && self.fault_rng.gen::<f64>() < plan.record_dropout_rate
@@ -275,10 +282,6 @@ impl<S: EventSink> Simulation<S> {
             self.tasks[run.task_idx]
                 .advance(TaskPhase::Completed)
                 .expect("completed attempt was running");
-            let now_s = self.now.seconds();
-            if let Some(cp) = self.cp.as_mut() {
-                cp.record_finish(run.task_idx, now_s);
-            }
             if self.tasks[run.task_idx].replays > 0 {
                 self.record(SimEvent::ReplayCompleted { task: task.id });
             }

@@ -13,6 +13,12 @@ fn small(kind: SyntheticKind) -> Workflow {
         .unwrap()
 }
 
+/// A run that keeps per-task rows, so a JSON comparison of its metrics
+/// covers every task's attempts.
+fn simulate_rows(wf: &Workflow, algorithm: AlgorithmKind, config: SimConfig) -> SimResult {
+    Simulation::new(wf, algorithm, config).keep_outcomes().run()
+}
+
 fn assert_conserved(res: &SimResult, total: usize) {
     let dead = res.stats.faults.dead_lettered;
     assert_eq!(
@@ -37,8 +43,8 @@ fn zero_rate_fault_plan_reproduces_fault_free_run() {
         faults: FaultPlan::none(),
         ..config
     };
-    let a = simulate(&wf, AlgorithmKind::ExhaustiveBucketing, config);
-    let b = simulate(&wf, AlgorithmKind::ExhaustiveBucketing, with_plan);
+    let a = simulate_rows(&wf, AlgorithmKind::ExhaustiveBucketing, config);
+    let b = simulate_rows(&wf, AlgorithmKind::ExhaustiveBucketing, with_plan);
     assert_eq!(
         serde_json::to_string(&a.metrics).unwrap(),
         serde_json::to_string(&b.metrics).unwrap()
@@ -173,7 +179,7 @@ fn attempt_budget_dead_letters_instead_of_spinning() {
         .iter()
         .all(|l| l.cause == DeadLetterCause::AttemptsExhausted));
     // No completed task has more than one attempt.
-    assert!(res.metrics.outcomes().iter().all(|o| o.attempts.len() == 1));
+    assert!(res.metrics.attempts_histogram().len() <= 1);
     log.check_consistency().unwrap();
 }
 
@@ -295,8 +301,8 @@ fn heavy_chaos_is_deterministic_given_seed() {
         seed: 77,
         ..SimConfig::default()
     };
-    let a = simulate(&wf, AlgorithmKind::GreedyBucketing, config);
-    let b = simulate(&wf, AlgorithmKind::GreedyBucketing, config);
+    let a = simulate_rows(&wf, AlgorithmKind::GreedyBucketing, config);
+    let b = simulate_rows(&wf, AlgorithmKind::GreedyBucketing, config);
     assert_conserved(&a, wf.len());
     assert_eq!(a.stats, b.stats);
     assert_eq!(
@@ -421,8 +427,8 @@ fn fault_policy_without_faults_is_a_strict_no_op() {
         fault_policy: Some(FaultPolicy::default()),
         ..base
     };
-    let a = simulate(&wf, AlgorithmKind::GreedyBucketing, base);
-    let b = simulate(&wf, AlgorithmKind::GreedyBucketing, with_policy);
+    let a = simulate_rows(&wf, AlgorithmKind::GreedyBucketing, base);
+    let b = simulate_rows(&wf, AlgorithmKind::GreedyBucketing, with_policy);
     assert_eq!(
         serde_json::to_string(&a.metrics).unwrap(),
         serde_json::to_string(&b.metrics).unwrap()
@@ -461,7 +467,7 @@ fn zero_checkpoint_fraction_is_byte_inert() {
             seed: 19,
             ..SimConfig::default()
         };
-        simulate(&wf, AlgorithmKind::ExhaustiveBucketing, config)
+        simulate_rows(&wf, AlgorithmKind::ExhaustiveBucketing, config)
     };
     let a = run(base_plan);
     let b = run(crashy_plan(0.0));
@@ -487,6 +493,7 @@ fn checkpointing_salvages_work_deterministically_and_conserves() {
     };
     let run = || {
         Simulation::new(&wf, AlgorithmKind::ExhaustiveBucketing, config)
+            .keep_outcomes()
             .with_sink(EventLog::new())
             .run_traced()
     };
@@ -501,9 +508,8 @@ fn checkpointing_salvages_work_deterministically_and_conserves() {
     assert!(a.stats.salvaged_work_s > 0.0);
     // The stats total is exactly the per-attempt salvage over every
     // outcome and dead letter.
-    let per_attempt: f64 = a
-        .metrics
-        .outcomes()
+    let rows = a.metrics.outcomes().expect("rows kept");
+    let per_attempt: f64 = rows
         .iter()
         .map(|o| o.salvaged_s())
         .chain(
@@ -523,7 +529,7 @@ fn checkpointing_salvages_work_deterministically_and_conserves() {
     let ckpt = log.count(|e| matches!(e, crate::log::SimEvent::TaskCheckpointed { .. }));
     assert_eq!(ckpt as u64, f.checkpointed_attempts);
     // Outcomes remain internally consistent under salvage accounting.
-    for o in a.metrics.outcomes() {
+    for o in rows {
         o.check().unwrap();
     }
 }
@@ -541,14 +547,14 @@ fn full_checkpoint_resumes_exactly_where_the_crash_left_off() {
         seed: 29,
         ..SimConfig::default()
     };
-    let res = simulate(&wf, AlgorithmKind::WholeMachine, config);
+    let res = simulate_rows(&wf, AlgorithmKind::WholeMachine, config);
     assert_conserved(&res, wf.len());
     assert!(
         res.stats.faults.checkpointed_attempts > 0,
         "no salvage: {:?}",
         res.stats.faults
     );
-    for o in res.metrics.outcomes() {
+    for o in res.metrics.outcomes().expect("rows kept") {
         let spec_duration = o.duration_s;
         let salvaged = o.salvaged_s();
         let last = o.attempts.last().expect("completed task has attempts");

@@ -65,7 +65,7 @@ use tora_alloc::resources::{ResourceVector, WorkerSpec};
 use tora_alloc::task::CategoryId;
 use tora_alloc::task::{TaskFeatures, TaskSpec};
 use tora_alloc::trace::{EventSink, NoopSink};
-use tora_metrics::{DeadLetterCause, WorkflowMetrics};
+use tora_metrics::{AttemptOutcome, DeadLetterCause, WorkflowMetrics};
 use tora_workloads::{TaskSource, Workflow, WorkflowSource};
 
 /// How the dynamic workflow generates (submits) its tasks over time.
@@ -336,6 +336,9 @@ pub struct Simulation<S: EventSink = NoopSink> {
     running_by_worker: HashMap<WorkerId, Vec<(u64, RunId)>>,
     /// Attempt histories for every task, chained through one shared slab.
     attempt_arena: AttemptArena,
+    /// A completing task's attempts, drained from the arena and folded into
+    /// `result_metrics`; reused so a completion allocates nothing.
+    attempt_buf: Vec<AttemptOutcome>,
     /// Ready queue entries are `(task, queue_token)`; a dead-letter bumps
     /// the task's token instead of scanning the queue, and stale entries
     /// are dropped lazily at dispatch time.
@@ -429,6 +432,7 @@ impl Simulation {
             running: RunArena::new(),
             running_by_worker: HashMap::new(),
             attempt_arena: AttemptArena::new(),
+            attempt_buf: Vec::new(),
             ready: VecDeque::new(),
             tasks: Vec::new(),
             dependents: Vec::new(),
@@ -483,6 +487,7 @@ impl Simulation {
             running: self.running,
             running_by_worker: self.running_by_worker,
             attempt_arena: self.attempt_arena,
+            attempt_buf: self.attempt_buf,
             ready: self.ready,
             tasks: self.tasks,
             dependents: self.dependents,
@@ -737,6 +742,14 @@ impl<S: EventSink> Simulation<S> {
         }
     }
 
+    /// Keep every completed task's outcome as a row, so the result's
+    /// `metrics.outcomes()` is `Some` (per-task checks, rolling AWE). A
+    /// run without it keeps only the running sums.
+    pub fn keep_outcomes(mut self) -> Self {
+        self.result_metrics = WorkflowMetrics::with_rows();
+        self
+    }
+
     /// Run to completion and return the result.
     pub fn run(self) -> SimResult {
         self.run_traced().0
@@ -800,7 +813,7 @@ impl<S: EventSink> Simulation<S> {
             self.enforce_unplaceable_strikes();
         }
         if let Some(cp) = self.cp.as_ref() {
-            self.stats.critical_path = Some(cp.summarize(&self.result_metrics, self.now.seconds()));
+            self.stats.critical_path = Some(cp.summarize(self.now.seconds()));
         }
         let result = SimResult {
             metrics: self.result_metrics,

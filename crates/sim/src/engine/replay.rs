@@ -40,7 +40,9 @@ impl<S: EventSink> Simulation<S> {
         // accounts the submission so conservation (submitted = completed +
         // dead-lettered) holds even if the run ends before its arrival.
         let unarrived = !std::mem::replace(&mut state.arrived, true);
-        let attempts = self.attempt_arena.take(&mut self.tasks[task_idx].attempts);
+        let mut attempts = Vec::new();
+        self.attempt_arena
+            .drain_into(&mut self.tasks[task_idx].attempts, &mut attempts);
         // Revoke any ready-queue membership lazily: bumping the token makes
         // a still-queued entry stale, which dispatch drops on sight —
         // exactly what the eager O(queue) scan-and-remove used to do.

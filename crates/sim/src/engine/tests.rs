@@ -19,13 +19,16 @@ fn small(kind: SyntheticKind) -> Workflow {
 #[test]
 fn every_task_completes_exactly_once() {
     let wf = small(SyntheticKind::Bimodal);
-    let res = simulate(
+    let res = Simulation::new(
         &wf,
         AlgorithmKind::ExhaustiveBucketing,
         SimConfig::default(),
-    );
+    )
+    .keep_outcomes()
+    .run();
     assert_eq!(res.metrics.len(), wf.len());
-    let mut ids: Vec<u64> = res.metrics.outcomes().iter().map(|o| o.task.0).collect();
+    let rows = res.metrics.outcomes().expect("rows kept");
+    let mut ids: Vec<u64> = rows.iter().map(|o| o.task.0).collect();
     ids.sort_unstable();
     ids.dedup();
     assert_eq!(ids.len(), wf.len());
@@ -199,9 +202,11 @@ fn all_queue_policies_complete_the_workflow() {
             seed: 3,
             ..SimConfig::default()
         };
-        let res = simulate(&wf, AlgorithmKind::ExhaustiveBucketing, config);
+        let res = Simulation::new(&wf, AlgorithmKind::ExhaustiveBucketing, config)
+            .keep_outcomes()
+            .run();
         assert_eq!(res.metrics.len(), wf.len(), "{}", policy.label());
-        for o in res.metrics.outcomes() {
+        for o in res.metrics.outcomes().expect("rows kept") {
             o.check().unwrap();
         }
     }
@@ -299,9 +304,6 @@ fn dag_workflow_completes_with_retries_and_churn() {
         .run_traced();
     assert_eq!(res.metrics.len(), wf.len());
     log.check_consistency().unwrap();
-    // The DAG forces accumulating tasks to finish last.
-    let order: Vec<u64> = res.metrics.outcomes().iter().map(|o| o.task.0).collect();
-    let _ = order; // completion set is full; per-task ordering verified above
 }
 
 #[test]
@@ -321,6 +323,7 @@ fn heterogeneous_pool_hosts_more_concurrent_tasks() {
     };
     let run = |config| {
         Simulation::new(&wf, AlgorithmKind::MaxSeen, config)
+            .keep_outcomes()
             .with_sink(UtilizationSeries::new())
             .run_traced()
     };
@@ -334,7 +337,7 @@ fn heterogeneous_pool_hosts_more_concurrent_tasks() {
     assert!(big_peak > plain_peak, "{big_peak} vs {plain_peak}");
     assert!(big.makespan_s < plain.makespan_s);
     // AWE accounting is unaffected by where tasks run.
-    for o in big.metrics.outcomes() {
+    for o in big.metrics.outcomes().expect("rows kept") {
         o.check().unwrap();
     }
 }
@@ -510,13 +513,7 @@ fn driver_generates_tasks_at_runtime() {
     }
     assert!(first_phase2_dispatch >= last_probe_done);
     // Both categories were learned independently.
-    let phase2 = res
-        .metrics
-        .outcomes()
-        .iter()
-        .filter(|o| o.category.0 == 1)
-        .count();
-    assert_eq!(phase2, 30);
+    assert_eq!(res.metrics.filter_category(CategoryId(1)).len(), 30);
 }
 
 #[test]

@@ -18,25 +18,29 @@ use tora_workloads::Workflow;
 /// under this many steps).
 const MAX_ATTEMPTS: usize = 64;
 
-/// Serially replay `workflow` under `algorithm`.
+/// Serially replay `workflow` under `algorithm`, folding each task's
+/// outcome into `metrics` (see [`replay_on`]).
 pub fn replay(
     workflow: &Workflow,
     algorithm: AlgorithmKind,
     enforcement: EnforcementModel,
     seed: u64,
+    metrics: WorkflowMetrics,
 ) -> WorkflowMetrics {
     let config = AllocatorConfig {
         machine: workflow.worker,
         ..AllocatorConfig::default()
     };
     let mut allocator = Allocator::with_config(algorithm, config, seed);
-    replay_on(&mut allocator, workflow, enforcement)
+    replay_on(&mut allocator, workflow, enforcement, metrics)
 }
 
 /// Serially replay `workflow` through an allocator the caller built — a
 /// non-default [`AllocatorConfig`] or a custom estimator factory. Each task
 /// is predicted, judged, retried until it fits and then observed, in
-/// submission order.
+/// submission order, and its outcome is pushed into `metrics`, which is
+/// returned: pass [`WorkflowMetrics::new`] for the sums alone, or
+/// [`WorkflowMetrics::with_rows`] to keep every task's outcome too.
 ///
 /// # Panics
 ///
@@ -46,10 +50,12 @@ pub fn replay_on(
     allocator: &mut Allocator,
     workflow: &Workflow,
     enforcement: EnforcementModel,
+    mut metrics: WorkflowMetrics,
 ) -> WorkflowMetrics {
-    let mut metrics = WorkflowMetrics::new();
+    // One attempts buffer serves every task.
+    let mut attempts = Vec::new();
     for task in &workflow.tasks {
-        let mut attempts = Vec::new();
+        attempts.clear();
         let mut alloc = allocator.predict_first(task.context()).into_alloc();
         loop {
             let verdict = enforcement.judge(task, &alloc);
@@ -68,13 +74,15 @@ pub fn replay_on(
                 .predict_retry(task.context(), &alloc, &verdict.exhausted)
                 .into_alloc();
         }
-        metrics.push(TaskOutcome {
+        let outcome = TaskOutcome {
             task: task.id,
             category: task.category,
             peak: task.peak,
             duration_s: task.duration_s,
             attempts,
-        });
+        };
+        metrics.push(&outcome);
+        attempts = outcome.attempts;
         allocator.observe(&ResourceRecord::from_task(task));
     }
     metrics
@@ -96,7 +104,13 @@ mod tests {
             .materialize()
             .unwrap();
         for alg in AlgorithmKind::PAPER_SET {
-            let m = replay(&wf, alg, EnforcementModel::LinearRamp, 1);
+            let m = replay(
+                &wf,
+                alg,
+                EnforcementModel::LinearRamp,
+                1,
+                WorkflowMetrics::new(),
+            );
             assert_eq!(m.len(), wf.len(), "{alg}");
             for kind in ResourceKind::STANDARD {
                 let awe = m.awe(kind).unwrap();
@@ -120,12 +134,14 @@ mod tests {
             AlgorithmKind::WholeMachine,
             EnforcementModel::LinearRamp,
             1,
+            WorkflowMetrics::new(),
         );
         let eb = replay(
             &wf,
             AlgorithmKind::ExhaustiveBucketing,
             EnforcementModel::LinearRamp,
             1,
+            WorkflowMetrics::new(),
         );
         let k = ResourceKind::MemoryMb;
         assert!(eb.awe(k).unwrap() > wm.awe(k).unwrap());
@@ -144,12 +160,14 @@ mod tests {
             AlgorithmKind::QuantizedBucketing,
             EnforcementModel::LinearRamp,
             3,
+            WorkflowMetrics::new(),
         );
         let instant = replay(
             &wf,
             AlgorithmKind::QuantizedBucketing,
             EnforcementModel::InstantPeak,
             3,
+            WorkflowMetrics::new(),
         );
         // Same retries (verdicts agree), ...
         assert_eq!(ramp.total_retries(), instant.total_retries());
@@ -169,6 +187,7 @@ mod tests {
             AlgorithmKind::ExhaustiveBucketing,
             EnforcementModel::LinearRamp,
             1,
+            WorkflowMetrics::new(),
         );
         let awe = m.awe(ResourceKind::DiskMb).unwrap();
         assert!(awe > 0.9, "TopEFT disk AWE {awe}");
@@ -189,7 +208,13 @@ mod tests {
             AlgorithmKind::MinWaste,
             AlgorithmKind::MaxThroughput,
         ] {
-            let m = replay(&wf, alg, EnforcementModel::LinearRamp, 1);
+            let m = replay(
+                &wf,
+                alg,
+                EnforcementModel::LinearRamp,
+                1,
+                WorkflowMetrics::new(),
+            );
             let awe = m.awe(ResourceKind::DiskMb).unwrap();
             assert!(awe < 0.12, "{alg}: ColmenaXTB disk AWE {awe}");
         }
@@ -218,6 +243,7 @@ mod tests {
             AlgorithmKind::ExhaustiveBucketing,
             EnforcementModel::LinearRamp,
             1,
+            WorkflowMetrics::new(),
         );
     }
 
@@ -242,8 +268,19 @@ mod tests {
             ..AllocatorConfig::default()
         };
         let mut allocator = Allocator::with_factory("eb-factory", factory, config, 9);
-        let via_factory = replay_on(&mut allocator, &wf, EnforcementModel::LinearRamp);
-        let reference = replay(&wf, algorithm, EnforcementModel::LinearRamp, 9);
+        let via_factory = replay_on(
+            &mut allocator,
+            &wf,
+            EnforcementModel::LinearRamp,
+            WorkflowMetrics::with_rows(),
+        );
+        let reference = replay(
+            &wf,
+            algorithm,
+            EnforcementModel::LinearRamp,
+            9,
+            WorkflowMetrics::with_rows(),
+        );
         assert_eq!(
             serde_json::to_string(&via_factory).unwrap(),
             serde_json::to_string(&reference).unwrap()
@@ -293,7 +330,12 @@ mod tests {
             ..AllocatorConfig::default()
         };
         let mut allocator = Allocator::with_factory("stuck", factory, config, 1);
-        let _ = replay_on(&mut allocator, &wf, EnforcementModel::LinearRamp);
+        let _ = replay_on(
+            &mut allocator,
+            &wf,
+            EnforcementModel::LinearRamp,
+            WorkflowMetrics::new(),
+        );
     }
 
     #[test]
@@ -309,12 +351,14 @@ mod tests {
             AlgorithmKind::GreedyBucketing,
             EnforcementModel::LinearRamp,
             5,
+            WorkflowMetrics::new(),
         );
         let b = replay(
             &wf,
             AlgorithmKind::GreedyBucketing,
             EnforcementModel::LinearRamp,
             5,
+            WorkflowMetrics::new(),
         );
         assert_eq!(a.awe(ResourceKind::MemoryMb), b.awe(ResourceKind::MemoryMb));
     }

@@ -78,13 +78,14 @@ fn main() {
     // The same serial replay `tora_sim::replay` runs, over the custom
     // allocator.
     let enforcement = EnforcementModel::LinearRamp;
-    let metrics = replay_on(&mut custom, &workflow, enforcement);
+    let metrics = replay_on(&mut custom, &workflow, enforcement, WorkflowMetrics::new());
 
     let reference = replay(
         &workflow,
         AlgorithmKind::ExhaustiveBucketing,
         enforcement,
         5,
+        WorkflowMetrics::new(),
     );
 
     let mut table = Table::new(

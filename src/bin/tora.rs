@@ -19,7 +19,7 @@
 
 use std::process::ExitCode;
 use tora::cli::{command_flags, parse_sim_config, parse_workflow, Args};
-use tora::metrics::{attempts_histogram, pct, rolling_awe, steady_state_onset, Table};
+use tora::metrics::{pct, rolling_awe, steady_state_onset, Table};
 use tora::prelude::*;
 use tora::workloads::{io as trace_io, PaperWorkflow};
 
@@ -221,10 +221,23 @@ fn cmd_run(args: &Args<'_>, mode: Mode) -> Result<(), String> {
     let algorithm = args.algorithm()?;
     let seed = args.seed()?;
 
+    // Only the rolling-AWE table reads per-task rows.
+    let convergence = args.has("convergence");
     let (metrics, sim_extra) = match mode {
-        Mode::Replay => (replay(&wf, algorithm, args.enforcement()?, seed), None),
+        Mode::Replay => {
+            let metrics = if convergence {
+                WorkflowMetrics::with_rows()
+            } else {
+                WorkflowMetrics::new()
+            };
+            let enforcement = args.enforcement()?;
+            (replay(&wf, algorithm, enforcement, seed, metrics), None)
+        }
         Mode::Simulate => {
-            let sim = Simulation::new(&wf, algorithm, parse_sim_config(args)?);
+            let mut sim = Simulation::new(&wf, algorithm, parse_sim_config(args)?);
+            if convergence {
+                sim = sim.keep_outcomes();
+            }
             let result = match args.value_of("log")? {
                 Some(path) => {
                     let (result, log) = sim.with_sink(EventLog::new()).run_traced();
@@ -234,7 +247,12 @@ fn cmd_run(args: &Args<'_>, mode: Mode) -> Result<(), String> {
                 }
                 None => sim.run(),
             };
-            (result.metrics.clone(), Some(result))
+            let extra = (
+                result.makespan_s,
+                result.worker_range,
+                result.stats.preemptions,
+            );
+            (result.metrics, Some(extra))
         }
     };
 
@@ -273,8 +291,8 @@ fn cmd_run(args: &Args<'_>, mode: Mode) -> Result<(), String> {
     }
     print!("{}", table.render());
 
-    let hist = attempts_histogram(&metrics);
-    let summary: Vec<String> = hist
+    let summary: Vec<String> = metrics
+        .attempts_histogram()
         .iter()
         .enumerate()
         .filter(|(_, &c)| c > 0)
@@ -282,24 +300,21 @@ fn cmd_run(args: &Args<'_>, mode: Mode) -> Result<(), String> {
         .collect();
     println!("attempts per task: {}", summary.join("  "));
 
-    if let Some(result) = sim_extra {
+    if let Some((makespan_s, (min_workers, max_workers), preemptions)) = sim_extra {
         println!(
-            "makespan {:.0} s | workers {}..{} | preemptions {}",
-            result.makespan_s,
-            result.worker_range.0,
-            result.worker_range.1,
-            result.stats.preemptions
+            "makespan {makespan_s:.0} s | workers {min_workers}..{max_workers} | \
+             preemptions {preemptions}"
         );
     }
 
-    if args.has("convergence") {
+    if let Some(rows) = metrics.outcomes() {
         let window = (wf.len() / 10).max(20);
         println!("\nrolling memory AWE (window {window} tasks):");
-        for (task, awe) in rolling_awe(&metrics, ResourceKind::MemoryMb, window) {
+        for (task, awe) in rolling_awe(rows, ResourceKind::MemoryMb, window) {
             let bar = "#".repeat((awe * 40.0) as usize);
             println!("  task {task:>6}  {:>6}  {bar}", pct(awe));
         }
-        match steady_state_onset(&metrics, ResourceKind::MemoryMb, window, 0.05) {
+        match steady_state_onset(rows, ResourceKind::MemoryMb, window, 0.05) {
             Some(onset) => println!("steady state from task {onset} (±5% band)"),
             None => println!("no steady state detected"),
         }

@@ -39,7 +39,13 @@ fn replay_identities_hold_for_every_algorithm() {
         .materialize()
         .unwrap();
     for alg in AlgorithmKind::PAPER_SET {
-        let m = replay(&wf, alg, EnforcementModel::LinearRamp, 31);
+        let m = replay(
+            &wf,
+            alg,
+            EnforcementModel::LinearRamp,
+            31,
+            WorkflowMetrics::new(),
+        );
         assert_eq!(m.len(), wf.len());
         check_identities(&m, alg.label());
     }
@@ -70,18 +76,19 @@ fn engine_identities_hold_with_churn_and_preemption() {
         AlgorithmKind::MaxSeen,
         AlgorithmKind::QuantizedBucketing,
     ] {
-        let res = simulate(&wf, alg, config);
+        let res = Simulation::new(&wf, alg, config).keep_outcomes().run();
         assert_eq!(res.metrics.len(), wf.len(), "{alg}");
         check_identities(&res.metrics, alg.label());
         // Every task id appears exactly once.
-        let mut ids: Vec<u64> = res.metrics.outcomes().iter().map(|o| o.task.0).collect();
+        let rows = res.metrics.outcomes().expect("rows kept");
+        let mut ids: Vec<u64> = rows.iter().map(|o| o.task.0).collect();
         ids.sort_unstable();
         assert!(
             ids.windows(2).all(|w| w[0] + 1 == w[1]),
             "{alg}: duplicate or missing tasks"
         );
         // Every outcome passes the structural check.
-        for o in res.metrics.outcomes() {
+        for o in rows {
             o.check().unwrap();
         }
     }
@@ -107,13 +114,15 @@ fn preemption_accounting_is_separate_from_waste() {
         arrival: ArrivalModel::Batch,
         ..SimConfig::paper_like(23)
     };
-    let res = simulate(&wf, AlgorithmKind::MaxSeen, churny);
+    let res = Simulation::new(&wf, AlgorithmKind::MaxSeen, churny)
+        .keep_outcomes()
+        .run();
     assert!(
         res.stats.preemptions > 0,
         "expected preemptions under heavy churn"
     );
     // Outcomes remain structurally sound despite preemptions.
-    for o in res.metrics.outcomes() {
+    for o in res.metrics.outcomes().expect("rows kept") {
         o.check().unwrap();
     }
     // Preempted allocation-time is tracked and non-negative.
@@ -138,8 +147,20 @@ fn instant_peak_never_reports_higher_awe_than_linear_ramp() {
         AlgorithmKind::MinWaste,
         AlgorithmKind::QuantizedBucketing,
     ] {
-        let ramp = replay(&wf, alg, EnforcementModel::LinearRamp, 5);
-        let instant = replay(&wf, alg, EnforcementModel::InstantPeak, 5);
+        let ramp = replay(
+            &wf,
+            alg,
+            EnforcementModel::LinearRamp,
+            5,
+            WorkflowMetrics::new(),
+        );
+        let instant = replay(
+            &wf,
+            alg,
+            EnforcementModel::InstantPeak,
+            5,
+            WorkflowMetrics::new(),
+        );
         for kind in KINDS {
             let r = ramp.awe(kind).unwrap();
             let i = instant.awe(kind).unwrap();

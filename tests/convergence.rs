@@ -3,6 +3,18 @@
 use tora::metrics::{rolling_awe, steady_state_onset};
 use tora::prelude::*;
 
+/// An Exhaustive Bucketing paper-like run that keeps its per-task rows.
+fn rows_of(wf: &Workflow, seed: u64) -> WorkflowMetrics {
+    Simulation::new(
+        wf,
+        AlgorithmKind::ExhaustiveBucketing,
+        SimConfig::paper_like(seed),
+    )
+    .keep_outcomes()
+    .run()
+    .metrics
+}
+
 #[test]
 fn bucketing_converges_to_a_steady_state() {
     // §VII: the bucketing algorithms "quickly converge to a steady state on
@@ -13,15 +25,16 @@ fn bucketing_converges_to_a_steady_state() {
         .tasks(1200)
         .materialize()
         .unwrap();
-    let res = simulate(
-        &wf,
-        AlgorithmKind::ExhaustiveBucketing,
-        SimConfig::paper_like(4),
-    );
+    let metrics = rows_of(&wf, 4);
     // Bucket sampling keeps the trajectory noisy, so the band is generous;
     // what matters is that the run settles well before its end.
-    let onset = steady_state_onset(&res.metrics, ResourceKind::MemoryMb, 120, 0.15)
-        .expect("run should settle");
+    let onset = steady_state_onset(
+        metrics.outcomes().expect("rows kept"),
+        ResourceKind::MemoryMb,
+        120,
+        0.15,
+    )
+    .expect("run should settle");
     assert!(
         onset < 900,
         "steady state should arrive well before the end (onset {onset})"
@@ -37,12 +50,12 @@ fn steady_state_beats_the_exploration_phase() {
         .category_tasks(vec![60, 900, 40])
         .materialize()
         .unwrap();
-    let res = simulate(
-        &wf,
-        AlgorithmKind::ExhaustiveBucketing,
-        SimConfig::paper_like(9),
+    let metrics = rows_of(&wf, 9);
+    let points = rolling_awe(
+        metrics.outcomes().expect("rows kept"),
+        ResourceKind::DiskMb,
+        100,
     );
-    let points = rolling_awe(&res.metrics, ResourceKind::DiskMb, 100);
     assert!(points.len() >= 4);
     let first = points.first().unwrap().1;
     let tail_start = points.len() * 3 / 4;
@@ -68,12 +81,12 @@ fn phase_change_is_relearned() {
         .tasks(1200)
         .materialize()
         .unwrap();
-    let res = simulate(
-        &wf,
-        AlgorithmKind::ExhaustiveBucketing,
-        SimConfig::paper_like(6),
+    let metrics = rows_of(&wf, 6);
+    let points = rolling_awe(
+        metrics.outcomes().expect("rows kept"),
+        ResourceKind::MemoryMb,
+        120,
     );
-    let points = rolling_awe(&res.metrics, ResourceKind::MemoryMb, 120);
     let third = points.len() / 3;
     let mean = |s: &[(u64, f64)]| s.iter().map(|p| p.1).sum::<f64>() / s.len() as f64;
     let early = mean(&points[..third]);

@@ -5,7 +5,8 @@
 //! an application driver feeds it one task at a time over a fixed
 //! single-worker pool: every allocator call then happens in the same order
 //! with the same inputs, so the resulting [`WorkflowMetrics`] must be
-//! byte-identical, for every algorithm. This pins the two execution paths
+//! byte-identical, for every algorithm — both sides keep their per-task
+//! rows, so every attempt is compared. This pins the two execution paths
 //! together far more tightly than the aggregate-identity checks in
 //! `accounting.rs` — any divergence in retry logic, charging, or RNG
 //! consumption shows up as a JSON diff.
@@ -38,7 +39,8 @@ impl Driver for SerialDriver {
     }
 }
 
-/// Run `wf` through the engine serially and return the metrics as JSON.
+/// Run `wf` through the engine serially and return the metrics, per-task
+/// rows included, as JSON.
 fn engine_serial_json(
     wf: &Workflow,
     algorithm: AlgorithmKind,
@@ -56,7 +58,9 @@ fn engine_serial_json(
         seed,
         ..SimConfig::default()
     };
-    let result = Simulation::with_driver(driver, wf.worker, algorithm, config).run();
+    let result = Simulation::with_driver(driver, wf.worker, algorithm, config)
+        .keep_outcomes()
+        .run();
     assert_eq!(result.metrics.len(), wf.len(), "{algorithm} seed {seed}");
     serde_json::to_string(&result.metrics).expect("metrics serialize")
 }
@@ -71,7 +75,13 @@ fn engine_matches_replay_for_every_algorithm_and_seed() {
         .unwrap();
     for algorithm in AlgorithmKind::ALL {
         for seed in SEEDS {
-            let replayed = tora::sim::replay(&wf, algorithm, EnforcementModel::default(), seed);
+            let replayed = tora::sim::replay(
+                &wf,
+                algorithm,
+                EnforcementModel::default(),
+                seed,
+                WorkflowMetrics::with_rows(),
+            );
             let want = serde_json::to_string(&replayed).expect("metrics serialize");
             let got = engine_serial_json(&wf, algorithm, seed, None);
             assert_eq!(got, want, "{algorithm} seed {seed}: engine vs replay");
@@ -97,7 +107,13 @@ fn fault_policy_with_zero_observed_faults_changes_nothing() {
             let with_policy =
                 engine_serial_json(&wf, algorithm, seed, Some(FaultPolicy::default()));
             assert_eq!(bare, with_policy, "{algorithm} seed {seed}: policy no-op");
-            let replayed = tora::sim::replay(&wf, algorithm, EnforcementModel::default(), seed);
+            let replayed = tora::sim::replay(
+                &wf,
+                algorithm,
+                EnforcementModel::default(),
+                seed,
+                WorkflowMetrics::with_rows(),
+            );
             let want = serde_json::to_string(&replayed).expect("metrics serialize");
             assert_eq!(
                 with_policy, want,
@@ -201,7 +217,13 @@ fn differential_parity_extends_to_production_shaped_traces() {
         AlgorithmKind::ExhaustiveBucketing,
         AlgorithmKind::MaxSeen,
     ] {
-        let replayed = tora::sim::replay(&wf, algorithm, EnforcementModel::default(), 11);
+        let replayed = tora::sim::replay(
+            &wf,
+            algorithm,
+            EnforcementModel::default(),
+            11,
+            WorkflowMetrics::with_rows(),
+        );
         let want = serde_json::to_string(&replayed).expect("metrics serialize");
         let got = engine_serial_json(&wf, algorithm, 11, Some(FaultPolicy::default()));
         assert_eq!(got, want, "{algorithm}: production trace parity");

@@ -60,9 +60,7 @@ fn whole_machine_never_fails_an_allocation() {
         .unwrap();
     let res = small_sim(&wf, AlgorithmKind::WholeMachine, 4);
     assert_eq!(res.metrics.total_retries(), 0);
-    for outcome in res.metrics.outcomes() {
-        assert_eq!(outcome.attempts.len(), 1);
-    }
+    assert_eq!(res.metrics.attempts_histogram(), [wf.len()]);
 }
 
 #[test]

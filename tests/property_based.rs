@@ -221,7 +221,7 @@ proptest! {
     ) {
         let wf = SyntheticKind::Bimodal.catalog_workflow().spec(seed).tasks(n).materialize().unwrap();
         let m = replay(&wf, AlgorithmKind::GreedyBucketing,
-                       EnforcementModel::LinearRamp, seed);
+                       EnforcementModel::LinearRamp, seed, WorkflowMetrics::new());
         prop_assert_eq!(m.len(), n);
         for kind in [ResourceKind::Cores, ResourceKind::MemoryMb, ResourceKind::DiskMb] {
             let a = m.total_allocation(kind);
@@ -268,5 +268,212 @@ proptest! {
         prop_assert!(a <= b);
         prop_assert!(b <= list.max_value().unwrap());
         prop_assert!(a >= list.min_value().unwrap());
+    }
+}
+
+/// Every float read of one dimension from the fold, as bit patterns:
+/// totals, both waste splits, degraded AWE and AWE (`u64::MAX` for `None`).
+fn fold_bits(m: &WorkflowMetrics, kind: ResourceKind) -> [u64; 9] {
+    let waste = m.waste(kind);
+    let blame = m.attributed_waste(kind);
+    let awe_bits = |awe: Option<f64>| awe.map_or(u64::MAX, f64::to_bits);
+    [
+        m.total_consumption(kind).to_bits(),
+        m.total_allocation(kind).to_bits(),
+        waste.internal_fragmentation.to_bits(),
+        waste.failed_allocation.to_bits(),
+        blame.allocation_induced.to_bits(),
+        blame.fault_induced.to_bits(),
+        blame.dead_lettered.to_bits(),
+        awe_bits(m.degraded_awe(kind)),
+        awe_bits(m.awe(kind)),
+    ]
+}
+
+/// One task's §II-C terms of one dimension, written out apart from
+/// `TaskOutcome`'s methods as the reference the fold is checked against:
+/// consumption, allocation, internal fragmentation, failed allocation, its
+/// fault-caused share, and straggler drag.
+fn reference_terms(o: &TaskOutcome, kind: ResourceKind) -> [f64; 6] {
+    let salvaged: f64 = o.attempts.iter().map(|a| a.salvaged_s).sum();
+    let last = o.attempts.last().expect("a completed task has attempts");
+    let lost = |counted: &dyn Fn(&AttemptOutcome) -> bool| -> f64 {
+        o.attempts
+            .iter()
+            .filter(|a| !a.success && counted(a))
+            .map(|a| a.allocation[kind] * a.charged_time_s - o.peak[kind] * a.salvaged_s)
+            .sum()
+    };
+    [
+        o.peak[kind] * o.duration_s,
+        o.attempts
+            .iter()
+            .map(|a| a.allocation[kind] * a.charged_time_s)
+            .sum(),
+        (last.allocation[kind] - o.peak[kind]) * (o.duration_s - salvaged),
+        lost(&|_| true),
+        lost(&|a| a.cause.is_fault()),
+        last.allocation[kind] * (last.charged_time_s - (o.duration_s - salvaged)).max(0.0),
+    ]
+}
+
+/// The same reads recomputed from per-task rows: `Iterator::sum` for the
+/// totals, a default struct accumulated in row order for the splits.
+fn row_bits(rows: &[TaskOutcome], dead: &[DeadLetter], kind: ResourceKind) -> [u64; 9] {
+    let terms: Vec<[f64; 6]> = rows.iter().map(|o| reference_terms(o, kind)).collect();
+    let consumption: f64 = terms.iter().map(|t| t[0]).sum();
+    let allocation: f64 = terms.iter().map(|t| t[1]).sum();
+    let mut waste = WasteBreakdown::default();
+    let mut blame = WasteAttribution::default();
+    for &[_, _, internal, failed, fault_failed, drag] in &terms {
+        waste.internal_fragmentation += internal;
+        waste.failed_allocation += failed;
+        blame.allocation_induced += internal + failed - fault_failed;
+        blame.fault_induced += fault_failed + drag;
+    }
+    blame.dead_lettered = dead.iter().map(|d| d.total_allocation(kind)).sum();
+    let ratio = |denominator: f64| {
+        if denominator <= 0.0 {
+            u64::MAX
+        } else {
+            (consumption / denominator).to_bits()
+        }
+    };
+    [
+        consumption.to_bits(),
+        allocation.to_bits(),
+        waste.internal_fragmentation.to_bits(),
+        waste.failed_allocation.to_bits(),
+        blame.allocation_induced.to_bits(),
+        blame.fault_induced.to_bits(),
+        blame.dead_lettered.to_bits(),
+        ratio(allocation + blame.dead_lettered),
+        ratio(allocation),
+    ]
+}
+
+/// Check every read of a rows-keeping `m` against its rows, then the same
+/// for each category's restriction and for a category with no tasks.
+fn check_fold_against_rows(m: &WorkflowMetrics) -> Result<(), TestCaseError> {
+    let check = |m: &WorkflowMetrics| -> Result<(), TestCaseError> {
+        let rows = m.outcomes().expect("rows kept");
+        prop_assert_eq!(m.len(), rows.len());
+        for kind in ResourceKind::ALL {
+            let want = row_bits(rows, m.dead_letters(), kind);
+            let got = fold_bits(m, kind);
+            prop_assert!(got == want, "{}: fold {:?} vs rows {:?}", kind, got, want);
+        }
+        let retries: usize = rows.iter().map(|o| o.attempts.len() - 1).sum();
+        prop_assert_eq!(m.total_retries(), retries);
+        let mut histogram = vec![0usize; rows.iter().map(|o| o.attempts.len()).max().unwrap_or(0)];
+        for o in rows {
+            histogram[o.attempts.len() - 1] += 1;
+        }
+        prop_assert_eq!(m.attempts_histogram(), &histogram[..]);
+        Ok(())
+    };
+    check(m)?;
+    let rows = m.outcomes().expect("rows kept");
+    let mut categories: Vec<CategoryId> = rows
+        .iter()
+        .map(|o| o.category)
+        .chain(m.dead_letters().iter().map(|d| d.category))
+        .collect();
+    categories.sort_unstable();
+    categories.dedup();
+    categories.push(CategoryId(u32::MAX));
+    for category in categories {
+        check(&m.filter_category(category))?;
+    }
+    Ok(())
+}
+
+/// Crashes (some of them correlated), kills, stragglers, flaky dispatch
+/// with a one-retry budget, checkpoint salvage, and dead-letter replay
+/// over a churning pool, on a two- or three-category workload.
+fn faulty_fold_run(seed: u64, topeft: bool, salvage: f64, algorithm: AlgorithmKind) -> SimResult {
+    let spec = if topeft {
+        PaperWorkflow::TopEft
+            .spec(seed)
+            .category_tasks(vec![12, 60, 8])
+    } else {
+        PaperWorkflow::ColmenaXtb
+            .spec(seed)
+            .category_tasks(vec![30, 50])
+    };
+    let wf = spec.materialize().expect("catalog spec is valid");
+    let plan = FaultPlan {
+        crash_mean_interval_s: Some(90.0),
+        straggler_rate: 0.3,
+        straggler_multiplier: 6.0,
+        straggler_timeout_s: 2000.0,
+        dispatch_failure_rate: 0.2,
+        dispatch_backoff_s: 1.0,
+        max_dispatch_retries: 1,
+        max_attempts: 6,
+        max_unplaceable_rounds: 2,
+        rack_crash_mean_interval_s: Some(300.0),
+        rack_count: 3,
+        replay_capacity_fraction: 0.5,
+        max_replay_rounds: 3,
+        checkpointed_fraction: salvage,
+        ..FaultPlan::none()
+    };
+    let config = SimConfig {
+        churn: ChurnConfig {
+            initial: 6,
+            min: 2,
+            max: 10,
+            mean_interval_s: Some(30.0),
+        },
+        faults: plan,
+        ..SimConfig::paper_like(seed)
+    };
+    Simulation::new(&wf, algorithm, config)
+        .keep_outcomes()
+        .run()
+}
+
+#[test]
+fn fold_matches_rows_on_empty_metrics() {
+    check_fold_against_rows(&WorkflowMetrics::with_rows()).unwrap();
+}
+
+#[test]
+fn fold_matches_rows_on_a_run_with_every_fault_and_replay() {
+    let res = faulty_fold_run(3, false, 0.5, AlgorithmKind::ExhaustiveBucketing);
+    let faults = &res.stats.faults;
+    assert!(
+        res.stats.failures > 0,
+        "no allocation kill: {:?}",
+        res.stats
+    );
+    assert!(faults.crashed_attempts > 0, "{faults:?}");
+    assert!(faults.stragglers_slow > 0, "{faults:?}");
+    assert!(faults.checkpointed_attempts > 0, "{faults:?}");
+    assert!(
+        faults.replayed > 0 && faults.replay_successes > 0,
+        "{faults:?}"
+    );
+    assert!(res.metrics.dead_lettered_count() > 0, "{faults:?}");
+    check_fold_against_rows(&res.metrics).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn fold_matches_rows_bit_for_bit(
+        seed in 0u64..1000,
+        topeft in any::<bool>(),
+        salvage in 0.0f64..=1.0,
+        algorithm in prop::sample::select(AlgorithmKind::PAPER_SET.to_vec()),
+    ) {
+        let res = faulty_fold_run(seed, topeft, salvage, algorithm);
+        check_fold_against_rows(&res.metrics)?;
+        // The serial replay folds the same way.
+        let wf = PaperWorkflow::TopEft.spec(seed).category_tasks(vec![12, 60, 8]).materialize().unwrap();
+        let replayed = replay(&wf, algorithm, EnforcementModel::InstantPeak, seed, WorkflowMetrics::with_rows());
+        check_fold_against_rows(&replayed)?;
     }
 }

@@ -26,9 +26,11 @@ fn scaled_spec(wf: PaperWorkflow, seed: u64) -> WorkloadSpec {
     }
 }
 
-/// Run one engine to completion and serialize everything observable.
+/// Run one engine to completion and serialize everything observable, the
+/// per-task outcome rows included.
 fn fingerprint(sim: Simulation, config: &SimConfig) -> (String, String, String, String) {
     let (result, (log, sink)) = sim
+        .keep_outcomes()
         .with_sink((EventLog::new(), MemorySink::default()))
         .run_traced();
     let report = FaultReport::from_result(&result, config, "exhaustive-bucketing").to_json();

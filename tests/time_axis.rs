@@ -33,7 +33,12 @@ fn time_axis_is_learned_and_enforced() {
         .unwrap();
     let config = time_managed_config(&wf);
     let mut allocator = Allocator::with_config(AlgorithmKind::ExhaustiveBucketing, config, 11);
-    let metrics = replay_on(&mut allocator, &wf, EnforcementModel::LinearRamp);
+    let metrics = replay_on(
+        &mut allocator,
+        &wf,
+        EnforcementModel::LinearRamp,
+        WorkflowMetrics::new(),
+    );
     assert_eq!(metrics.len(), wf.len());
     // The time dimension now has meaningful efficiency: allocated wall time
     // tracks actual durations instead of the 10^7-second machine cap.
@@ -74,6 +79,7 @@ fn unmanaged_time_axis_never_fails_tasks() {
         AlgorithmKind::WholeMachine,
         EnforcementModel::LinearRamp,
         12,
+        WorkflowMetrics::new(),
     );
     assert_eq!(metrics.total_retries(), 0);
     let awe = metrics.awe(ResourceKind::TimeS).unwrap();
@@ -96,12 +102,18 @@ fn time_managed_beats_unmanaged_on_time_efficiency() {
         time_managed_config(&wf),
         13,
     );
-    let managed = replay_on(&mut allocator, &wf, EnforcementModel::LinearRamp);
+    let managed = replay_on(
+        &mut allocator,
+        &wf,
+        EnforcementModel::LinearRamp,
+        WorkflowMetrics::new(),
+    );
     let unmanaged = replay(
         &wf,
         AlgorithmKind::ExhaustiveBucketing,
         EnforcementModel::LinearRamp,
         13,
+        WorkflowMetrics::new(),
     );
     let m = managed.awe(ResourceKind::TimeS).unwrap();
     let u = unmanaged.awe(ResourceKind::TimeS).unwrap();

@@ -7,6 +7,9 @@
 //! process-global, so it can only be asserted on when no traced test runs
 //! concurrently — and the two phases below must run in this order, in one
 //! test function.
+//!
+//! Per-task outcome rows are opt-in in the same spirit: a default run keeps
+//! running sums only, which the second test pins.
 
 use tora::alloc::trace::events_constructed;
 use tora::prelude::*;
@@ -41,6 +44,7 @@ fn noop_sink_constructs_no_events() {
         AlgorithmKind::GreedyBucketing,
         EnforcementModel::LinearRamp,
         1,
+        WorkflowMetrics::new(),
     );
     let mut allocator = Allocator::new(AlgorithmKind::MaxSeen, 3);
     let first = allocator.predict_first(CategoryId(0));
@@ -67,4 +71,41 @@ fn noop_sink_constructs_no_events() {
     );
     assert!(trace.overall.total() > 0);
     traced.stats.reconcile(&trace).unwrap();
+}
+
+#[test]
+fn default_runs_keep_no_task_rows() {
+    let wf = SyntheticKind::Bimodal
+        .catalog_workflow()
+        .spec(4)
+        .tasks(150)
+        .materialize()
+        .unwrap();
+    let config = SimConfig {
+        seed: 5,
+        ..SimConfig::default()
+    };
+    let algorithm = AlgorithmKind::ExhaustiveBucketing;
+    let plain = simulate(&wf, algorithm, config);
+    assert_eq!(plain.metrics.len(), wf.len());
+    assert!(plain.metrics.outcomes().is_none(), "engine kept rows");
+    let replayed = replay(
+        &wf,
+        algorithm,
+        EnforcementModel::LinearRamp,
+        1,
+        WorkflowMetrics::new(),
+    );
+    assert!(replayed.outcomes().is_none(), "replay kept rows");
+
+    // Asking for rows keeps one per task and moves no sum by a bit.
+    let kept = Simulation::new(&wf, algorithm, config)
+        .keep_outcomes()
+        .run();
+    assert_eq!(kept.metrics.outcomes().map(<[_]>::len), Some(wf.len()));
+    assert_eq!(kept.stats, plain.stats);
+    for kind in ResourceKind::ALL {
+        let bits = |m: &WorkflowMetrics| m.total_allocation(kind).to_bits();
+        assert_eq!(bits(&kept.metrics), bits(&plain.metrics), "{kind}");
+    }
 }
