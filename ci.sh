@@ -105,10 +105,11 @@ echo "== tora-benchmark: every workload, output checks, two performance floors, 
 # identity and the seed-42 digests pinned in benchmark/baseline.json. The
 # floors sit well below the medians measured on a 2-vCPU container
 # (sim-flat-1m ~175k tasks/s, serve-predict-burst p99 ~95 us), to absorb
-# machine noise. The sim-flat-1m peak-RSS ceiling sits between the ~301 MB
-# the run peaks at with per-task outcomes folded into running sums and the
-# ~510 MB it peaked at while it kept every outcome; repetitions spread by
-# under 0.5 MB, so crossing it means per-task state grew back.
+# machine noise. The sim-flat-1m peak-RSS ceiling sits between the ~96 MB
+# the run peaks at with completed tasks' rows retired (what remains is
+# mostly the estimators' record bank) and the ~301 MB it peaked at while
+# the engine kept a row for every task it ever pulled; repetitions spread
+# by under 0.5 MB, so crossing it means per-task state grew back.
 cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
     run --seconds 0 > target/benchmark-smoke.txt
 python3 - <<'EOF'
@@ -132,7 +133,7 @@ if p99 >= 1000.0:
         f"sub-millisecond budget -- the serve hot path regressed"
     )
 rss = metrics["sim-flat-1m/peak_rss_mb"]["value"]
-ceiling = 400.0
+ceiling = 150.0
 if rss > ceiling:
     raise SystemExit(
         f"1M-task streaming peak RSS {rss:.0f} MB is over the {ceiling:.0f} MB "

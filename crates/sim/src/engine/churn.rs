@@ -93,7 +93,7 @@ impl<S: EventSink> Simulation<S> {
                 // teaches the allocator nothing about the task's needs.
                 self.requeue_pinned(run.task_idx, run.alloc);
                 self.record(SimEvent::TaskPreempted {
-                    task: self.specs[run.task_idx].id,
+                    task: self.tasks.spec(run.task_idx).id,
                     worker: id,
                 });
             }

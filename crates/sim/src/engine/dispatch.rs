@@ -60,7 +60,7 @@ impl<S: EventSink> Simulation<S> {
                 return a;
             }
         }
-        let ctx = TaskContext::from(&self.specs[task_idx]);
+        let ctx = TaskContext::from(self.tasks.spec(task_idx));
         let a = self.allocator.predict_first(ctx).into_alloc();
         self.stats.record_predict_first(ctx.category.0);
         let state = &mut self.tasks[task_idx];
@@ -86,6 +86,12 @@ impl<S: EventSink> Simulation<S> {
     /// i.e. it was dead-lettered after enqueueing). FIFO only ever looks at
     /// the head, so popping stale heads suffices; the scanning policies see
     /// the whole queue and need it compacted.
+    ///
+    /// A stale entry's task is never retired while the entry waits: the
+    /// task can only complete after replay re-queues it with a fresh entry,
+    /// and the stale one is dropped before that live entry can dispatch.
+    /// Under FIFO the stale entry sits ahead of the live one; the scanning
+    /// policies `retain` at the top of every dispatch round.
     fn drop_stale_ready(&mut self) {
         match self.config.queue_policy {
             QueuePolicy::Fifo => {
@@ -141,7 +147,7 @@ impl<S: EventSink> Simulation<S> {
                 state.dispatch_failures += 1;
                 let failures = state.dispatch_failures;
                 self.record(SimEvent::DispatchFailed {
-                    task: self.specs[task_idx].id,
+                    task: self.tasks.spec(task_idx).id,
                 });
                 if plan.max_dispatch_retries > 0 && failures > plan.max_dispatch_retries {
                     self.dead_letter(task_idx, DeadLetterCause::DispatchRetriesExhausted);
@@ -168,7 +174,7 @@ impl<S: EventSink> Simulation<S> {
                 &[]
             };
             let worker = self.pool.place(&alloc, avoid).expect("can_place verified");
-            let task = self.specs[task_idx];
+            let task = *self.tasks.spec(task_idx);
             // Checkpoint/restart: judge the attempt on the work still owed.
             // With no banked salvage this is the spec itself, bit for bit.
             let salvaged = self.tasks[task_idx].salvaged_s;
@@ -202,7 +208,7 @@ impl<S: EventSink> Simulation<S> {
                 .advance(TaskPhase::Running)
                 .expect("dispatched task was ready");
             self.record(SimEvent::TaskDispatched {
-                task: self.specs[task_idx].id,
+                task: self.tasks.spec(task_idx).id,
                 worker,
                 attempt: self.tasks[task_idx].attempts.len() + 1,
                 allocation: alloc,
@@ -232,7 +238,7 @@ impl<S: EventSink> Simulation<S> {
         self.forget_worker_run(run.worker, run_id);
         self.pool.release(run.worker, &run.alloc);
         let rack = self.pool.get(run.worker).map(|w| w.spec.rack);
-        let task = self.specs[run.task_idx];
+        let task = *self.tasks.spec(run.task_idx);
         if run.verdict.success {
             self.record(SimEvent::TaskCompleted {
                 task: task.id,
@@ -286,9 +292,10 @@ impl<S: EventSink> Simulation<S> {
                 self.record(SimEvent::ReplayCompleted { task: task.id });
             }
             // Dependency resolution: completed inputs release dependents.
-            let dependents = std::mem::take(&mut self.dependents[run.task_idx]);
-            for d in &dependents {
-                let dep_state = &mut self.tasks[*d];
+            // A completed row is never asked for its dependents again.
+            let dependents = std::mem::take(self.tasks.dependents_mut(run.task_idx));
+            for d in dependents {
+                let dep_state = &mut self.tasks[d];
                 dep_state.deps_remaining -= 1;
                 // A cascade-doomed dependent stays dead even if its
                 // predecessor later completes via replay.
@@ -296,10 +303,9 @@ impl<S: EventSink> Simulation<S> {
                     dep_state
                         .advance(TaskPhase::Ready)
                         .expect("released dependent was pending");
-                    self.push_ready(*d);
+                    self.push_ready(d);
                 }
             }
-            self.dependents[run.task_idx] = dependents;
             // The application reacts to the result (Fig. 1's steering loop).
             if let Some(mut driver) = self.driver.take() {
                 let mut api = self.submit_api();
@@ -307,6 +313,7 @@ impl<S: EventSink> Simulation<S> {
                 self.integrate_submissions(api);
                 self.driver = Some(driver);
             }
+            self.tasks.retire_completed();
         } else if run.cause == AttemptCause::StragglerTimeout {
             // Straggler watchdog kill: the allocation was not the problem,
             // so no retry prediction is made — resubmit with the same
@@ -377,6 +384,10 @@ impl<S: EventSink> Simulation<S> {
     }
 
     /// A transiently-failed dispatch finished its backoff.
+    ///
+    /// The task's row is live: while its `Requeue` is pending it is
+    /// `Requeued`, and the only way out other than this event is the
+    /// stranded sweep, which ends the run.
     pub(super) fn on_requeue(&mut self, task_idx: usize) {
         let state = &mut self.tasks[task_idx];
         if !state.is_dead() && !state.is_completed() {

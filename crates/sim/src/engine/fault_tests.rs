@@ -643,3 +643,66 @@ fn unpulled_tail_sweep_matches_the_materializing_sweep() {
     assert_eq!(materialized_first, pulled_none);
     assert_eq!(materialized_first, pulled_some);
 }
+
+#[test]
+fn replay_on_a_dag_conserves_tasks_and_rows_still_retire() {
+    // Flaky dispatch with a one-retry budget dead-letters ready tasks
+    // (DispatchRetriesExhausted), their dependents cascade after them, and
+    // churn joins replay the dead letters. A dead-lettered row must stay in
+    // the table (replay reads it back) while completed prefixes around it
+    // retire; a table that retired dead letters too would hand replay a
+    // row that is gone.
+    use crate::scheduler::QueuePolicy;
+    use tora_workloads::DagShape;
+    for queue_policy in [QueuePolicy::Fifo, QueuePolicy::FifoBackfill] {
+        let source = SyntheticKind::Bimodal
+            .catalog_workflow()
+            .spec(5)
+            .dag_shape(DagShape::random_layered(32, 3))
+            .stream()
+            .unwrap();
+        let total = source.total_tasks();
+        let config = SimConfig {
+            churn: ChurnConfig {
+                initial: 5,
+                min: 2,
+                max: 10,
+                mean_interval_s: Some(8.0),
+            },
+            faults: FaultPlan {
+                dispatch_failure_rate: 0.35,
+                dispatch_backoff_s: 1.0,
+                max_dispatch_retries: 1,
+                replay_capacity_fraction: 0.5,
+                max_replay_rounds: 3,
+                ..FaultPlan::none()
+            },
+            queue_policy,
+            seed: 17,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulation::from_source(source, AlgorithmKind::MaxSeen, config)
+            .with_sink(EventLog::new());
+        sim.run_events();
+        let stats = &sim.stats;
+        let dead = stats.faults.dead_lettered;
+        assert_eq!(stats.submitted as usize, total, "{queue_policy:?}");
+        assert_eq!(
+            stats.submitted,
+            stats.completions + dead,
+            "{queue_policy:?}"
+        );
+        assert_eq!(sim.completed + sim.dead_lettered, total, "{queue_policy:?}");
+        assert!(stats.faults.replayed > 0, "{queue_policy:?}: no replay");
+        assert!(
+            stats.faults.replay_successes > 0,
+            "{queue_policy:?}: replay recovered nothing"
+        );
+        assert!(
+            sim.tasks.base() > 0 && sim.tasks.live() < total,
+            "{queue_policy:?}: no row retired ({} live of {total})",
+            sim.tasks.live()
+        );
+        sim.allocator.sink().check_consistency().unwrap();
+    }
+}

@@ -103,11 +103,11 @@ impl<S: EventSink> Simulation<S> {
             let run = self.running.remove(victim).expect("victim listed");
             let elapsed = self.now - run.start;
             self.record(SimEvent::TaskCrashed {
-                task: self.specs[run.task_idx].id,
+                task: self.tasks.spec(run.task_idx).id,
                 worker: id,
             });
             self.report_outcome(
-                self.specs[run.task_idx].category,
+                self.tasks.spec(run.task_idx).category,
                 AttemptFeedback::Crash,
                 rack,
             );
@@ -121,7 +121,7 @@ impl<S: EventSink> Simulation<S> {
                 if salvaged > 0.0 {
                     attempt.salvaged_s = salvaged;
                     self.record(SimEvent::TaskCheckpointed {
-                        task: self.specs[run.task_idx].id,
+                        task: self.tasks.spec(run.task_idx).id,
                         salvaged_s: salvaged,
                     });
                 }

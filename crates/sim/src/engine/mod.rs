@@ -23,6 +23,7 @@
 //! | `faults`    | crash / rack-crash / straggler injection and checkpoint salvage |
 //! | `churn`     | pool evolution and preemption |
 //! | `replay`    | the dead-letter channel and its replay path |
+//! | `table`     | the per-task rows (spec, state, dependents), retired once the completed prefix passes them |
 //!
 //! Every task transition is driven through [`lifecycle::TaskPhase`]'s legal-
 //! successor table; an illegal transition is an engine bug and fails fast.
@@ -35,6 +36,7 @@ mod faults;
 pub mod lifecycle;
 mod queue;
 mod replay;
+mod table;
 
 #[cfg(test)]
 mod fault_tests;
@@ -47,6 +49,7 @@ use self::arena::{AttemptArena, RunArena, RunId};
 use self::critical::CriticalPath;
 use self::lifecycle::TaskState;
 use self::queue::{Event, EventQueue};
+use self::table::TaskTable;
 use crate::enforcement::EnforcementModel;
 use crate::faults::FaultPlan;
 use crate::log::SimEvent;
@@ -299,13 +302,12 @@ impl SubmitApi {
 /// compiles the forwarding out.
 pub struct Simulation<S: EventSink = NoopSink> {
     worker: WorkerSpec,
-    specs: Vec<TaskSpec>,
     /// The run's task generator: specs are pulled on demand (just before
     /// each arrival fires), so a million-task workload never sits fully
     /// materialized ahead of the event horizon. Driver runs hold an empty
     /// one.
     source: Box<dyn TaskSource>,
-    /// Total the source will yield; `specs` grows toward it lazily.
+    /// Total the source will yield; `tasks.len()` grows toward it lazily.
     source_total: usize,
     /// The source's bounded dependency lookahead (`0` = dependency-free).
     /// A dead-letter first pulls this span past the dying task so every
@@ -343,8 +345,9 @@ pub struct Simulation<S: EventSink = NoopSink> {
     /// the task's token instead of scanning the queue, and stale entries
     /// are dropped lazily at dispatch time.
     ready: VecDeque<(usize, u32)>,
-    tasks: Vec<TaskState>,
-    dependents: Vec<Vec<usize>>,
+    /// Every task's spec, lifecycle state and dependents, from intake until
+    /// the completed prefix passes it.
+    tasks: TaskTable,
     /// Dead-lettered tasks with a replayable cause, kept in task order so
     /// replay re-admission scans only genuine candidates.
     replay_candidates: BTreeSet<usize>,
@@ -381,8 +384,10 @@ impl Simulation {
 
     /// Build an engine for the workload a [`TaskSource`] yields — every
     /// run's way in. Specs are pulled on demand as their arrivals fire, so
-    /// generation overlaps simulation and the engine's footprint stays
-    /// bounded by what has actually arrived.
+    /// generation overlaps simulation, and a task's row retires once it and
+    /// every task before it have completed, so the engine's per-task
+    /// footprint follows the live window (oldest unfinished task to newest
+    /// pulled one), not the task count.
     pub fn from_source(
         source: Box<dyn TaskSource>,
         algorithm: AlgorithmKind,
@@ -415,7 +420,6 @@ impl Simulation {
         let source_window = source.dependency_window();
         Simulation {
             worker,
-            specs: Vec::with_capacity(source_total.min(1 << 20)),
             source,
             source_total,
             source_window,
@@ -434,8 +438,7 @@ impl Simulation {
             attempt_arena: AttemptArena::new(),
             attempt_buf: Vec::new(),
             ready: VecDeque::new(),
-            tasks: Vec::new(),
-            dependents: Vec::new(),
+            tasks: TaskTable::new(),
             replay_candidates: BTreeSet::new(),
             completed: 0,
             dead_lettered: 0,
@@ -470,7 +473,6 @@ impl Simulation {
     pub fn with_sink<S: EventSink>(self, sink: S) -> Simulation<S> {
         Simulation {
             worker: self.worker,
-            specs: self.specs,
             source: self.source,
             source_total: self.source_total,
             source_window: self.source_window,
@@ -490,7 +492,6 @@ impl Simulation {
             attempt_buf: self.attempt_buf,
             ready: self.ready,
             tasks: self.tasks,
-            dependents: self.dependents,
             replay_candidates: self.replay_candidates,
             completed: self.completed,
             dead_lettered: self.dead_lettered,
@@ -554,7 +555,8 @@ impl<S: EventSink> Simulation<S> {
         victims
     }
 
-    /// Whether a ready-queue entry still refers to a live enqueueing.
+    /// Whether a ready-queue entry still refers to a live enqueueing. The
+    /// entry's task row is never retired (see `drop_stale_ready`).
     fn ready_entry_live(&self, entry: (usize, u32)) -> bool {
         self.tasks[entry.0].queue_token == entry.1
     }
@@ -580,17 +582,18 @@ impl<S: EventSink> Simulation<S> {
     /// Total number of tasks this run must account for: everything
     /// materialized so far, or the streaming source's declared total.
     fn total_target(&self) -> usize {
-        self.specs.len().max(self.source_total)
+        self.tasks.len().max(self.source_total)
     }
 
     /// Pull tasks from the source until `task_idx` is materialized. A
     /// no-op for already-pulled indices. Sources yield sequential tasks
     /// whose dependencies (if any) are confined to the declared lookahead
     /// window, so a pulled task's dependencies are never dead: a death
-    /// would have pulled this task first (see `dead_letter`).
+    /// would have pulled this task first (see `dead_letter`). A retired
+    /// dependency completed.
     fn ensure_spec(&mut self, task_idx: usize) {
-        while self.specs.len() <= task_idx {
-            let idx = self.specs.len();
+        while self.tasks.len() <= task_idx {
+            let idx = self.tasks.len();
             let spec = self
                 .source
                 .next_task()
@@ -601,7 +604,9 @@ impl<S: EventSink> Simulation<S> {
                 Vec::new()
             };
             debug_assert!(
-                deps.iter().all(|&d| !self.tasks[d as usize].is_dead()),
+                deps.iter()
+                    .all(|&d| self.tasks.is_completed(d as usize)
+                        || !self.tasks[d as usize].is_dead()),
                 "a dead dependency must have materialized its window"
             );
             self.intake(spec, &deps);
@@ -609,12 +614,13 @@ impl<S: EventSink> Simulation<S> {
     }
 
     /// Take the next task into the run — the one intake for source pulls
-    /// and driver submissions alike: a spec push, a lifecycle slot counting
-    /// the still-incomplete dependencies, the reverse-adjacency wiring for
-    /// them and the critical-path entry. A completed dependency is already
-    /// resolved, so it is neither counted nor wired.
+    /// and driver submissions alike: a row holding the spec and a lifecycle
+    /// slot counting the still-incomplete dependencies, the
+    /// reverse-adjacency wiring for them and the critical-path entry. A
+    /// completed dependency — retired or not — is already resolved, so it
+    /// is neither counted nor wired.
     fn intake(&mut self, spec: TaskSpec, deps: &[u64]) {
-        let idx = self.specs.len();
+        let idx = self.tasks.len();
         assert_eq!(spec.id.0, idx as u64, "task ids must be sequential");
         assert!(
             self.worker.capacity.dominates(&spec.peak),
@@ -625,17 +631,15 @@ impl<S: EventSink> Simulation<S> {
         );
         let mut deps_remaining = 0;
         for &d in deps {
-            if !self.tasks[d as usize].is_completed() {
-                self.dependents[d as usize].push(idx);
+            if !self.tasks.is_completed(d as usize) {
+                self.tasks.dependents_mut(d as usize).push(idx);
                 deps_remaining += 1;
             }
         }
         if let Some(cp) = self.cp.as_mut() {
             cp.push(spec.duration_s, deps);
         }
-        self.specs.push(spec);
-        self.tasks.push(TaskState::fresh(deps_remaining));
-        self.dependents.push(Vec::new());
+        self.tasks.push(spec, TaskState::fresh(deps_remaining));
     }
 
     /// The arrival model released a task: it becomes ready once its
@@ -648,7 +652,7 @@ impl<S: EventSink> Simulation<S> {
             return;
         }
         self.record(SimEvent::TaskSubmitted {
-            task: self.specs[task_idx].id,
+            task: self.tasks.spec(task_idx).id,
         });
         let state = &mut self.tasks[task_idx];
         debug_assert!(!state.arrived, "duplicate arrival");
@@ -694,7 +698,7 @@ impl<S: EventSink> Simulation<S> {
     fn submit_api(&self) -> SubmitApi {
         SubmitApi {
             submissions: Vec::new(),
-            next_id: self.specs.len() as u64,
+            next_id: self.tasks.len() as u64,
         }
     }
 
@@ -702,7 +706,7 @@ impl<S: EventSink> Simulation<S> {
     /// arrives immediately, gated only by its dependencies.
     fn integrate_submissions(&mut self, api: SubmitApi) {
         for (category, features, peak, duration_s, deps) in api.submissions {
-            let idx = self.specs.len();
+            let idx = self.tasks.len();
             let spec =
                 TaskSpec::new(idx as u64, category, peak, duration_s).with_features(features);
             self.intake(spec, &deps);
@@ -730,14 +734,14 @@ impl<S: EventSink> Simulation<S> {
             // sweeps it was built for.
             self.ensure_spec(self.total_target() - 1);
         }
-        let mut task_idx = 0;
+        let mut task_idx = self.tasks.base();
         while task_idx < self.tasks.len() {
             if !self.tasks[task_idx].phase.is_terminal() {
                 self.dead_letter(task_idx, DeadLetterCause::Stalled);
             }
             task_idx += 1;
         }
-        for index in self.specs.len()..self.total_target() {
+        for index in self.tasks.len()..self.total_target() {
             self.dead_letter_unpulled(index, DeadLetterCause::Stalled);
         }
     }
@@ -759,6 +763,23 @@ impl<S: EventSink> Simulation<S> {
     /// allocator and the engine emitted into — the traced variant of
     /// [`Simulation::run`].
     pub fn run_traced(mut self) -> (SimResult, S) {
+        self.run_events();
+        if let Some(cp) = self.cp.as_ref() {
+            self.stats.critical_path = Some(cp.summarize(self.now.seconds()));
+        }
+        let result = SimResult {
+            metrics: self.result_metrics,
+            makespan_s: self.now.seconds(),
+            preempted_alloc_time: self.preempted_alloc_time,
+            worker_range: self.worker_range,
+            stats: self.stats,
+        };
+        (result, self.allocator.into_sink())
+    }
+
+    /// Drive the event loop until every task is completed or
+    /// dead-lettered.
+    fn run_events(&mut self) {
         // The initial pool joined before any sink could be attached.
         let initial: Vec<_> = self
             .pool
@@ -794,7 +815,7 @@ impl<S: EventSink> Simulation<S> {
                     "tasks pending but no events scheduled"
                 );
                 self.sweep_stranded();
-                break;
+                return;
             };
             debug_assert!(ev.time >= self.now);
             self.now = ev.time;
@@ -812,17 +833,6 @@ impl<S: EventSink> Simulation<S> {
             self.dispatch();
             self.enforce_unplaceable_strikes();
         }
-        if let Some(cp) = self.cp.as_ref() {
-            self.stats.critical_path = Some(cp.summarize(self.now.seconds()));
-        }
-        let result = SimResult {
-            metrics: self.result_metrics,
-            makespan_s: self.now.seconds(),
-            preempted_alloc_time: self.preempted_alloc_time,
-            worker_range: self.worker_range,
-            stats: self.stats,
-        };
-        (result, self.allocator.into_sink())
     }
 }
 

@@ -50,7 +50,7 @@ impl<S: EventSink> Simulation<S> {
         if cause.replayable() {
             self.replay_candidates.insert(task_idx);
         }
-        let spec = self.specs[task_idx];
+        let spec = *self.tasks.spec(task_idx);
         let letter = DeadLetter {
             task: spec.id,
             category: spec.category,
@@ -65,18 +65,18 @@ impl<S: EventSink> Simulation<S> {
             cause,
             unarrived,
         });
-        let dependents = std::mem::take(&mut self.dependents[task_idx]);
+        let dependents = std::mem::take(self.tasks.dependents_mut(task_idx));
         for &d in &dependents {
             self.dead_letter(d, DeadLetterCause::DependencyDeadLettered);
         }
-        self.dependents[task_idx] = dependents;
+        *self.tasks.dependents_mut(task_idx) = dependents;
     }
 
     /// Terminally abandon a declared-but-unpulled streaming task without
     /// materializing its spec.
     ///
     /// The byte-identical twin of [`Simulation::dead_letter`] for an index
-    /// past `specs.len()`: such a task was never arrived, never queued,
+    /// past `tasks.len()`: such a task was never arrived, never queued,
     /// never attempted and has no dependents, so the only observable effects
     /// are the submission accounting (conservation charges the submission at
     /// abandonment time, exactly as `dead_letter` does for an unarrived
@@ -149,7 +149,7 @@ impl<S: EventSink> Simulation<S> {
         }
         for task_idx in candidates {
             self.replay_candidates.remove(&task_idx);
-            let task_id = self.specs[task_idx].id;
+            let task_id = self.tasks.spec(task_idx).id;
             let letter = self
                 .result_metrics
                 .remove_dead_letter(task_id)

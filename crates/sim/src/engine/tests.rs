@@ -553,3 +553,56 @@ fn production_workflows_run_end_to_end() {
         assert_eq!(res.metrics.len(), built.len(), "{}", built.name);
     }
 }
+
+#[test]
+fn completed_rows_retire_so_the_table_follows_the_live_window() {
+    // A streamed flat run keeps only the rows between the oldest
+    // unfinished task and the newest pulled one: Poisson arrivals and a
+    // 20–50 worker pool hold that window to about 1,400 rows, so the
+    // table's high-water mark stays far below the task count, and every
+    // row has retired once every task has completed.
+    const TASKS: usize = 100_000;
+    let source = PaperWorkflow::Bimodal
+        .spec(42)
+        .tasks(TASKS)
+        .stream()
+        .unwrap();
+    let mut sim = Simulation::from_source(
+        source,
+        AlgorithmKind::ExhaustiveBucketing,
+        SimConfig::paper_like(42),
+    );
+    sim.run_events();
+    assert_eq!(sim.completed, TASKS);
+    assert!(
+        sim.tasks.peak_live() <= 4_096,
+        "{} rows live at once out of {TASKS}",
+        sim.tasks.peak_live()
+    );
+    assert_eq!(sim.tasks.live(), 0, "completed rows left in the table");
+    assert_eq!(sim.tasks.len(), TASKS);
+}
+
+#[test]
+fn a_dependency_that_already_retired_counts_as_completed() {
+    // With arrivals slower than the tasks run, a pipeline stage is pulled
+    // after its predecessor has completed and retired; intake must read
+    // the retired dependency as resolved, not look its row up.
+    use tora_workloads::DagShape;
+    let source = SyntheticKind::Bimodal
+        .catalog_workflow()
+        .spec(42)
+        .dag_shape(DagShape::pipeline(200))
+        .stream()
+        .unwrap();
+    let config = SimConfig {
+        arrival: ArrivalModel::Poisson {
+            mean_interval_s: 3_600.0,
+        },
+        ..SimConfig::paper_like(42)
+    };
+    let mut sim = Simulation::from_source(source, AlgorithmKind::ExhaustiveBucketing, config);
+    sim.run_events();
+    assert_eq!(sim.completed, 200);
+    assert_eq!(sim.tasks.live(), 0);
+}
