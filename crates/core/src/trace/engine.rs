@@ -2,6 +2,8 @@
 //! injected fault and dead letter of a simulated run, delivered through
 //! [`super::EventSink::emit_sim`]. The engine's counters are a fold over
 //! this stream, so a sink sees exactly what the engine counted.
+//! [`LogEntry`] is one event with its time stamp, the shape an engine event
+//! takes as a line of an event file.
 
 use crate::resources::ResourceVector;
 use crate::task::TaskId;
@@ -191,4 +193,14 @@ pub enum SimEvent {
         /// Nominal task-seconds salvaged by this checkpoint.
         salvaged_s: f64,
     },
+}
+
+/// One engine event stamped with simulated time: a line of an event file
+/// (see [`super::JsonlSink`]), `{"time_s":…,"event":…}`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct LogEntry {
+    /// Simulated time, seconds.
+    pub time_s: f64,
+    /// The event.
+    pub event: SimEvent,
 }

@@ -17,7 +17,7 @@
 //! | [`NoopSink`]  | Default; compiles to nothing                       |
 //! | [`TraceStats`]| Counts events, overall and per category            |
 //! | [`MemorySink`]| Buffers events for later inspection                |
-//! | [`JsonlSink`] | Serializes each event as one JSON line             |
+//! | [`JsonlSink`] | Writes each event, of either kind, as one JSON line |
 //! | `(A, B)`      | Fans each event out to two sinks                   |
 //!
 //! Events serialize with `serde`, externally tagged, so a JSONL line looks
@@ -29,11 +29,17 @@
 //!
 //! An execution engine driving the allocator shares the same sink: its
 //! lifecycle facts ([`SimEvent`]) arrive through [`EventSink::emit_sim`],
-//! stamped with simulated time, behind the same `ENABLED` gate.
+//! stamped with simulated time, behind the same `ENABLED` gate. A
+//! [`JsonlSink`] writes them as [`LogEntry`] lines between the decisions,
+//! in emission order:
+//!
+//! ```json
+//! {"time_s":12.5,"event":{"TaskKilled":{"task":3,"worker":1}}}
+//! ```
 
 mod engine;
 
-pub use engine::{DeadLetterCause, SimEvent, WorkerId};
+pub use engine::{DeadLetterCause, LogEntry, SimEvent, WorkerId};
 
 use crate::estimator::{AllocSource, RebucketInfo};
 use crate::feedback::AttemptFeedback;
@@ -313,9 +319,9 @@ impl Tally {
 /// A counting sink: aggregate and per-category event tallies.
 ///
 /// This is the cheap always-on option for metrics — it never stores events,
-/// only counters — and the backbone of the `tora trace` reconciliation
-/// check, which compares these tallies against the simulator's own
-/// bookkeeping.
+/// only counters — and the backbone of the reconciliation check of `tora
+/// simulate --events`, which compares these tallies against the simulator's
+/// own bookkeeping.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceStats {
     /// Tally across all categories.
@@ -401,10 +407,12 @@ impl EventSink for MemorySink {
     }
 }
 
-/// A sink that writes each event as one JSON line.
+/// A sink that writes each event as one JSON line: an [`AllocEvent`] as
+/// itself, an engine event as its [`LogEntry`], both in emission order.
 ///
-/// Serialization failures are counted, not propagated: `emit` is infallible
-/// by design, and a tracing layer must never abort the run it observes.
+/// Failures while the run goes on are counted, not propagated: `emit` is
+/// infallible by design, and a tracing layer must never abort the run it
+/// observes. The final flush in [`JsonlSink::into_inner`] reports its error.
 pub struct JsonlSink<W: Write> {
     writer: W,
     written: u64,
@@ -431,25 +439,31 @@ impl<W: Write> JsonlSink<W> {
         self.errors
     }
 
-    /// Flush and return the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        let _ = self.writer.flush();
-        self.writer
+    /// Flush and return the underlying writer. A buffered writer may hold
+    /// the whole stream until this flush, so its error is the write error.
+    pub fn into_inner(mut self) -> std::io::Result<W> {
+        self.writer.flush()?;
+        Ok(self.writer)
+    }
+
+    fn write_line<T: Serialize>(&mut self, value: &T) {
+        match serde_json::to_string(value) {
+            Ok(line) if writeln!(self.writer, "{line}").is_ok() => self.written += 1,
+            _ => self.errors += 1,
+        }
     }
 }
 
 impl<W: Write> EventSink for JsonlSink<W> {
     fn emit(&mut self, event: AllocEvent) {
-        match serde_json::to_string(&event) {
-            Ok(line) => {
-                if writeln!(self.writer, "{line}").is_ok() {
-                    self.written += 1;
-                } else {
-                    self.errors += 1;
-                }
-            }
-            Err(_) => self.errors += 1,
-        }
+        self.write_line(&event);
+    }
+
+    fn emit_sim(&mut self, time_s: f64, event: &SimEvent) {
+        self.write_line(&LogEntry {
+            time_s,
+            event: event.clone(),
+        });
     }
 }
 
@@ -573,12 +587,58 @@ mod tests {
         }
         assert_eq!(sink.written(), 7);
         assert_eq!(sink.errors(), 0);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
         let parsed: Vec<AllocEvent> = text
             .lines()
             .map(|l| serde_json::from_str(l).unwrap())
             .collect();
         assert_eq!(parsed, events);
+    }
+
+    #[test]
+    fn jsonl_sink_interleaves_engine_events_in_emission_order() {
+        let mut sink = JsonlSink::new(Vec::new());
+        let [first, second, ..] = &sample_events()[..] else {
+            unreachable!()
+        };
+        let left = SimEvent::WorkerLeft {
+            worker: WorkerId(3),
+        };
+        sink.emit(first.clone());
+        sink.emit_sim(2.5, &left);
+        sink.emit(second.clone());
+        assert_eq!((sink.written(), sink.errors()), (3, 0));
+        let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines[1],
+            r#"{"time_s":2.5,"event":{"WorkerLeft":{"worker":3}}}"#
+        );
+        let entry: LogEntry = serde_json::from_str(lines[1]).unwrap();
+        assert_eq!((entry.time_s, entry.event), (2.5, left));
+        let decisions: Vec<AllocEvent> = [lines[0], lines[2]]
+            .iter()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert_eq!(decisions, [first.clone(), second.clone()]);
+    }
+
+    #[test]
+    fn jsonl_sink_reports_the_final_flush_error() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::StorageFull.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Err(std::io::ErrorKind::StorageFull.into())
+            }
+        }
+        // The buffer takes the line, so only the flush can fail.
+        let mut sink = JsonlSink::new(std::io::BufWriter::new(Full));
+        sink.emit(sample_events().remove(0));
+        assert_eq!((sink.written(), sink.errors()), (1, 0));
+        assert!(sink.into_inner().is_err());
     }
 
     #[test]

@@ -5,6 +5,7 @@ use super::*;
 use crate::log::EventLog;
 use crate::stats::UtilizationSeries;
 use tora_alloc::resources::ResourceKind;
+use tora_alloc::trace::{AllocEvent, JsonlSink};
 use tora_workloads::synthetic::SyntheticKind;
 use tora_workloads::PaperWorkflow;
 
@@ -152,8 +153,9 @@ fn event_log_is_consistent_under_churn() {
         seed: 5,
         ..SimConfig::default()
     };
-    let (res, log) = Simulation::new(&wf, AlgorithmKind::ExhaustiveBucketing, config)
-        .with_sink(EventLog::new())
+    let sink = (EventLog::new(), JsonlSink::new(Vec::new()));
+    let (res, (log, jsonl)) = Simulation::new(&wf, AlgorithmKind::ExhaustiveBucketing, config)
+        .with_sink(sink)
         .run_traced();
     log.check_consistency().unwrap();
     // Dispatch count in the log matches the engine's counter.
@@ -166,9 +168,19 @@ fn event_log_is_consistent_under_churn() {
     let preempted = log.count(|e| matches!(e, crate::log::SimEvent::TaskPreempted { .. }));
     assert_eq!(preempted as u64, res.stats.preemptions);
     assert_eq!(dispatched, completed + killed + preempted);
-    // JSONL roundtrip.
-    let parsed = crate::log::EventLog::from_jsonl(&log.to_jsonl()).unwrap();
+    // The event file reads back as the same log, decisions between.
+    let written = jsonl.written() as usize;
+    let text = String::from_utf8(jsonl.into_inner().unwrap()).unwrap();
+    let (parsed, decisions) = crate::log::EventLog::from_jsonl(&text).unwrap();
     assert_eq!(parsed, log);
+    assert_eq!(decisions.len(), written - log.len());
+    assert_eq!(
+        decisions
+            .iter()
+            .filter(|e| matches!(e, AllocEvent::Observe { .. }))
+            .count(),
+        wf.len()
+    );
 }
 
 #[test]

@@ -3,10 +3,11 @@
 //! A fully ordered record of everything the engine did: task lifecycle
 //! transitions, worker churn, preemptions, injected faults. [`EventLog`] is
 //! an [`EventSink`] — attach it with [`Simulation::with_sink`] and take it
-//! back from [`Simulation::run_traced`]. Useful for debugging allocation
-//! behaviour, for the trace-dump harnesses, and as a consistency oracle in
-//! tests ([`EventLog::check_consistency`] verifies conservation laws that
-//! must hold for any correct run).
+//! back from [`Simulation::run_traced`] — and the reader of the event file
+//! a `JsonlSink` writes ([`EventLog::from_jsonl`]). Useful for debugging
+//! allocation behaviour and as a consistency oracle in tests
+//! ([`EventLog::check_consistency`] verifies conservation laws that must
+//! hold for any correct run).
 //!
 //! [`Simulation::with_sink`]: crate::Simulation::with_sink
 //! [`Simulation::run_traced`]: crate::Simulation::run_traced
@@ -14,20 +15,10 @@
 use crate::workers::WorkerId;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
-use std::fmt::Write as _;
 use tora_alloc::task::TaskId;
 use tora_alloc::trace::{AllocEvent, EventSink};
 
-pub use tora_alloc::trace::SimEvent;
-
-/// A timestamped event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LogEntry {
-    /// Simulated time, seconds.
-    pub time_s: f64,
-    /// The event.
-    pub event: SimEvent,
-}
+pub use tora_alloc::trace::{LogEntry, SimEvent};
 
 /// The full ordered event log of one run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -70,26 +61,30 @@ impl EventLog {
         self.entries.iter().filter(|e| pred(&e.event)).count()
     }
 
-    /// Serialize as JSON Lines (one entry per line).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in &self.entries {
-            let _ = writeln!(
-                out,
-                "{}",
-                serde_json::to_string(e).expect("log entries serialize")
-            );
-        }
-        out
-    }
-
-    /// Parse a JSON Lines dump back into a log.
-    pub fn from_jsonl(text: &str) -> Result<Self, serde_json::Error> {
+    /// Read an event file, as a `JsonlSink` writes it: the engine events
+    /// as a log, and the allocator decisions between them in file order.
+    /// Blank lines are skipped; a line that is neither kind is an error
+    /// naming its 1-based line number.
+    pub fn from_jsonl(text: &str) -> Result<(Self, Vec<AllocEvent>), String> {
         let mut log = EventLog::new();
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            log.entries.push(serde_json::from_str(line)?);
+        let mut decisions = Vec::new();
+        for (i, line) in text.lines().enumerate() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            if let Ok(entry) = serde_json::from_str(line) {
+                log.entries.push(entry);
+            } else {
+                let event = serde_json::from_str(line).map_err(|e| {
+                    format!(
+                        "line {}: neither an engine nor an allocation event: {e}",
+                        i + 1
+                    )
+                })?;
+                decisions.push(event);
+            }
         }
-        Ok(log)
+        Ok((log, decisions))
     }
 
     /// Verify the conservation laws of a completed run:
@@ -323,12 +318,31 @@ mod tests {
 
     #[test]
     fn jsonl_roundtrip() {
+        use tora_alloc::task::CategoryId;
+        use tora_alloc::trace::{JsonlSink, PredictKind};
         let log = well_formed();
-        let text = log.to_jsonl();
-        assert_eq!(text.lines().count(), log.len());
-        let parsed = EventLog::from_jsonl(&text).unwrap();
+        let decision = AllocEvent::predict(CategoryId(0), PredictKind::Explore, alloc(), vec![]);
+        let mut sink = JsonlSink::new(Vec::new());
+        for (i, entry) in log.entries().iter().enumerate() {
+            if i == 2 {
+                sink.emit(decision.clone());
+            }
+            sink.emit_sim(entry.time_s, &entry.event);
+        }
+        let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
+        assert_eq!(text.lines().count(), log.len() + 1);
+        let (parsed, decisions) = EventLog::from_jsonl(&text).unwrap();
         assert_eq!(parsed, log);
-        assert!(EventLog::from_jsonl("").unwrap().is_empty());
+        assert_eq!(decisions, [decision]);
+        let (empty, none) = EventLog::from_jsonl("\n").unwrap();
+        assert!(empty.is_empty() && none.is_empty());
+    }
+
+    #[test]
+    fn a_line_of_neither_kind_names_its_line_number() {
+        let text = "{\"time_s\":0.0,\"event\":{\"TaskSubmitted\":{\"task\":0}}}\n\n{\"Nope\":{}}\n";
+        let err = EventLog::from_jsonl(text).unwrap_err();
+        assert!(err.starts_with("line 3: "), "{err}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! engine called into the allocator. Because the allocator's tracing layer
 //! counts the same interactions from the other side ([`TraceStats`]), the
 //! two can be reconciled exactly — [`SimStats::reconcile`] is the
-//! correctness check behind the `tora trace` subcommand.
+//! correctness check behind `tora simulate --events`.
 
 use crate::workers::{spatial, WorkerId};
 use serde::{Deserialize, Serialize};

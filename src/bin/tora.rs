@@ -6,8 +6,8 @@
 //! tora workflows                              list built-in workflows
 //! tora generate <workflow> [opts]             emit a workflow trace as JSON
 //! tora simulate <workflow|file> [opts]        run the discrete-event engine
+//!                                             (--events <file>: its event file)
 //! tora replay   <workflow|file> [opts]        run the fast serial replay
-//! tora trace    <workflow|file> [opts]        traced run: allocation events as JSONL
 //! tora chaos    <workflow|file> [opts]        run under a fault-injection plan
 //! tora experiments <artifact>|all [opts]      regenerate the paper's figures/tables
 //! tora serve    [opts]                        long-running allocation daemon (JSONL)
@@ -27,13 +27,12 @@ type Command = fn(&Args<'_>) -> Result<(), String>;
 
 /// The driver of every command; the flags each reads are
 /// [`tora::cli::COMMAND_FLAGS`].
-const COMMANDS: [(&str, Command); 9] = [
+const COMMANDS: [(&str, Command); 8] = [
     ("algorithms", |_| cmd_algorithms()),
     ("workflows", |_| cmd_workflows()),
     ("generate", cmd_generate),
     ("simulate", |args| cmd_run(args, Mode::Simulate)),
     ("replay", |args| cmd_run(args, Mode::Replay)),
-    ("trace", cmd_trace),
     ("chaos", cmd_chaos),
     ("experiments", cmd_experiments),
     ("serve", cmd_serve),
@@ -75,13 +74,6 @@ fn run(command: &str, rest: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let args = Args::parse(rest)?;
-    // `--log` dumps the engine's event stream, which only `tora simulate`
-    // writes; say so rather than calling the flag unknown.
-    if args.has("log") && command != "simulate" {
-        return Err(format!(
-            "--log is only supported by `tora simulate`, not `tora {command}`"
-        ));
-    }
     args.check_flags(accepted)?;
     cmd(&args)
 }
@@ -96,8 +88,6 @@ fn print_usage() {
            generate <workflow> [opts]      emit a workflow trace as JSON\n\
            simulate <workflow|file> [opts] run the discrete-event engine\n\
            replay   <workflow|file> [opts] run the fast serial replay\n\
-           trace    <workflow|file> [opts] traced engine run: allocation decisions as\n\
-                                           JSONL plus an engine/allocator reconciliation\n\
            chaos    <workflow|file> [opts] run under a fault-injection plan and print a\n\
                                            fault report (--plan none|light|heavy|crashes|\n\
                                            stragglers|flaky-dispatch|lossy-records|\n\
@@ -136,7 +126,10 @@ fn print_usage() {
                                  node (default 0 = acyclic)\n\
            --mix <frac>:<scale>  heterogeneous pool: fraction of large workers\n\
            --out <file>          write JSON output to a file (experiments: a directory)\n\
-           --log <file>          (simulate) dump the engine event stream as JSONL\n\
+           --events <file>       (simulate) write the event file: allocator decisions\n\
+                                 and engine events as JSONL in emission order;\n\
+                                 then print the decision tally per category and\n\
+                                 reconcile it with the engine's own counts\n\
            --convergence         (simulate/replay) print the rolling-AWE trajectory"
     );
 }
@@ -223,7 +216,7 @@ fn cmd_run(args: &Args<'_>, mode: Mode) -> Result<(), String> {
 
     // Only the rolling-AWE table reads per-task rows.
     let convergence = args.has("convergence");
-    let (metrics, sim_extra) = match mode {
+    let (metrics, sim_extra, events) = match mode {
         Mode::Replay => {
             let metrics = if convergence {
                 WorkflowMetrics::with_rows()
@@ -231,28 +224,31 @@ fn cmd_run(args: &Args<'_>, mode: Mode) -> Result<(), String> {
                 WorkflowMetrics::new()
             };
             let enforcement = args.enforcement()?;
-            (replay(&wf, algorithm, enforcement, seed, metrics), None)
+            (
+                replay(&wf, algorithm, enforcement, seed, metrics),
+                None,
+                None,
+            )
         }
         Mode::Simulate => {
             let mut sim = Simulation::new(&wf, algorithm, parse_sim_config(args)?);
             if convergence {
                 sim = sim.keep_outcomes();
             }
-            let result = match args.value_of("log")? {
+            let (result, trace) = match args.value_of("events")? {
                 Some(path) => {
-                    let (result, log) = sim.with_sink(EventLog::new()).run_traced();
-                    std::fs::write(path, log.to_jsonl()).map_err(|e| e.to_string())?;
-                    eprintln!("wrote event log to {path}");
-                    result
+                    let (result, trace) = write_events(sim, path)?;
+                    (result, Some(trace))
                 }
-                None => sim.run(),
+                None => (sim.run(), None),
             };
             let extra = (
                 result.makespan_s,
                 result.worker_range,
                 result.stats.preemptions,
             );
-            (result.metrics, Some(extra))
+            let events = trace.map(|trace| (trace, result.stats));
+            (result.metrics, Some(extra), events)
         }
     };
 
@@ -319,67 +315,40 @@ fn cmd_run(args: &Args<'_>, mode: Mode) -> Result<(), String> {
             None => println!("no steady state detected"),
         }
     }
-    Ok(())
+    match events {
+        Some((trace, stats)) => report_events(&trace, &stats),
+        None => Ok(()),
+    }
 }
 
-/// `tora trace`: run the engine with a live event sink attached, dump the
-/// allocator's decision stream as JSONL, and cross-check the stream's counts
-/// against the engine's own bookkeeping. A mismatch is a bug in one of the
-/// two bookkeepers, so it fails the command.
-fn cmd_trace(args: &Args<'_>) -> Result<(), String> {
-    let name = args
-        .positional
-        .first()
-        .ok_or("trace requires a workflow name or trace file")?;
-    let wf = parse_workflow(name, args)?;
-    let algorithm = args.algorithm()?;
-    let seed = args.seed()?;
-    let config = parse_sim_config(args)?;
-
-    // Count and serialize in one pass: a pair of sinks sees every event.
-    let sink = (TraceStats::new(), JsonlSink::new(Vec::<u8>::new()));
-    let (result, (trace, jsonl)) = Simulation::new(&wf, algorithm, config)
-        .with_sink(sink)
-        .run_traced();
-    if jsonl.errors() > 0 {
-        return Err(format!("{} events failed to serialize", jsonl.errors()));
+/// `simulate --events <file>`: run with the decision tally and a streaming
+/// JSONL writer attached, so the file holds both kinds of event in emission
+/// order and never the whole run in memory. Any write error fails the
+/// command.
+fn write_events(sim: Simulation, path: &str) -> Result<(SimResult, TraceStats), String> {
+    let file = std::fs::File::create(path).map_err(|e| format!("creating `{path}`: {e}"))?;
+    let sink = (
+        TraceStats::new(),
+        JsonlSink::new(std::io::BufWriter::new(file)),
+    );
+    let (result, (trace, jsonl)) = sim.with_sink(sink).run_traced();
+    let (written, errors) = (jsonl.written(), jsonl.errors());
+    jsonl
+        .into_inner()
+        .map_err(|e| format!("writing `{path}`: {e}"))?;
+    if errors > 0 {
+        return Err(format!("writing `{path}`: {errors} events failed"));
     }
-    let events_written = jsonl.written();
-    let bytes = jsonl.into_inner();
+    eprintln!("wrote {written} events to {path}");
+    Ok((result, trace))
+}
 
-    // Events go to --out or stdout; the summary goes to the other stream so
-    // `tora trace ... | jq` stays clean.
-    let events_on_stdout = match args.value_of("out")? {
-        Some(path) => {
-            std::fs::write(path, &bytes).map_err(|e| e.to_string())?;
-            eprintln!("wrote {events_written} events to {path}");
-            false
-        }
-        None => {
-            use std::io::Write as _;
-            std::io::stdout()
-                .write_all(&bytes)
-                .map_err(|e| e.to_string())?;
-            true
-        }
-    };
-    let emit = |s: String| {
-        if events_on_stdout {
-            eprintln!("{s}");
-        } else {
-            println!("{s}");
-        }
-    };
-
-    emit(format!(
-        "workflow `{}` × {} (seed {seed}): {events_written} events, {} tasks, {} retries",
-        wf.name,
-        algorithm.label(),
-        result.metrics.len(),
-        result.metrics.total_retries()
-    ));
+/// The allocator's decisions per category, and their reconciliation with
+/// the engine's own bookkeeping. A mismatch is a bug in one of the two
+/// bookkeepers, so it fails the command.
+fn report_events(trace: &TraceStats, stats: &SimStats) -> Result<(), String> {
     let mut table = Table::new(
-        "allocation events by category",
+        format!("{} allocation events by category", trace.overall.total()),
         &[
             "category", "explore", "first", "retry", "escalate", "rebucket", "observe",
         ],
@@ -402,26 +371,21 @@ fn cmd_trace(args: &Args<'_>) -> Result<(), String> {
         table.row(&tally_row(id.to_string(), &t));
     }
     table.row(&tally_row("all".into(), &trace.overall));
-    emit(table.render().trim_end().to_string());
-    emit(format!(
-        "engine: {} dispatches | {} completions | {} kills | {} preemptions | makespan {:.0} s",
-        result.stats.dispatches,
-        result.stats.completions,
-        result.stats.failures,
-        result.stats.preemptions,
-        result.makespan_s
-    ));
-
-    match result.stats.reconcile(&trace) {
+    print!("\n{}", table.render());
+    println!(
+        "engine: {} dispatches | {} completions | {} kills | {} preemptions",
+        stats.dispatches, stats.completions, stats.failures, stats.preemptions
+    );
+    match stats.reconcile(trace) {
         Ok(()) => {
-            emit(format!(
+            println!(
                 "reconciliation OK: {} predictions, {} retries, {} escalations and {} \
                  observations agree with the engine's tally",
                 trace.overall.predictions_first(),
                 trace.overall.retry,
                 trace.overall.escalate,
                 trace.overall.observe
-            ));
+            );
             Ok(())
         }
         Err(mismatches) => {

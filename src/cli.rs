@@ -128,7 +128,7 @@ pub const WORKFLOW_FLAGS: &[&str] = &[
 pub const SIM_FLAGS: &[&str] = &["seed", "workers", "arrival", "policy", "enforcement", "mix"];
 
 /// Every `tora` command, with the lists of flags it reads.
-pub const COMMAND_FLAGS: [(&str, &[&[&str]]); 9] = [
+pub const COMMAND_FLAGS: [(&str, &[&[&str]]); 8] = [
     ("algorithms", &[]),
     ("workflows", &[]),
     ("generate", &[WORKFLOW_FLAGS, &["out"]]),
@@ -137,14 +137,13 @@ pub const COMMAND_FLAGS: [(&str, &[&[&str]]); 9] = [
         &[
             WORKFLOW_FLAGS,
             SIM_FLAGS,
-            &["algorithm", "log", "convergence"],
+            &["algorithm", "events", "convergence"],
         ],
     ),
     (
         "replay",
         &[WORKFLOW_FLAGS, &["algorithm", "enforcement", "convergence"]],
     ),
-    ("trace", &[WORKFLOW_FLAGS, SIM_FLAGS, &["algorithm", "out"]]),
     (
         "chaos",
         &[

@@ -94,18 +94,125 @@ fn simulate_writes_event_log() {
     let path = dir.join("events.jsonl");
     let path_str = path.to_str().unwrap();
     let (ok, _, err) = tora(&[
-        "simulate", "uniform", "--tasks", "60", "--seed", "2", "--log", path_str,
+        "simulate", "uniform", "--tasks", "60", "--seed", "2", "--events", path_str,
     ]);
     assert!(ok, "{err}");
     let text = std::fs::read_to_string(&path).unwrap();
-    let log = tora::sim::EventLog::from_jsonl(&text).unwrap();
+    let (log, decisions) = tora::sim::EventLog::from_jsonl(&text).unwrap();
     log.check_consistency().unwrap();
     assert!(log.len() > 120); // ≥ submit + dispatch + finish per task
+    assert!(decisions.len() >= 120); // ≥ predict + observe per task
     std::fs::remove_file(&path).ok();
 }
 
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The number before `suffix` in `text`, e.g. `wrote 12 events`.
+fn count_before(text: &str, suffix: &str) -> usize {
+    let head = &text[..text
+        .find(suffix)
+        .unwrap_or_else(|| panic!("no `{suffix}` in {text}"))];
+    let digits = head.rsplit(|c: char| !c.is_ascii_digit()).next().unwrap();
+    digits.parse().unwrap()
+}
+
+/// The event file interleaves the two streams the CLI used to write apart:
+/// its engine lines are byte for byte the former `simulate --log` file and
+/// its decision lines the former `trace --out` file, pinned here as
+/// `(lines, FNV-1a)` of each.
 #[test]
-fn log_is_refused_by_commands_that_write_no_event_log() {
+fn simulate_events_file_matches_the_parent_streams() {
+    let dir = std::env::temp_dir().join(format!("tora-cli-events-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("events.jsonl");
+    let path_str = path.to_str().unwrap();
+    let runs: [(&[&str], _, _); 2] = [
+        (
+            &[
+                "bimodal",
+                "--tasks",
+                "80",
+                "--seed",
+                "3",
+                "--workers",
+                "fixed:8",
+            ],
+            (702, 0xc9cb_ea84_e25d_e1b1_u64),
+            (886, 0xa9eb_31a1_bb3b_8680_u64),
+        ),
+        (
+            &["topeft", "--dag", "--seed", "2"],
+            (16427, 0x6d9e_455e_82a0_12f4),
+            (15928, 0x9925_fd82_7cdb_549a),
+        ),
+    ];
+    for (argv, engine_pin, decision_pin) in runs {
+        let mut args = vec!["simulate"];
+        args.extend(argv);
+        args.extend(["--events", path_str]);
+        let (ok, out, err) = tora(&args);
+        assert!(ok, "{args:?}: {err}");
+        assert!(out.contains("reconciliation OK"), "{out}");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (mut engine, mut decisions) = (String::new(), String::new());
+        for line in text.lines() {
+            let kind = if line.starts_with(r#"{"time_s":"#) {
+                &mut engine
+            } else {
+                &mut decisions
+            };
+            kind.push_str(line);
+            kind.push('\n');
+        }
+        for (label, lines, pin) in [
+            ("engine", &engine, engine_pin),
+            ("decision", &decisions, decision_pin),
+        ] {
+            let got = (lines.lines().count(), fnv1a(lines.as_bytes()));
+            assert_eq!(
+                got, pin,
+                "{argv:?}: {label} lines moved (got {:#018x})",
+                got.1
+            );
+        }
+        let (log, events) = tora::sim::EventLog::from_jsonl(&text).unwrap();
+        log.check_consistency().unwrap();
+        assert_eq!(events.len(), count_before(&out, " allocation events"));
+        assert_eq!(log.len() + events.len(), count_before(&err, " events to"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stream smaller than the write buffer fails only at the final flush,
+/// and that failure must fail the command.
+#[cfg(target_os = "linux")]
+#[test]
+fn events_write_error_fails_the_command() {
+    let (ok, out, err) = tora(&[
+        "simulate",
+        "uniform",
+        "--tasks",
+        "1",
+        "--workers",
+        "fixed:1",
+        "--events",
+        "/dev/full",
+    ]);
+    assert!(!ok, "{out}");
+    assert!(err.contains("writing `/dev/full`"), "{err}");
+    assert!(
+        !out.contains("wrote") && !err.contains("wrote"),
+        "{out}{err}"
+    );
+}
+
+#[test]
+fn events_and_log_are_unknown_flags_outside_simulate() {
     let dir = std::env::temp_dir().join("tora-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("refused.jsonl");
@@ -113,19 +220,21 @@ fn log_is_refused_by_commands_that_write_no_event_log() {
     std::fs::remove_file(&path).ok();
     for command in [
         &["chaos", "uniform", "--tasks", "60", "--plan", "light"][..],
-        &["trace", "uniform", "--tasks", "60"][..],
         &["replay", "uniform", "--tasks", "60"][..],
+        &["generate", "uniform", "--tasks", "60"][..],
     ] {
-        let mut args = command.to_vec();
-        args.extend(["--log", path_str]);
-        let (ok, _, err) = tora(&args);
-        assert!(!ok, "{args:?} accepted --log");
-        assert!(
-            err.contains("--log is only supported by `tora simulate`"),
-            "{err}"
-        );
-        assert!(!path.exists(), "{args:?} wrote {path_str}");
+        for flag in ["--events", "--log"] {
+            let mut args = command.to_vec();
+            args.extend([flag, path_str]);
+            let (ok, _, err) = tora(&args);
+            assert!(!ok, "{args:?} accepted {flag}");
+            assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+            assert!(!path.exists(), "{args:?} wrote {path_str}");
+        }
     }
+    let (ok, _, err) = tora(&["simulate", "uniform", "--log", path_str]);
+    assert!(!ok && err.contains("unknown flag `--log`"), "{err}");
+    assert!(!path.exists());
 }
 
 #[test]
@@ -151,53 +260,6 @@ fn dag_and_mix_options() {
 
     let (ok, _, err) = tora(&["simulate", "normal", "--tasks", "40", "--mix", "2:0.5"]);
     assert!(!ok, "{err}");
-}
-
-#[test]
-fn trace_emits_jsonl_and_reconciles() {
-    let dir = std::env::temp_dir().join("tora-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("alloc-events.jsonl");
-    let path_str = path.to_str().unwrap();
-    let (ok, out, err) = tora(&[
-        "trace",
-        "bimodal",
-        "--tasks",
-        "80",
-        "--seed",
-        "3",
-        "--workers",
-        "fixed:8",
-        "--out",
-        path_str,
-    ]);
-    assert!(ok, "{err}");
-    assert!(out.contains("reconciliation OK"), "{out}");
-    assert!(out.contains("allocation events by category"), "{out}");
-    // Every line of the dump is one well-formed event.
-    let text = std::fs::read_to_string(&path).unwrap();
-    let events: Vec<tora::prelude::AllocEvent> = text
-        .lines()
-        .map(|l| serde_json::from_str(l).expect("valid event JSON"))
-        .collect();
-    assert!(!events.is_empty());
-    assert!(out.contains(&format!("{} events", events.len())), "{out}");
-    std::fs::remove_file(&path).ok();
-
-    // Without --out the events go to stdout and the summary to stderr.
-    let (ok, out, err) = tora(&[
-        "trace",
-        "bimodal",
-        "--tasks",
-        "40",
-        "--seed",
-        "3",
-        "--workers",
-        "fixed:8",
-    ]);
-    assert!(ok, "{err}");
-    assert!(out.lines().all(|l| l.starts_with('{')), "{out}");
-    assert!(err.contains("reconciliation OK"), "{err}");
 }
 
 #[test]
@@ -319,16 +381,18 @@ fn unknown_flags_fail_and_help_prints_usage() {
     assert!(ok, "{err}");
     assert!(out.contains("USAGE"), "{out}");
 
-    let (ok, _, err) = tora(&["bench"]);
-    assert!(!ok);
-    assert!(err.contains("unknown command `bench`"), "{err}");
+    for gone in ["bench", "trace"] {
+        let (ok, _, err) = tora(&[gone]);
+        assert!(!ok);
+        assert!(err.contains(&format!("unknown command `{gone}`")), "{err}");
+    }
 }
 
 #[test]
 fn threads_is_an_unknown_flag() {
     // The allocator, engine and daemon are serial; no command takes a
     // worker-thread count any more.
-    for command in ["simulate", "trace", "chaos", "serve"] {
+    for command in ["simulate", "chaos", "serve"] {
         let (ok, _, err) = tora(&[command, "--threads", "1"]);
         assert!(!ok, "{command} accepted --threads");
         assert!(err.contains("unknown flag `--threads`"), "{command}: {err}");
@@ -374,45 +438,47 @@ fn replay_and_simulate_name_the_enforcement_choices() {
     }
 }
 
-/// Every flag the README shows on a `tora <command>` line is one that
-/// command reads: each `cargo run --release --bin tora -- <command> …` line
-/// and each backticked `tora <command> … --flag`.
+/// Every flag a doc shows on a `tora <command>` line is one that command
+/// reads: each `cargo run --release --bin tora -- <command> …` line and each
+/// backticked `tora <command> … --flag`, in README, DESIGN and EXPERIMENTS.
 #[test]
 fn readme_flags_resolve() {
-    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
-        .expect("README.md");
-    // Fence lines hold three backticks and would flip the span parity.
-    let text: String = readme
-        .lines()
-        .filter(|line| !line.starts_with("```"))
-        .map(|line| format!("{line}\n"))
-        .collect();
-    let mut invocations: Vec<&str> = text
-        .lines()
-        .filter_map(|line| line.split_once("cargo run --release --bin tora -- "))
-        .map(|(_, rest)| rest.split('#').next().unwrap())
-        .collect();
-    invocations.extend(
-        text.split('`')
-            .skip(1)
-            .step_by(2)
-            .filter_map(|span| span.strip_prefix("tora ")),
-    );
     let mut checked = 0;
-    for invocation in invocations {
-        let mut words = invocation.split_whitespace();
-        let command = words.next().expect("a command after `tora`");
-        let accepted = tora::cli::command_flags(command)
-            .unwrap_or_else(|| panic!("README runs unknown command `tora {command}`"));
-        for flag in words.filter_map(|w| w.strip_prefix("--")) {
-            assert!(
-                accepted.iter().any(|list| list.contains(&flag)),
-                "README passes `--{flag}` to `tora {command}`, which does not read it"
-            );
-            checked += 1;
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let path = format!("{}/{doc}", env!("CARGO_MANIFEST_DIR"));
+        let markdown = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        // Fence lines hold three backticks and would flip the span parity.
+        let text: String = markdown
+            .lines()
+            .filter(|line| !line.starts_with("```"))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        let mut invocations: Vec<&str> = text
+            .lines()
+            .filter_map(|line| line.split_once("cargo run --release --bin tora -- "))
+            .map(|(_, rest)| rest.split('#').next().unwrap())
+            .collect();
+        invocations.extend(
+            text.split('`')
+                .skip(1)
+                .step_by(2)
+                .filter_map(|span| span.strip_prefix("tora ")),
+        );
+        for invocation in invocations {
+            let mut words = invocation.split_whitespace();
+            let command = words.next().expect("a command after `tora`");
+            let accepted = tora::cli::command_flags(command)
+                .unwrap_or_else(|| panic!("{doc} runs unknown command `tora {command}`"));
+            for flag in words.filter_map(|w| w.strip_prefix("--")) {
+                assert!(
+                    accepted.iter().any(|list| list.contains(&flag)),
+                    "{doc} passes `--{flag}` to `tora {command}`, which does not read it"
+                );
+                checked += 1;
+            }
         }
     }
-    assert!(checked >= 20, "only {checked} README flags found");
+    assert!(checked >= 20, "only {checked} doc flags found");
 
     // Every command that lists its flags has a driver in the binary.
     for (command, _) in tora::cli::COMMAND_FLAGS {

@@ -1,11 +1,13 @@
 //! Event-order digests: the full lifecycle stream of six fixed-seed runs,
-//! ties included, pinned as FNV-1a digests of `EventLog::to_jsonl()`.
+//! ties included, pinned as FNV-1a digests of the engine-event lines
+//! (`{"time_s":…,"event":…}`) of the event file a `JsonlSink` writes.
 //!
 //! The event queue's `(time, seq)` order and the arrival schedule decide
 //! which of two simultaneous events fires first. Any change to either that
 //! moves one event moves a digest here, whatever the aggregate metrics do.
 //! The fault-free runs are `tora simulate` invocations, so a failure
-//! reproduces from the command line with `--log`; the faulted ones are the
+//! reproduces from the command line with `--events` (keep the lines that
+//! start with `{"time_s":`); the faulted ones are the
 //! runs `tora chaos --plan <plan> --feedback` makes. Only the last, a batch
 //! under flaky dispatch, queues many events at exactly the same time (its
 //! `Requeue` backoffs), so it is the one that pins the tie-break itself.
@@ -20,8 +22,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The event log of `tora simulate <argv>`, optionally under a named fault
-/// plan with the default fault policy armed.
+/// The engine-event lines of `tora simulate <argv> --events`, optionally
+/// under a named fault plan with the default fault policy armed.
 fn event_log(argv: &[&str], plan: Option<&str>) -> String {
     let raw: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
     let args = Args::parse(&raw).expect("argv scans");
@@ -31,10 +33,13 @@ fn event_log(argv: &[&str], plan: Option<&str>) -> String {
         config.faults = FaultPlan::named(plan).expect("preset exists");
         config.fault_policy = Some(FaultPolicy::default());
     }
-    let (_, log) = Simulation::new(&wf, AlgorithmKind::ExhaustiveBucketing, config)
-        .with_sink(EventLog::new())
+    let (_, sink) = Simulation::new(&wf, AlgorithmKind::ExhaustiveBucketing, config)
+        .with_sink(JsonlSink::new(Vec::new()))
         .run_traced();
-    log.to_jsonl()
+    let text = String::from_utf8(sink.into_inner().expect("in-memory writes")).unwrap();
+    text.split_inclusive('\n')
+        .filter(|line| line.starts_with(r#"{"time_s":"#))
+        .collect()
 }
 
 fn assert_digest(argv: &[&str], plan: Option<&str>, lines: usize, digest: u64) {

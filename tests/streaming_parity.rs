@@ -7,8 +7,8 @@
 //! materialized, through a `WorkflowSource`. Because the catalog sources
 //! share the per-family samplers and RNG streams with
 //! [`WorkloadSpec::materialize`], the two runs must be *byte-identical* —
-//! same metrics, same stats, same event log, same allocator trace, same
-//! fault report — for every catalog workflow, generated DAG shape and the
+//! same metrics, same stats, same event file (allocator decisions and
+//! engine events, interleaved), same fault report — for every catalog workflow, generated DAG shape and the
 //! Coffea `dag()` trace, at any seed.
 
 use tora::prelude::*;
@@ -27,16 +27,17 @@ fn scaled_spec(wf: PaperWorkflow, seed: u64) -> WorkloadSpec {
 }
 
 /// Run one engine to completion and serialize everything observable, the
-/// per-task outcome rows included.
-fn fingerprint(sim: Simulation, config: &SimConfig) -> (String, String, String, String) {
-    let (result, (log, sink)) = sim
+/// per-task outcome rows included, and the event file: allocator decisions
+/// and engine events in the order they interleave.
+fn fingerprint(sim: Simulation, config: &SimConfig) -> (String, String, String) {
+    let (result, sink) = sim
         .keep_outcomes()
-        .with_sink((EventLog::new(), MemorySink::default()))
+        .with_sink(JsonlSink::new(Vec::new()))
         .run_traced();
     let report = FaultReport::from_result(&result, config, "exhaustive-bucketing").to_json();
     let result_json = serde_json::to_string(&result).expect("result serializes");
-    let trace_json = serde_json::to_string(&sink.events).expect("trace serializes");
-    (result_json, trace_json, report, log.to_jsonl())
+    let events = String::from_utf8(sink.into_inner().expect("in-memory writes")).unwrap();
+    (result_json, report, events)
 }
 
 fn config_for(seed: u64) -> SimConfig {
@@ -72,19 +73,13 @@ fn streaming_and_materialized_runs_are_byte_identical() {
             assert_eq!(
                 from_workflow.1,
                 from_stream.1,
-                "{} seed {seed}: allocator trace diverged",
+                "{} seed {seed}: fault report diverged",
                 wf.name()
             );
             assert_eq!(
                 from_workflow.2,
                 from_stream.2,
-                "{} seed {seed}: fault report diverged",
-                wf.name()
-            );
-            assert_eq!(
-                from_workflow.3,
-                from_stream.3,
-                "{} seed {seed}: engine event log diverged",
+                "{} seed {seed}: event file diverged",
                 wf.name()
             );
         }
@@ -150,7 +145,7 @@ fn dag_shapes_stream_byte_identically() {
             );
             if slow {
                 assert!(
-                    from_workflow.3.contains(r#""unarrived":true"#),
+                    from_workflow.2.contains(r#""unarrived":true"#),
                     "{spec:?}: no cascade reached an unpulled task"
                 );
             }

@@ -1,7 +1,7 @@
 //! Cross-check the allocator's event stream against the engine's own
 //! bookkeeping: the two count the same run from opposite sides, so every
 //! tally must match exactly — overall and per category. This is the
-//! correctness contract behind `tora trace`.
+//! correctness contract behind `tora simulate --events`.
 
 use tora::prelude::*;
 use tora::workloads::synthetic::SyntheticKind;
