@@ -220,7 +220,7 @@ echo "== chaos DAG smoke (depth-dominated pipeline, critical-path rows) =="
 # A generated 40-deep pipeline is pure critical path: the report must carry
 # the submit-time and realized critical-path rows with non-zero figures.
 cargo run --release --bin tora -- \
-    chaos bimodal --shape pipeline --depth 40 --seed 7 --plan light \
+    simulate bimodal --shape pipeline --depth 40 --seed 7 --plan light \
     --out target/chaos-dag.json > target/chaos-dag.txt
 grep -q "critical path (submit)" target/chaos-dag.txt
 grep -q "critical path (realized)" target/chaos-dag.txt

@@ -15,7 +15,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod builder;
 pub mod catalog;
 pub mod colmena;
 pub mod dag;
@@ -31,7 +30,6 @@ pub mod topeft;
 mod validate;
 pub mod workflow;
 
-pub use builder::{CategorySpec, WorkflowBuilder};
 pub use catalog::PaperWorkflow;
 pub use dag::{DagShape, DagSource, DagStructure};
 pub use dist::Dist;

@@ -6,9 +6,9 @@
 //! tora workflows                              list built-in workflows
 //! tora generate <workflow> [opts]             emit a workflow trace as JSON
 //! tora simulate <workflow|file> [opts]        run the discrete-event engine
-//!                                             (--events <file>: its event file)
+//!                                             (--events <file>: its event file;
+//!                                             --plan <preset>: a fault report)
 //! tora replay   <workflow|file> [opts]        run the fast serial replay
-//! tora chaos    <workflow|file> [opts]        run under a fault-injection plan
 //! tora experiments <artifact>|all [opts]      regenerate the paper's figures/tables
 //! tora serve    [opts]                        long-running allocation daemon (JSONL)
 //! ```
@@ -27,13 +27,12 @@ type Command = fn(&Args<'_>) -> Result<(), String>;
 
 /// The driver of every command; the flags each reads are
 /// [`tora::cli::COMMAND_FLAGS`].
-const COMMANDS: [(&str, Command); 8] = [
+const COMMANDS: [(&str, Command); 7] = [
     ("algorithms", |_| cmd_algorithms()),
     ("workflows", |_| cmd_workflows()),
     ("generate", cmd_generate),
     ("simulate", |args| cmd_run(args, Mode::Simulate)),
     ("replay", |args| cmd_run(args, Mode::Replay)),
-    ("chaos", cmd_chaos),
     ("experiments", cmd_experiments),
     ("serve", cmd_serve),
 ];
@@ -78,60 +77,70 @@ fn run(command: &str, rest: &[String]) -> Result<(), String> {
     cmd(&args)
 }
 
+/// The usage text. Its lines are plain string literals, one per line, so
+/// the indentation of the command and option rows survives.
+const USAGE: &[&str] = &[
+    "tora — adaptive task-oriented resource allocation",
+    "",
+    "USAGE:",
+    "  tora <command> [options]",
+    "",
+    "COMMANDS:",
+    "  algorithms                      list allocation algorithms",
+    "  workflows                       list built-in workflows",
+    "  generate <workflow> [opts]      emit a workflow trace as JSON",
+    "  simulate <workflow|file> [opts] run the discrete-event engine",
+    "  replay   <workflow|file> [opts] run the fast serial replay",
+    "  experiments <artifact>|all      regenerate the paper's evaluation: fig2 | fig4 |",
+    "                                  fig5 | fig6 | table1 | ablations | chaos-sweep |",
+    "                                  fig-dag | fig-learned",
+    "                                  (--seeds <n> averages fig5 over n seeds; --out",
+    "                                  <dir> also writes each artifact's tables and raw",
+    "                                  data files there)",
+    "  serve    [opts]                 long-running allocation daemon speaking",
+    "                                  line-delimited JSON on stdin/stdout (default)",
+    "                                  or --socket <path> (Unix socket); multiplexes",
+    "                                  tenants with per-tenant allocators and DRF",
+    "                                  admission; --workers <n> sets the pool size",
+    "                                  (default 20 paper-shaped workers); --restore",
+    "                                  <snapshot.json> resumes a snapshotted daemon",
+    "                                  byte-identically",
+    "",
+    "COMMON OPTIONS:",
+    "  --seed <u64>          seed (default 42)",
+    "  --algorithm <name>    see `tora algorithms` (default exhaustive-bucketing)",
+    "  --tasks <n>           task count for synthetic workflows",
+    "  --workers <spec>      fixed:<n> | paper  (default paper)",
+    "  --arrival <spec>      batch | poisson:<mean-s>  (default poisson:1.5)",
+    "  --policy <name>       fifo | fifo-backfill | smallest-first | largest-first",
+    "  --enforcement <name>  ramp | instant  (default ramp)",
+    "  --dag                 (topeft) use the Coffea dependency structure",
+    "  --shape <name>        generated DAG structure: fan-out-fan-in |",
+    "                        pipeline | diamond | random-layered",
+    "  --width <n>           (--shape) parallel width        (default 4)",
+    "  --depth <n>           (--shape) layer/chain depth     (default 8)",
+    "  --loopback <n>        (--shape) max bounded-cycle iterations per",
+    "                        node (default 0 = acyclic)",
+    "  --mix <frac>:<scale>  heterogeneous pool: fraction of large workers",
+    "  --plan <preset>       (simulate) inject faults: none | light | heavy |",
+    "                        crashes | stragglers | flaky-dispatch |",
+    "                        lossy-records | rack-outages; after the usual",
+    "                        output, print the fault report (exit 1 if",
+    "                        submitted ≠ completed + dead-lettered)",
+    "  --feedback            (--plan) arm the allocator's fault-feedback policy",
+    "  --salvage <fraction>  (--plan) bank that fraction of a crashed attempt's",
+    "                        finished work via checkpointing",
+    "  --out <file>          write JSON output to a file (simulate --plan: the",
+    "                        fault report; experiments: a directory)",
+    "  --events <file>       (simulate) write the event file: allocator decisions",
+    "                        and engine events as JSONL in emission order;",
+    "                        then print the decision tally per category and",
+    "                        reconcile it with the engine's own counts",
+    "  --convergence         (simulate/replay) print the rolling-AWE trajectory",
+];
+
 fn print_usage() {
-    println!(
-        "tora — adaptive task-oriented resource allocation\n\n\
-         USAGE:\n  tora <command> [options]\n\n\
-         COMMANDS:\n\
-           algorithms                      list allocation algorithms\n\
-           workflows                       list built-in workflows\n\
-           generate <workflow> [opts]      emit a workflow trace as JSON\n\
-           simulate <workflow|file> [opts] run the discrete-event engine\n\
-           replay   <workflow|file> [opts] run the fast serial replay\n\
-           chaos    <workflow|file> [opts] run under a fault-injection plan and print a\n\
-                                           fault report (--plan none|light|heavy|crashes|\n\
-                                           stragglers|flaky-dispatch|lossy-records|\n\
-                                           rack-outages; --feedback arms the allocator's\n\
-                                           fault-feedback policy; --salvage <fraction>\n\
-                                           banks that fraction of a crashed attempt's\n\
-                                           finished work via checkpointing)\n\
-           experiments <artifact>|all      regenerate the paper's evaluation: fig2 | fig4 |\n\
-                                           fig5 | fig6 | table1 | ablations | chaos-sweep |\n\
-                                           fig-dag | fig-learned\n\
-                                           (--seeds <n> averages fig5 over n seeds; --out\n\
-                                           <dir> also writes each artifact's tables and raw\n\
-                                           data files there)\n\
-           serve    [opts]                 long-running allocation daemon speaking\n\
-                                           line-delimited JSON on stdin/stdout (default)\n\
-                                           or --socket <path> (Unix socket); multiplexes\n\
-                                           tenants with per-tenant allocators and DRF\n\
-                                           admission; --workers <n> sets the pool size\n\
-                                           (default 20 paper-shaped workers); --restore\n\
-                                           <snapshot.json> resumes a snapshotted daemon\n\
-                                           byte-identically\n\n\
-         COMMON OPTIONS:\n\
-           --seed <u64>          seed (default 42)\n\
-           --algorithm <name>    see `tora algorithms` (default exhaustive-bucketing)\n\
-           --tasks <n>           task count for synthetic workflows\n\
-           --workers <spec>      fixed:<n> | paper  (default paper)\n\
-           --arrival <spec>      batch | poisson:<mean-s>  (default poisson:1.5)\n\
-           --policy <name>       fifo | fifo-backfill | smallest-first | largest-first\n\
-           --enforcement <name>  ramp | instant  (default ramp)\n\
-           --dag                 (topeft) use the Coffea dependency structure\n\
-           --shape <name>        generated DAG structure: fan-out-fan-in |\n\
-                                 pipeline | diamond | random-layered\n\
-           --width <n>           (--shape) parallel width        (default 4)\n\
-           --depth <n>           (--shape) layer/chain depth     (default 8)\n\
-           --loopback <n>        (--shape) max bounded-cycle iterations per\n\
-                                 node (default 0 = acyclic)\n\
-           --mix <frac>:<scale>  heterogeneous pool: fraction of large workers\n\
-           --out <file>          write JSON output to a file (experiments: a directory)\n\
-           --events <file>       (simulate) write the event file: allocator decisions\n\
-                                 and engine events as JSONL in emission order;\n\
-                                 then print the decision tally per category and\n\
-                                 reconcile it with the engine's own counts\n\
-           --convergence         (simulate/replay) print the rolling-AWE trajectory"
-    );
+    println!("{}", USAGE.join("\n"));
 }
 
 fn cmd_algorithms() -> Result<(), String> {
@@ -216,7 +225,7 @@ fn cmd_run(args: &Args<'_>, mode: Mode) -> Result<(), String> {
 
     // Only the rolling-AWE table reads per-task rows.
     let convergence = args.has("convergence");
-    let (metrics, sim_extra, events) = match mode {
+    let (metrics, sim_extra, events, faults) = match mode {
         Mode::Replay => {
             let metrics = if convergence {
                 WorkflowMetrics::with_rows()
@@ -228,10 +237,13 @@ fn cmd_run(args: &Args<'_>, mode: Mode) -> Result<(), String> {
                 replay(&wf, algorithm, enforcement, seed, metrics),
                 None,
                 None,
+                None,
             )
         }
         Mode::Simulate => {
-            let mut sim = Simulation::new(&wf, algorithm, parse_sim_config(args)?);
+            let config = parse_sim_config(args)?;
+            let out = args.value_of("out")?;
+            let mut sim = Simulation::new(&wf, algorithm, config);
             if convergence {
                 sim = sim.keep_outcomes();
             }
@@ -242,13 +254,17 @@ fn cmd_run(args: &Args<'_>, mode: Mode) -> Result<(), String> {
                 }
                 None => (sim.run(), None),
             };
+            let faults = args.has("plan").then(|| {
+                let report = FaultReport::from_result(&result, &config, algorithm.label());
+                (report, out)
+            });
             let extra = (
                 result.makespan_s,
                 result.worker_range,
                 result.stats.preemptions,
             );
             let events = trace.map(|trace| (trace, result.stats));
-            (result.metrics, Some(extra), events)
+            (result.metrics, Some(extra), events, faults)
         }
     };
 
@@ -315,9 +331,19 @@ fn cmd_run(args: &Args<'_>, mode: Mode) -> Result<(), String> {
             None => println!("no steady state detected"),
         }
     }
-    match events {
+    // A reconciliation failure still prints the fault report as the last
+    // block and writes `--out`; the command then fails with both verdicts.
+    let reconciled = match events {
         Some((trace, stats)) => report_events(&trace, &stats),
         None => Ok(()),
+    };
+    let conserved = match faults {
+        Some((report, out)) => report_faults(&report, out),
+        None => Ok(()),
+    };
+    match (reconciled, conserved) {
+        (Err(a), Err(b)) => Err(format!("{a}; {b}")),
+        (a, b) => a.and(b),
     }
 }
 
@@ -400,42 +426,14 @@ fn report_events(trace: &TraceStats, stats: &SimStats) -> Result<(), String> {
     }
 }
 
-/// `tora chaos`: run a workload under a named fault-injection plan and
-/// print a [`FaultReport`] — per-cause fault counts, the dead-letter
-/// breakdown (including replays), degraded AWE, and the conservation
-/// identity `submitted = completed + dead-lettered`. The command fails if
-/// conservation is violated. `--feedback` arms the allocator's
-/// fault-feedback policy so predictions pad/escalate with the observed
-/// fault rate. `--salvage <fraction>` enables checkpoint/restart: a crashed
-/// attempt banks that fraction of its finished work and the retry runs only
-/// the remainder, with the salvage totals shown in the report.
-fn cmd_chaos(args: &Args<'_>) -> Result<(), String> {
-    let plan_name = args.value_of("plan")?.unwrap_or("light");
-    let plan = FaultPlan::named(plan_name).ok_or_else(|| {
-        format!(
-            "unknown --plan `{plan_name}` (one of: {})",
-            FaultPlan::PRESETS.join(", ")
-        )
-    })?;
-    let algorithm = args.algorithm()?;
-    let fault_policy = args.has("feedback").then(FaultPolicy::default);
-    let salvage = args.salvage()?;
-
-    let name = args
-        .positional
-        .first()
-        .ok_or("chaos requires a workflow name or trace file")?;
-    let wf = parse_workflow(name, args)?;
-    let mut config = parse_sim_config(args)?;
-    config.faults = plan;
-    if let Some(fraction) = salvage {
-        config.faults.checkpointed_fraction = fraction;
-    }
-    config.fault_policy = fault_policy;
-    let result = simulate(&wf, algorithm, config);
-    let report = FaultReport::from_result(&result, &config, algorithm.label());
-    print!("{}", report.render());
-    if let Some(path) = args.value_of("out")? {
+/// `simulate --plan`: print the [`FaultReport`] — per-cause fault counts,
+/// the dead-letter breakdown (replays included), degraded AWE and the
+/// conservation identity `submitted = completed + dead-lettered` — as the
+/// last block of stdout, and write it as JSON to `out`. A conservation
+/// violation fails the command.
+fn report_faults(report: &FaultReport, out: Option<&str>) -> Result<(), String> {
+    print!("\n{}", report.render());
+    if let Some(path) = out {
         std::fs::write(path, report.to_json()).map_err(|e| e.to_string())?;
         eprintln!("wrote fault report to {path}");
     }

@@ -66,23 +66,6 @@ impl<'a> Args<'a> {
         }
     }
 
-    /// `--salvage <fraction>`: the checkpointed fraction of finished work a
-    /// crashed attempt banks (see `FaultPlan::checkpointed_fraction`).
-    /// `None` when the flag is absent; an error outside `[0, 1]`.
-    pub fn salvage(&self) -> Result<Option<f64>, String> {
-        match self.value_of("salvage")? {
-            None => Ok(None),
-            Some(v) => {
-                let fraction: f64 = v
-                    .parse()
-                    .ok()
-                    .filter(|f: &f64| (0.0..=1.0).contains(f))
-                    .ok_or_else(|| format!("bad --salvage `{v}` (a fraction in [0, 1])"))?;
-                Ok(Some(fraction))
-            }
-        }
-    }
-
     /// `--algorithm <name>`, defaulting to Exhaustive Bucketing.
     pub fn algorithm(&self) -> Result<AlgorithmKind, String> {
         match self.value_of("algorithm")? {
@@ -125,10 +108,20 @@ pub const WORKFLOW_FLAGS: &[&str] = &[
 ];
 
 /// Flags read by [`parse_sim_config`].
-pub const SIM_FLAGS: &[&str] = &["seed", "workers", "arrival", "policy", "enforcement", "mix"];
+pub const SIM_FLAGS: &[&str] = &[
+    "seed",
+    "workers",
+    "arrival",
+    "policy",
+    "enforcement",
+    "mix",
+    "plan",
+    "feedback",
+    "salvage",
+];
 
 /// Every `tora` command, with the lists of flags it reads.
-pub const COMMAND_FLAGS: [(&str, &[&[&str]]); 8] = [
+pub const COMMAND_FLAGS: [(&str, &[&[&str]]); 7] = [
     ("algorithms", &[]),
     ("workflows", &[]),
     ("generate", &[WORKFLOW_FLAGS, &["out"]]),
@@ -137,20 +130,12 @@ pub const COMMAND_FLAGS: [(&str, &[&[&str]]); 8] = [
         &[
             WORKFLOW_FLAGS,
             SIM_FLAGS,
-            &["algorithm", "events", "convergence"],
+            &["algorithm", "events", "convergence", "out"],
         ],
     ),
     (
         "replay",
         &[WORKFLOW_FLAGS, &["algorithm", "enforcement", "convergence"]],
-    ),
-    (
-        "chaos",
-        &[
-            WORKFLOW_FLAGS,
-            SIM_FLAGS,
-            &["algorithm", "plan", "feedback", "salvage", "out"],
-        ],
     ),
     ("experiments", &[&["seed", "seeds", "out"]]),
     ("serve", &[&["workers", "restore", "socket"]]),
@@ -246,9 +231,38 @@ pub fn parse_workflow(name_or_path: &str, args: &Args<'_>) -> Result<Workflow, S
 }
 
 /// Build a [`SimConfig`] from the common simulation flags (`--seed`,
-/// `--workers`, `--arrival`, `--policy`, `--enforcement`, `--mix`).
+/// `--workers`, `--arrival`, `--policy`, `--enforcement`, `--mix`) and the
+/// fault flags: `--plan <preset>` names the [`FaultPlan`] (fault-free without
+/// it), `--salvage <fraction>` in `[0, 1]` sets its checkpointed fraction of
+/// a crashed attempt's finished work, and `--feedback` arms the default
+/// [`FaultPolicy`]. These two, and `--out` (the path the caller writes the
+/// fault report to), are errors without `--plan`.
 pub fn parse_sim_config(args: &Args<'_>) -> Result<SimConfig, String> {
     let mut config = SimConfig::paper_like(args.seed()?);
+    match args.value_of("plan")? {
+        Some(name) => {
+            config.faults = FaultPlan::named(name).ok_or_else(|| {
+                format!(
+                    "unknown --plan `{name}` (one of: {})",
+                    FaultPlan::PRESETS.join(", ")
+                )
+            })?;
+            if let Some(v) = args.value_of("salvage")? {
+                config.faults.checkpointed_fraction = v
+                    .parse()
+                    .ok()
+                    .filter(|f: &f64| (0.0..=1.0).contains(f))
+                    .ok_or_else(|| format!("bad --salvage `{v}` (a fraction in [0, 1])"))?;
+            }
+            config.fault_policy = args.has("feedback").then(FaultPolicy::default);
+        }
+        None => {
+            let plan_only = ["feedback", "salvage", "out"];
+            if let Some(flag) = plan_only.into_iter().find(|f| args.has(f)) {
+                return Err(format!("--{flag} requires --plan <preset>"));
+            }
+        }
+    }
     match args.value_of("workers")? {
         None | Some("paper") => {}
         Some(spec) => {
@@ -333,17 +347,25 @@ mod tests {
 
     #[test]
     fn salvage_parses_and_validates() {
-        let ok = raw(&["--salvage", "0.5"]);
-        assert_eq!(Args::parse(&ok).unwrap().salvage().unwrap(), Some(0.5));
-        let absent = raw(&["--feedback"]);
-        assert_eq!(Args::parse(&absent).unwrap().salvage().unwrap(), None);
+        let parse = |parts: &[&str]| parse_sim_config(&Args::parse(&raw(parts)).unwrap());
+        let config = parse(&["--plan", "heavy", "--salvage", "0.5", "--feedback"]).unwrap();
+        assert_eq!(config.faults.checkpointed_fraction, 0.5);
+        assert!(config.fault_policy.is_some());
+        let config = parse(&["--plan", "heavy"]).unwrap();
+        assert_eq!(config.faults, FaultPlan::named("heavy").unwrap());
+        assert!(config.fault_policy.is_none());
         for bad in [
-            &["--salvage", "1.5"][..],
-            &["--salvage", "nan"],
-            &["--salvage"],
+            &["--plan", "heavy", "--salvage", "1.5"][..],
+            &["--plan", "heavy", "--salvage", "nan"],
+            &["--plan", "heavy", "--salvage"],
+            &["--plan", "nope"],
+            &["--plan"],
         ] {
-            let bad = raw(bad);
-            assert!(Args::parse(&bad).unwrap().salvage().is_err(), "{bad:?}");
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
+        for flag in [&["--salvage", "0.5"][..], &["--feedback"]] {
+            let err = parse(flag).unwrap_err();
+            assert!(err.contains("requires --plan"), "{flag:?}: {err}");
         }
     }
 

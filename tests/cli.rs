@@ -42,6 +42,35 @@ fn help_and_listings() {
     assert!(out.contains("trimodal"));
 }
 
+/// Every row under `COMMANDS:` and `COMMON OPTIONS:` is indented, and the
+/// command rows are exactly the commands that list their flags.
+#[test]
+fn help_rows_are_indented_and_list_every_command() {
+    let (ok, out, err) = tora(&["--help"]);
+    assert!(ok, "{err}");
+    let mut section = "";
+    let mut commands = Vec::new();
+    for line in out.lines() {
+        if line.ends_with(':') && !line.starts_with(' ') {
+            section = line;
+            continue;
+        }
+        if line.trim().is_empty() || !matches!(section, "COMMANDS:" | "COMMON OPTIONS:") {
+            continue;
+        }
+        assert!(
+            line.starts_with(' '),
+            "{section} row prints flush left: {line:?}"
+        );
+        if section == "COMMANDS:" && line.starts_with("  ") && !line.starts_with("   ") {
+            commands.push(line.split_whitespace().next().unwrap());
+        }
+    }
+    let listed: Vec<&str> = tora::cli::COMMAND_FLAGS.iter().map(|(c, _)| *c).collect();
+    assert_eq!(commands, listed, "{out}");
+    assert_eq!(commands.len(), 7);
+}
+
 #[test]
 fn generate_emits_loadable_json() {
     let dir = std::env::temp_dir().join("tora-cli-test");
@@ -219,7 +248,6 @@ fn events_and_log_are_unknown_flags_outside_simulate() {
     let path_str = path.to_str().unwrap();
     std::fs::remove_file(&path).ok();
     for command in [
-        &["chaos", "uniform", "--tasks", "60", "--plan", "light"][..],
         &["replay", "uniform", "--tasks", "60"][..],
         &["generate", "uniform", "--tasks", "60"][..],
     ] {
@@ -232,8 +260,25 @@ fn events_and_log_are_unknown_flags_outside_simulate() {
             assert!(!path.exists(), "{args:?} wrote {path_str}");
         }
     }
-    let (ok, _, err) = tora(&["simulate", "uniform", "--log", path_str]);
-    assert!(!ok && err.contains("unknown flag `--log`"), "{err}");
+    for command in [
+        &["simulate", "uniform"][..],
+        &["simulate", "uniform", "--tasks", "60", "--plan", "light"],
+    ] {
+        let mut args = command.to_vec();
+        args.extend(["--log", path_str]);
+        let (ok, _, err) = tora(&args);
+        assert!(
+            !ok && err.contains("unknown flag `--log`"),
+            "{args:?}: {err}"
+        );
+        assert!(!path.exists(), "{args:?} wrote {path_str}");
+    }
+    // `chaos` is no command: a faulted run is `simulate --plan`.
+    let args = [
+        "chaos", "uniform", "--tasks", "60", "--plan", "light", "--events", path_str,
+    ];
+    let (ok, _, err) = tora(&args);
+    assert!(!ok && err.contains("unknown command `chaos`"), "{err}");
     assert!(!path.exists());
 }
 
@@ -273,7 +318,7 @@ fn chaos_smoke_is_deterministic_and_conserves() {
         let path = dir.join(name);
         let path_str = path.to_str().unwrap();
         let (ok, out, err) = tora(&[
-            "chaos", "bimodal", "--tasks", "100", "--seed", "4", "--plan", "heavy", "--out",
+            "simulate", "bimodal", "--tasks", "100", "--seed", "4", "--plan", "heavy", "--out",
             path_str,
         ]);
         assert!(ok, "{err}");
@@ -294,13 +339,141 @@ fn chaos_smoke_is_deterministic_and_conserves() {
     );
 
     // The old built-in smoke mode is gone; the golden tests replaced it.
-    let (ok, _, err) = tora(&["chaos", "--quick"]);
+    let (ok, _, err) = tora(&["simulate", "--quick"]);
     assert!(!ok);
     assert!(err.contains("unknown flag `--quick`"), "{err}");
 
-    let (ok, _, err) = tora(&["chaos", "bimodal", "--plan", "nope"]);
+    let (ok, _, err) = tora(&["simulate", "bimodal", "--plan", "nope"]);
     assert!(!ok);
     assert!(err.contains("unknown --plan"), "{err}");
+}
+
+/// `simulate --plan` is the former `tora chaos`: for four runs its stdout
+/// from the `== fault report` line on and its `--out` JSON are byte for byte
+/// the `chaos` stdout and `--out` file, pinned here as `(lines, FNV-1a)`.
+#[test]
+fn simulate_plan_reports_match_the_former_chaos_output() {
+    let dir = std::env::temp_dir().join(format!("tora-cli-plan-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("report.json");
+    let path_str = path.to_str().unwrap();
+    let runs: [(&[&str], _, _); 4] = [
+        (
+            &["--tasks", "120", "--plan", "heavy"],
+            (31, 0x00e5_0d42_244c_9ff3_u64),
+            (55, 0x06f4_2aaa_03b5_d4c0_u64),
+        ),
+        (
+            &["--tasks", "120", "--plan", "rack-outages"],
+            (26, 0xfed5_88e0_e86d_4ac3),
+            (50, 0x68b2_915e_f2ec_2ebd),
+        ),
+        (
+            &[
+                "--tasks",
+                "120",
+                "--plan",
+                "crashes",
+                "--feedback",
+                "--salvage",
+                "0.5",
+            ],
+            (28, 0xbc11_f31e_d90e_955f),
+            (50, 0x93a7_a171_e282_8974),
+        ),
+        (
+            &["--shape", "pipeline", "--depth", "40", "--plan", "light"],
+            (29, 0x26b8_8e1d_5784_dae8),
+            (57, 0x6db7_7a0c_0a0b_05ae),
+        ),
+    ];
+    for (argv, stdout_pin, json_pin) in runs {
+        let mut args = vec!["simulate", "bimodal", "--seed", "7"];
+        args.extend(argv);
+        args.extend(["--out", path_str]);
+        let (ok, out, err) = tora(&args);
+        assert!(ok, "{args:?}: {err}");
+        let report = &out[out.find("== fault report").expect("a fault report")..];
+        let json = std::fs::read_to_string(&path).unwrap();
+        for (label, text, pin) in [("report", report, stdout_pin), ("json", &json, json_pin)] {
+            let got = (text.lines().count(), fnv1a(text.as_bytes()));
+            assert_eq!(got, pin, "{argv:?}: {label} moved (got {:#018x})", got.1);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A faulted run writes an event file that reads back consistent and
+/// reconciles; its dead-letter lines net of replays are the report's
+/// dead-lettered count; and neither `--events` nor `--convergence` moves a
+/// byte of the report. The fault flags without `--plan` fail and write
+/// nothing.
+#[test]
+fn simulate_plan_writes_a_faulted_event_file() {
+    let dir = std::env::temp_dir().join(format!("tora-cli-plan-events-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (events, json) = (dir.join("events.jsonl"), dir.join("report.json"));
+    let (events_str, json_str) = (events.to_str().unwrap(), json.to_str().unwrap());
+    let base = [
+        "simulate",
+        "bimodal",
+        "--tasks",
+        "200",
+        "--seed",
+        "7",
+        "--plan",
+        "heavy",
+        "--feedback",
+    ];
+    let mut reports = Vec::new();
+    for extra in [
+        &["--out", json_str][..],
+        &["--events", events_str],
+        &["--convergence"],
+        &["--events", events_str, "--convergence"],
+    ] {
+        let mut args = base.to_vec();
+        args.extend(extra);
+        let (ok, out, err) = tora(&args);
+        assert!(ok, "{args:?}: {err}");
+        if extra.contains(&"--events") {
+            assert!(out.contains("reconciliation OK"), "{out}");
+        }
+        reports.push(out[out.find("== fault report").expect("a fault report")..].to_string());
+    }
+    assert!(reports.iter().all(|r| *r == reports[0]), "{reports:#?}");
+
+    let text = std::fs::read_to_string(&events).unwrap();
+    let (log, _) = tora::sim::EventLog::from_jsonl(&text).unwrap();
+    log.check_consistency().unwrap();
+    let lines = |kind: &str| {
+        let tag = format!(r#""event":{{"{kind}":"#);
+        text.lines().filter(|l| l.contains(&tag)).count() as u64
+    };
+    let report: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&json).unwrap()).unwrap();
+    let dead = report
+        .get("dead_lettered")
+        .and_then(|v| v.as_u64())
+        .unwrap();
+    assert!(dead > 0, "heavy faults dead-letter no task: {report:?}");
+    assert_eq!(lines("TaskDeadLettered") - lines("TaskReplayed"), dead);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    std::fs::create_dir_all(&dir).unwrap();
+    for (flag, args) in [
+        ("--feedback", &["--feedback", "--events", events_str][..]),
+        ("--salvage", &["--salvage", "0.5", "--events", events_str]),
+        ("--out", &["--out", json_str, "--events", events_str]),
+    ] {
+        let mut argv = vec!["simulate", "bimodal", "--tasks", "20"];
+        argv.extend(args);
+        let (ok, out, err) = tora(&argv);
+        assert!(!ok, "{argv:?}: {out}");
+        assert!(err.contains(&format!("{flag} requires --plan")), "{err}");
+        assert!(!events.exists() && !json.exists(), "{argv:?} wrote a file");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -370,7 +543,7 @@ fn unknown_flags_fail_and_help_prints_usage() {
             &["replay", "bimodal", "--algoritm", "greedy-bucketing"][..],
             "--algoritm",
         ),
-        (&["chaos", "bimodal", "--plna", "heavy"][..], "--plna"),
+        (&["simulate", "bimodal", "--plna", "heavy"][..], "--plna"),
     ] {
         let (ok, _, err) = tora(command);
         assert!(!ok, "{command:?} accepted {flag}");
@@ -381,7 +554,7 @@ fn unknown_flags_fail_and_help_prints_usage() {
     assert!(ok, "{err}");
     assert!(out.contains("USAGE"), "{out}");
 
-    for gone in ["bench", "trace"] {
+    for gone in ["bench", "trace", "chaos"] {
         let (ok, _, err) = tora(&[gone]);
         assert!(!ok);
         assert!(err.contains(&format!("unknown command `{gone}`")), "{err}");
@@ -392,10 +565,19 @@ fn unknown_flags_fail_and_help_prints_usage() {
 fn threads_is_an_unknown_flag() {
     // The allocator, engine and daemon are serial; no command takes a
     // worker-thread count any more.
-    for command in ["simulate", "chaos", "serve"] {
-        let (ok, _, err) = tora(&[command, "--threads", "1"]);
-        assert!(!ok, "{command} accepted --threads");
-        assert!(err.contains("unknown flag `--threads`"), "{command}: {err}");
+    for command in [
+        &["simulate"][..],
+        &["simulate", "bimodal", "--plan", "light"],
+        &["serve"],
+    ] {
+        let mut args = command.to_vec();
+        args.extend(["--threads", "1"]);
+        let (ok, _, err) = tora(&args);
+        assert!(!ok, "{command:?} accepted --threads");
+        assert!(
+            err.contains("unknown flag `--threads`"),
+            "{command:?}: {err}"
+        );
     }
 }
 

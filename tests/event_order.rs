@@ -5,12 +5,12 @@
 //! The event queue's `(time, seq)` order and the arrival schedule decide
 //! which of two simultaneous events fires first. Any change to either that
 //! moves one event moves a digest here, whatever the aggregate metrics do.
-//! The fault-free runs are `tora simulate` invocations, so a failure
-//! reproduces from the command line with `--events` (keep the lines that
-//! start with `{"time_s":`); the faulted ones are the
-//! runs `tora chaos --plan <plan> --feedback` makes. Only the last, a batch
-//! under flaky dispatch, queues many events at exactly the same time (its
-//! `Requeue` backoffs), so it is the one that pins the tie-break itself.
+//! Every run is a `tora simulate` invocation, the two faulted ones with
+//! `--plan <preset> --feedback`, so a failure reproduces from the command
+//! line with `--events` (keep the lines that start with `{"time_s":`).
+//! Only the last, a batch under flaky dispatch, queues many events at
+//! exactly the same time (its `Requeue` backoffs), so it is the one that
+//! pins the tie-break itself.
 
 use tora::cli::{parse_sim_config, parse_workflow, Args};
 use tora::prelude::*;
@@ -22,17 +22,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The engine-event lines of `tora simulate <argv> --events`, optionally
-/// under a named fault plan with the default fault policy armed.
-fn event_log(argv: &[&str], plan: Option<&str>) -> String {
+/// The engine-event lines of `tora simulate <argv> --events`.
+fn event_log(argv: &[&str]) -> String {
     let raw: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
     let args = Args::parse(&raw).expect("argv scans");
     let wf = parse_workflow(args.positional[0], &args).expect("workflow builds");
-    let mut config = parse_sim_config(&args).expect("config parses");
-    if let Some(plan) = plan {
-        config.faults = FaultPlan::named(plan).expect("preset exists");
-        config.fault_policy = Some(FaultPolicy::default());
-    }
+    let config = parse_sim_config(&args).expect("config parses");
     let (_, sink) = Simulation::new(&wf, AlgorithmKind::ExhaustiveBucketing, config)
         .with_sink(JsonlSink::new(Vec::new()))
         .run_traced();
@@ -42,8 +37,8 @@ fn event_log(argv: &[&str], plan: Option<&str>) -> String {
         .collect()
 }
 
-fn assert_digest(argv: &[&str], plan: Option<&str>, lines: usize, digest: u64) {
-    let jsonl = event_log(argv, plan);
+fn assert_digest(argv: &[&str], lines: usize, digest: u64) {
+    let jsonl = event_log(argv);
     assert_eq!(jsonl.lines().count(), lines, "{argv:?}: event count moved");
     let got = fnv1a(jsonl.as_bytes());
     assert_eq!(got, digest, "{argv:?}: event order moved (got {got:#018x})");
@@ -63,7 +58,6 @@ fn bimodal_poisson_on_a_fixed_pool() {
             "--workers",
             "fixed:4",
         ],
-        None,
         3780,
         0x1e2b_801b_73f0_4494,
     );
@@ -79,7 +73,6 @@ fn colmena_backfill_poisson() {
             "--arrival",
             "poisson:0.05",
         ],
-        None,
         9580,
         0x57a8_3acb_9671_1811,
     );
@@ -87,7 +80,7 @@ fn colmena_backfill_poisson() {
 
 #[test]
 fn topeft_dag() {
-    assert_digest(&["topeft", "--dag"], None, 17365, 0xd4d4_a574_2f36_2e18);
+    assert_digest(&["topeft", "--dag"], 17365, 0xd4d4_a574_2f36_2e18);
 }
 
 #[test]
@@ -104,7 +97,6 @@ fn colmena_diamond_poisson() {
             "--arrival",
             "poisson:0.2",
         ],
-        None,
         694,
         0xbf47_3366_05ad_c0e5,
     );
@@ -113,8 +105,16 @@ fn colmena_diamond_poisson() {
 #[test]
 fn bimodal_under_heavy_faults_with_feedback() {
     assert_digest(
-        &["bimodal", "--tasks", "120", "--seed", "7"],
-        Some("heavy"),
+        &[
+            "bimodal",
+            "--tasks",
+            "120",
+            "--seed",
+            "7",
+            "--plan",
+            "heavy",
+            "--feedback",
+        ],
         1162,
         0x2d1b_c6b5_a8d9_60d1,
     );
@@ -133,8 +133,10 @@ fn bimodal_batch_under_flaky_dispatch() {
             "batch",
             "--workers",
             "fixed:20",
+            "--plan",
+            "flaky-dispatch",
+            "--feedback",
         ],
-        Some("flaky-dispatch"),
         2939,
         0x5cbe_faa9_c839_e85f,
     );

@@ -1,5 +1,6 @@
-//! Golden-output tests for `tora chaos`: at a fixed seed the rendered
-//! `FaultReport` must be byte-identical from run to run. Fault injection
+//! Golden-output tests for `tora simulate --plan`: at a fixed seed the
+//! output, rendered `FaultReport` included, must be byte-identical from run
+//! to run. Fault injection
 //! draws from a dedicated seeded stream, so any nondeterminism (hash-order
 //! iteration, time-dependent formatting, an RNG draw leaking between
 //! streams) shows up here as a diff before it can poison an experiment.
@@ -19,29 +20,43 @@ fn tora_stdout(args: &[&str]) -> String {
     String::from_utf8_lossy(&output.stdout).into_owned()
 }
 
-/// Run `tora chaos bimodal --tasks 120 --seed 7 <extra>` twice and return
-/// the (identical) report. The command exits non-zero when conservation
-/// fails, so a returned report has balanced books; the row says so too.
+/// The rendered `FaultReport`: the stdout from its `== fault report` title
+/// to the end, so assertions cannot match the run header above it.
+fn fault_report(stdout: &str) -> String {
+    let start = stdout
+        .find("== fault report")
+        .unwrap_or_else(|| panic!("no fault report in: {stdout}"));
+    stdout[start..].to_string()
+}
+
+/// Run `tora simulate bimodal --tasks 120 --seed 7 <extra>` twice, check the
+/// whole stdout is identical, and return its fault report. The command exits
+/// non-zero when conservation fails, so a returned report has balanced
+/// books; the row says so too.
 fn golden_report(extra: &[&str]) -> String {
-    let mut args = vec!["chaos", "bimodal", "--tasks", "120", "--seed", "7"];
+    let mut args = vec!["simulate", "bimodal", "--tasks", "120", "--seed", "7"];
     args.extend(extra);
     let first = tora_stdout(&args);
     let second = tora_stdout(&args);
     assert_eq!(
         first, second,
-        "tora {args:?}: report differs between identical runs"
+        "tora {args:?}: output differs between identical runs"
     );
+    let report = fault_report(&first);
     assert!(
-        first.contains("ok (submitted = completed + dead-lettered)"),
-        "tora {args:?}: {first}"
+        report.contains("ok (submitted = completed + dead-lettered)"),
+        "tora {args:?}: {report}"
     );
-    first
+    report
 }
 
 #[test]
 fn heavy_preset_report_is_byte_stable() {
     let report = golden_report(&["--plan", "heavy"]);
-    assert!(report.contains("fault report"), "{report}");
+    assert!(
+        report.starts_with("== fault report — exhaustive-bucketing (seed 7) =="),
+        "{report}"
+    );
     // The report must carry the full terminal-state ledger.
     for row in ["submitted", "completed", "dead-lettered", "conservation"] {
         assert!(report.contains(row), "missing row {row:?}: {report}");
@@ -67,19 +82,20 @@ fn dag_shape_report_is_byte_stable_and_carries_critical_path_rows() {
     // factor, and the waste split into on-path vs off-path MB*s. Those
     // rows must render and the whole report must stay byte-stable.
     let args = [
-        "chaos", "bimodal", "--shape", "diamond", "--width", "3", "--depth", "4", "--seed", "7",
+        "simulate", "bimodal", "--shape", "diamond", "--width", "3", "--depth", "4", "--seed", "7",
         "--plan", "light",
     ];
     let first = tora_stdout(&args);
     let second = tora_stdout(&args);
-    assert_eq!(first, second, "DAG chaos report differs between runs");
+    assert_eq!(first, second, "DAG fault report differs between runs");
+    let report = fault_report(&first);
     for row in [
         "critical path (submit)",
         "critical path (realized)",
         "waste on / off path",
         "conservation",
     ] {
-        assert!(first.contains(row), "missing row {row:?}: {first}");
+        assert!(report.contains(row), "missing row {row:?}: {report}");
     }
 }
 
@@ -89,7 +105,10 @@ fn feedback_flag_keeps_the_report_deterministic() {
     // but consumes no randomness of its own: with --feedback the report
     // must still be byte-stable at a fixed seed.
     let report = golden_report(&["--plan", "rack-outages", "--feedback"]);
-    assert!(report.contains("fault report"), "{report}");
+    assert!(
+        report.starts_with("== fault report — exhaustive-bucketing (seed 7) =="),
+        "{report}"
+    );
 }
 
 #[test]
@@ -107,6 +126,7 @@ fn feature_conditioned_comparators_survive_heavy_faults_with_feedback() {
     // feature-conditioned estimators too; their reports stay byte-stable.
     for algorithm in ["feature-binned", "semi-bandit"] {
         let report = golden_report(&["--plan", "heavy", "--algorithm", algorithm, "--feedback"]);
-        assert!(report.contains(algorithm), "{report}");
+        let title = format!("== fault report — {algorithm} (seed 7) ==");
+        assert!(report.starts_with(&title), "{report}");
     }
 }
