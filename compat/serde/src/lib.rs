@@ -4,7 +4,12 @@
 //!
 //! Unlike upstream serde there is no data-model visitor pipeline: JSON is
 //! the only format. Writing goes straight to text — every [`Serialize`]
-//! impl calls the one JSON [`Serializer`], which appends to a `String`.
+//! impl calls the one JSON [`Serializer`], which appends to one buffer.
+//! Numbers are written without `core::fmt`: integers two digits at a time,
+//! and floats as the shortest digits that read back to the same bits
+//! (Ryu's digits, laid out as `Display` lays out an `f64`, then `.0` when
+//! integral). Derived types write their keys through
+//! [`Serializer::field`], which skips the escape scan.
 //! Reading goes through an owned [`Value`] tree: the parser builds it and
 //! [`Deserialize`] rebuilds typed values from it. That is plenty for the
 //! workflow/event JSONL files this workspace reads and writes, and it keeps
@@ -13,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+mod num;
 mod ser;
 
 pub use ser::Serializer;
@@ -291,9 +297,6 @@ impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
         let items = v
             .as_array()
             .ok_or_else(|| Error::custom("expected array"))?;
-        if items.len() != N {
-            return Err(Error::custom(format!("expected {N}-element array")));
-        }
         let parsed: Vec<T> = items.iter().map(T::from_value).collect::<Result<_, _>>()?;
         parsed
             .try_into()

@@ -1,7 +1,7 @@
 //! The JSON writer every [`Serialize`](crate::Serialize) impl writes through.
 
+use crate::num;
 use crate::Error;
-use std::fmt::Write;
 
 const HEX: &[u8; 16] = b"0123456789abcdef";
 
@@ -9,16 +9,19 @@ const HEX: &[u8; 16] = b"0123456789abcdef";
 ///
 /// A value is written by one call (`null`, `bool`, `u64`, `i64`, `f64`,
 /// `str`) or by a container sequence: `begin_array`, then `element` before
-/// each item, then `end_array`; `begin_object`, then `key` before each
-/// value, then `end_object`. Objects keep the order keys are written in.
+/// each item, then `end_array`; `begin_object`, then `key` (or `field`, for
+/// a key that needs no escaping) before each value, then `end_object`.
+/// Objects keep the order keys are written in.
 ///
-/// Output matches upstream `serde_json`: floats print in Rust's shortest
-/// round-trip form with a `.0` marker when integral, so they re-parse as
+/// Output matches upstream `serde_json`: floats print as `Display` prints
+/// them (the shortest digits that read back to the same bits, never in
+/// exponent form) with a `.0` marker when integral, so they re-parse as
 /// floats. A non-finite float is an error; the writer keeps the first error
 /// and [`finish`](Serializer::finish) returns it in place of the text.
 #[derive(Debug)]
 pub struct Serializer {
-    out: String,
+    /// Only ever extended by whole `str`s and ASCII bytes.
+    out: Vec<u8>,
     pretty: bool,
     depth: usize,
     error: Option<Error>,
@@ -28,7 +31,7 @@ impl Serializer {
     /// A writer of compact JSON (no whitespace).
     pub fn compact() -> Self {
         Serializer {
-            out: String::new(),
+            out: Vec::new(),
             pretty: false,
             depth: 0,
             error: None,
@@ -47,85 +50,89 @@ impl Serializer {
     pub fn finish(self) -> Result<String, Error> {
         match self.error {
             Some(e) => Err(e),
-            None => Ok(self.out),
+            None => Ok(String::from_utf8(self.out).expect("the writer appends only UTF-8")),
         }
     }
 
     /// Write `null`.
     #[inline]
     pub fn null(&mut self) {
-        self.out.push_str("null");
+        self.out.extend_from_slice(b"null");
     }
 
     /// Write `true` or `false`.
     #[inline]
     pub fn bool(&mut self, b: bool) {
-        self.out.push_str(if b { "true" } else { "false" });
+        self.out
+            .extend_from_slice(if b { b"true" } else { b"false" });
     }
 
     /// Write an unsigned integer.
     #[inline]
     pub fn u64(&mut self, u: u64) {
-        write!(self.out, "{u}").expect("writing to a String cannot fail");
+        num::write_u64(&mut self.out, u);
     }
 
     /// Write a signed integer.
     #[inline]
     pub fn i64(&mut self, i: i64) {
-        write!(self.out, "{i}").expect("writing to a String cannot fail");
+        num::write_i64(&mut self.out, i);
     }
 
     /// Write a float; a non-finite one is an error.
     #[inline]
     pub fn f64(&mut self, f: f64) {
-        if !f.is_finite() {
-            self.fail(format!("cannot serialize non-finite float {f}"));
-            return;
-        }
-        // `Display` never uses exponent form, so an integral float prints as
-        // bare digits; the `.0` keeps it a float when it is parsed back.
-        write!(self.out, "{f}").expect("writing to a String cannot fail");
-        if f.trunc() == f {
-            self.out.push_str(".0");
+        if f.is_finite() {
+            num::write_f64(&mut self.out, f);
+        } else {
+            let name = if f.is_nan() {
+                "NaN"
+            } else if f > 0.0 {
+                "inf"
+            } else {
+                "-inf"
+            };
+            self.fail(format!("cannot serialize non-finite float {name}"));
         }
     }
 
     /// Write a string, escaped.
     #[inline]
     pub fn str(&mut self, s: &str) {
-        self.out.push('"');
+        self.out.push(b'"');
         // Copy the runs between escapes whole. Every escaped byte is ASCII,
         // so each run starts and ends on a char boundary.
+        let bytes = s.as_bytes();
         let mut run = 0;
-        for (i, &b) in s.as_bytes().iter().enumerate() {
+        for (i, &b) in bytes.iter().enumerate() {
             if b >= 0x20 && b != b'"' && b != b'\\' {
                 continue;
             }
-            self.out.push_str(&s[run..i]);
+            self.out.extend_from_slice(&bytes[run..i]);
             run = i + 1;
             match b {
-                b'"' => self.out.push_str("\\\""),
-                b'\\' => self.out.push_str("\\\\"),
-                b'\n' => self.out.push_str("\\n"),
-                b'\r' => self.out.push_str("\\r"),
-                b'\t' => self.out.push_str("\\t"),
-                0x08 => self.out.push_str("\\b"),
-                0x0c => self.out.push_str("\\f"),
+                b'"' => self.out.extend_from_slice(b"\\\""),
+                b'\\' => self.out.extend_from_slice(b"\\\\"),
+                b'\n' => self.out.extend_from_slice(b"\\n"),
+                b'\r' => self.out.extend_from_slice(b"\\r"),
+                b'\t' => self.out.extend_from_slice(b"\\t"),
+                0x08 => self.out.extend_from_slice(b"\\b"),
+                0x0c => self.out.extend_from_slice(b"\\f"),
                 _ => {
-                    self.out.push_str("\\u00");
-                    self.out.push(HEX[(b >> 4) as usize] as char);
-                    self.out.push(HEX[(b & 0xf) as usize] as char);
+                    self.out.extend_from_slice(b"\\u00");
+                    self.out.push(HEX[(b >> 4) as usize]);
+                    self.out.push(HEX[(b & 0xf) as usize]);
                 }
             }
         }
-        self.out.push_str(&s[run..]);
-        self.out.push('"');
+        self.out.extend_from_slice(&bytes[run..]);
+        self.out.push(b'"');
     }
 
     /// Open an array.
     #[inline]
     pub fn begin_array(&mut self) {
-        self.out.push('[');
+        self.out.push(b'[');
         self.depth += 1;
     }
 
@@ -138,13 +145,13 @@ impl Serializer {
     /// Close the innermost array.
     #[inline]
     pub fn end_array(&mut self) {
-        self.close(b'[', ']');
+        self.close(b'[', b']');
     }
 
     /// Open an object.
     #[inline]
     pub fn begin_object(&mut self) {
-        self.out.push('{');
+        self.out.push(b'{');
         self.depth += 1;
     }
 
@@ -153,13 +160,25 @@ impl Serializer {
     pub fn key(&mut self, k: &str) {
         self.separate(b'{');
         self.str(k);
-        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.colon();
+    }
+
+    /// Write the next object key, one that needs no escaping (a Rust
+    /// identifier, as the derives write); its value follows.
+    #[inline]
+    pub fn field(&mut self, k: &'static str) {
+        debug_assert!(!k.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\'));
+        self.separate(b'{');
+        self.out.push(b'"');
+        self.out.extend_from_slice(k.as_bytes());
+        self.out.push(b'"');
+        self.colon();
     }
 
     /// Close the innermost object.
     #[inline]
     pub fn end_object(&mut self) {
-        self.close(b'{', '}');
+        self.close(b'{', b'}');
     }
 
     /// A comma unless the container `open` was just opened, then the
@@ -169,16 +188,22 @@ impl Serializer {
         // An item always ends in a byte other than its container's opener
         // (a nested container is closed before the next item), so the last
         // byte tells whether this is the first item.
-        if self.out.as_bytes().last() != Some(&open) {
-            self.out.push(',');
+        if self.out.last() != Some(&open) {
+            self.out.push(b',');
         }
         self.newline();
     }
 
     #[inline]
-    fn close(&mut self, open: u8, close: char) {
+    fn colon(&mut self) {
+        self.out
+            .extend_from_slice(if self.pretty { b": " } else { b":" });
+    }
+
+    #[inline]
+    fn close(&mut self, open: u8, close: u8) {
         self.depth -= 1;
-        if self.out.as_bytes().last() != Some(&open) {
+        if self.out.last() != Some(&open) {
             self.newline();
         }
         self.out.push(close);
@@ -187,8 +212,8 @@ impl Serializer {
     #[inline]
     fn newline(&mut self) {
         if self.pretty {
-            self.out.push('\n');
-            self.out.extend(std::iter::repeat_n(' ', 2 * self.depth));
+            self.out.push(b'\n');
+            self.out.resize(self.out.len() + 2 * self.depth, b' ');
         }
     }
 

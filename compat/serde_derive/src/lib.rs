@@ -259,7 +259,7 @@ fn named_serialize(fields: &[Field], access: impl Fn(&str) -> String) -> String 
         .iter()
         .map(|f| {
             format!(
-                "__out.key(\"{n}\"); ::serde::Serialize::serialize({a}, __out);",
+                "__out.field(\"{n}\"); ::serde::Serialize::serialize({a}, __out);",
                 n = f.name,
                 a = access(&f.name)
             )
@@ -322,7 +322,7 @@ fn gen_serialize(item: &Item) -> String {
                     };
                     format!(
                         "{name}::{vn} {pattern} => {{ \
-                           __out.begin_object(); __out.key(\"{vn}\"); {content} __out.end_object(); \
+                           __out.begin_object(); __out.field(\"{vn}\"); {content} __out.end_object(); \
                          }}"
                     )
                 })

@@ -7,6 +7,7 @@ use tora::alloc::cost::{exhaustive_cost, greedy_cost, PrefixStats};
 use tora::alloc::exhaustive::ExhaustiveBucketing;
 use tora::alloc::greedy::GreedyBucketing;
 use tora::alloc::partition::Partitioner;
+use tora::alloc::policy::EXACT_REBUCKET_LIMIT;
 use tora::alloc::record::{RecordList, ScalarRecord};
 use tora::alloc::{BucketingEstimator, ValueEstimator};
 use tora::prelude::*;
@@ -475,5 +476,42 @@ proptest! {
         let wf = PaperWorkflow::TopEft.spec(seed).category_tasks(vec![12, 60, 8]).materialize().unwrap();
         let replayed = replay(&wf, algorithm, EnforcementModel::InstantPeak, seed, WorkflowMetrics::with_rows());
         check_fold_against_rows(&replayed)?;
+    }
+}
+
+/// The rebuild cadence across [`EXACT_REBUCKET_LIMIT`]: an observation up
+/// to the limit makes the next prediction rebuild, and one past it waits
+/// for a batch. The 4,096th record is a new maximum, so the prediction
+/// after it shows whether it was folded in.
+#[test]
+fn cadence_turns_geometric_just_past_the_exact_limit() {
+    assert_eq!(EXACT_REBUCKET_LIMIT, 4096);
+    let mut estimator = BucketingEstimator::new(GreedyBucketing::new());
+    for i in 0..4094 {
+        estimator.observe(100.0 + (i % 97) as f64, 1.0);
+    }
+    // The top draw picks the top bucket, whose representative is the
+    // largest record the bucket set has seen.
+    let top = 0.999_999;
+    assert_eq!(estimator.first(top), Some(196.0));
+    assert_eq!(estimator.version(), 1);
+
+    let steps = [
+        // (value observed, records after it, version, top prediction)
+        (150.0, 4095, 2, 196.0),
+        (50_000.0, 4096, 3, 50_000.0),
+        // Deferred: one pending record is under 1/64 of the list, so the
+        // prediction serves the set built at 4,096 records.
+        (80_000.0, 4097, 3, 50_000.0),
+    ];
+    for (value, records, version, predicted) in steps {
+        estimator.observe(value, 1_000.0);
+        assert_eq!(estimator.len(), records);
+        assert_eq!(
+            estimator.first(top),
+            Some(predicted),
+            "at {records} records"
+        );
+        assert_eq!(estimator.version(), version, "at {records} records");
     }
 }
